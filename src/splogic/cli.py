@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

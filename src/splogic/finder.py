@@ -103,12 +103,15 @@ def _worker_count(workers: int | None) -> int:
     if workers is not None:
         return max(1, workers)
     env = os.environ.get("SPL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"SPL_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
@@ -138,6 +141,36 @@ def _symbols_of(f: Formula, preds: dict[str, int], consts: set[str], sps: set[st
         if f.standpoint != UNIVERSAL_STANDPOINT:
             sps.add(f.standpoint)
         _symbols_of(f.body, preds, consts, sps)
+
+
+def _read_keys(f: Formula, slots: dict[str, int], wide: set, exact: set) -> None:
+    """Collect the read set of f once the variables in slots are ground:
+    (pred, argument slots) into exact for atoms over those variables
+    only, predicate, constant and standpoint keys into wide."""
+    if isinstance(f, Atom):
+        if all(isinstance(t, Var) and t.name in slots for t in f.args):
+            exact.add((f.pred, tuple(slots[t.name] for t in f.args)))
+            return
+        wide.add(("p", f.pred))
+        for t in f.args:
+            if isinstance(t, Const):
+                wide.add(("c", t.name))
+    elif isinstance(f, Equal):
+        for t in (f.left, f.right):
+            if isinstance(t, Const):
+                wide.add(("c", t.name))
+    elif isinstance(f, Not):
+        _read_keys(f.body, slots, wide, exact)
+    elif isinstance(f, And):
+        _read_keys(f.left, slots, wide, exact)
+        _read_keys(f.right, slots, wide, exact)
+    elif isinstance(f, Forall):
+        inner = {v: s for v, s in slots.items() if v != f.var}
+        _read_keys(f.body, inner, wide, exact)
+    elif isinstance(f, Box):
+        if f.standpoint != UNIVERSAL_STANDPOINT:
+            wide.add(("s", f.standpoint))
+        _read_keys(f.body, slots, wide, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -322,53 +355,52 @@ class _FoslSpace:
         # them under the constant-domain semantics) are ground into one
         # instance per element tuple, so the probe machinery sees small,
         # nearly-decided constraints instead of one monolithic quantifier.
+        #
+        # Each instance also gets its read set: the keys of the cells its
+        # evaluation can read.  An atom whose arguments are all ground
+        # variables reads one cell per precisification, keyed
+        # ("p", pred, rank); any other atom is keyed by its whole predicate
+        # ("p", pred); constants and non-universal standpoints by name.  The
+        # read set comes from the rebuilt formula so that it includes the
+        # standpoints of the box prefix.
         self.conjuncts: list = []  # compiled bodies
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.pi_indep: list[bool] = []
-        self.parent: list[int] = []  # instance -> source conjunct index
-        for src_i, part in enumerate(parts):
+        self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
+        for part in parts:
             boxes, qvars, body = _strip_ground_prefix(part, n)
-            if qvars:
-                slots = {v: i for i, v in enumerate(qvars)}
-                rebuilt = body
-                for sp in reversed(boxes):
-                    rebuilt = Box(sp, rebuilt)
-                fn = self._compile(rebuilt, slots)
-                indep = _is_pi_independent(rebuilt)
-                for combo in itertools.product(range(n), repeat=len(qvars)):
-                    self.conjuncts.append(fn)
-                    self.presets.append(tuple(zip(range(len(qvars)), combo)))
-                    self.pi_indep.append(indep)
-                    self.parent.append(src_i)
-            else:
-                self.conjuncts.append(self._compile(part, {}))
-                self.presets.append(())
-                self.pi_indep.append(_is_pi_independent(part))
-                self.parent.append(src_i)
+            rebuilt = body
+            for sp in reversed(boxes):
+                rebuilt = Box(sp, rebuilt)
+            slots = {v: i for i, v in enumerate(qvars)}
+            wide: set[tuple] = set()
+            exact: set[tuple[str, tuple[int, ...]]] = set()
+            _read_keys(rebuilt, slots, wide, exact)
+            fn = self._compile(rebuilt, slots)
+            indep = _is_pi_independent(rebuilt)
+            for combo in itertools.product(range(n), repeat=len(qvars)):
+                ci = len(self.conjuncts)
+                self.conjuncts.append(fn)
+                self.presets.append(tuple(enumerate(combo)))
+                self.pi_indep.append(indep)
+                keys = set(wide)
+                for pred, arg_slots in exact:
+                    rank = 0
+                    for s in arg_slots:
+                        rank = rank * n + combo[s]
+                    keys.add(("p", pred, rank))
+                for key in keys:
+                    self.watch.setdefault(key, []).append(ci)
         self.scan_order = range(len(self.conjuncts))
         self.status = [[_U] * m for _ in self.conjuncts]
         self.trail: list[list[tuple[int, int]]] = [[]]
 
-        # re-evaluate an instance only when one of its symbols was touched
+        # memos: an instance is re-evaluated only when a cell it can read
+        # changes, i.e. when a key of its read set is touched
         self.tick = 0
         self.conj_touch = [0] * len(self.conjuncts)
         self.u_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
         self.probe_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
-        sym_map: dict[tuple, list[int]] = {}
-        by_src: dict[int, list[int]] = {}
-        for ci, src_i in enumerate(self.parent):
-            by_src.setdefault(src_i, []).append(ci)
-        for src_i, part in enumerate(parts):
-            p2, c2, s2 = {}, set(), set()
-            _symbols_of(part, p2, c2, s2)
-            targets = by_src[src_i]
-            for p in p2:
-                sym_map.setdefault(("p", p), []).extend(targets)
-            for c in c2:
-                sym_map.setdefault(("c", c), []).extend(targets)
-            for sp in s2:
-                sym_map.setdefault(("s", sp), []).extend(targets)
-        self.sym_map = sym_map
 
     # ---- compilation to closures: fn(pi, env) -> three-valued int ----
     #
@@ -626,10 +658,11 @@ class _FoslSpace:
 
     # ---- assignment trail ----
 
-    def _touch(self, sym: tuple) -> None:
+    def _touch(self, *keys: tuple) -> None:
         self.tick += 1
-        for ci in self.sym_map.get(sym, ()):
-            self.conj_touch[ci] = self.tick
+        for key in keys:
+            for ci in self.watch.get(key, ()):
+                self.conj_touch[ci] = self.tick
 
     def assign(self, cell: tuple, value: int) -> None:
         self.trail.append([])
@@ -638,7 +671,7 @@ class _FoslSpace:
         if kind == "p":
             _, pred, pi, rank = cell
             self.pred_bits[pred][pi][rank] = value
-            self._touch(("p", pred))
+            self._touch(("p", pred, rank), ("p", pred))
             arity = self.preds[pred]
             r = rank
             for _ in range(arity):
@@ -665,7 +698,7 @@ class _FoslSpace:
         if kind == "p":
             _, pred, pi, rank = cell
             self.pred_bits[pred][pi][rank] = 0
-            self._touch(("p", pred))
+            self._touch(("p", pred, rank), ("p", pred))
         elif kind == "c":
             _, name, pi = cell
             self.const_val[(name, pi)] = None
@@ -1278,6 +1311,8 @@ def find_v1_model(
         best = found["idx"]
         if best is not None and best < idx:
             return ("skipped",)
+        if time.monotonic() > deadline:
+            return ("timeout",)
         space = _V1Space(vocab, f, ne, m, maps)
         result = space.dfs(deadline)
         if result[0] == "model" and (found["idx"] is None or idx < found["idx"]):
@@ -1288,12 +1323,14 @@ def find_v1_model(
         for m in range(1, bounds.max_precisifications + 1):
             for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1):
                 found["idx"] = None
-                tasks = [(ne, m, maps) for maps in _registry_combos(ne, m, r)]
-                if workers <= 1 or len(tasks) <= 1:
-                    results = [run(t) for t in enumerate(tasks)]
+                tasks = enumerate((ne, m, maps) for maps in _registry_combos(ne, m, r))
+                if workers <= 1:
+                    # lazily, so the loop below stops at the first model or
+                    # at the deadline without building the remaining spaces
+                    results = map(run, tasks)
                 else:
                     with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(run, enumerate(tasks)))
+                        results = list(pool.map(run, tasks))
                 for result in results:
                     if result[0] == "model":
                         return ModelFound(result[1], time.monotonic() - start)

@@ -63,6 +63,17 @@ class TestCheck:
         assert code == 2
         assert "unknown precisification" in err
 
+    def test_deeply_nested_formula_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "deep.txt"
+        f.write_text("(" * 1000 + "P(c)" + ")" * 1000 + "\n")
+        code, out, err = run(
+            capsys, "check", "--formula", str(f),
+            "--model", str(FIXTURES / "m0.json"), "--flavor", "fosl",
+        )
+        assert code == 2
+        assert "not a model" not in out
+        assert "error: formula nested too deeply" in err
+
     def test_undeclared_symbol_exits_two(self, capsys, tmp_path):
         f = tmp_path / "f.txt"
         f.write_text("Zap(c)\n")
@@ -168,6 +179,18 @@ class TestSolve:
         )
         assert code == 1
         assert out.startswith("unsat within bounds")
+
+    def test_bad_thread_setting_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPL_THREADS", "abc")
+        code, _, err = run(
+            capsys, "solve",
+            "--formula", str(FIXTURES / "formula_a.txt"),
+            "--vocab", str(FIXTURES / "desert_fosl_vocab.json"),
+            "--flavor", "fosl",
+            "--bounds", "3,2",
+        )
+        assert code == 2
+        assert "SPL_THREADS" in err
 
     def test_v1_solve(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"

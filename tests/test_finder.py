@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -7,22 +8,33 @@ from splogic import (
     ExhaustedUnsat,
     ModelFound,
     SearchTimeout,
+    equisat_check,
     find_fosl_model,
     find_v1_model,
     fosl_structure_to_dict,
+    full_translation,
     generate_formula,
     is_model,
     is_model_v1,
     make_fosl_vocabulary,
     make_v1_vocabulary,
     parse_formula,
+    translated_vocabulary,
     v1_structure_to_dict,
 )
+from splogic.finder import _F, _U, _FoslSpace
 
 from naive_eval import naive_is_model, naive_is_model_v1
 from naive_enum import naive_fosl_sat
 
 DESERT_BOUNDS = Bounds(max_domain=3, max_precisifications=2, timeout=120)
+CORPUS_BOUNDS = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
+                       timeout=60)
+
+
+def corpus_vocab():
+    # the vocabulary of the equisat corpus in tests/test_equisat.py
+    return make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
 
 
 class TestFoslSearch:
@@ -113,6 +125,21 @@ class TestV1Search:
         f = parse_formula("!Kind(n)", vocab)
         outcome = find_v1_model(vocab, f, self.BOUNDS)
         assert isinstance(outcome, ExhaustedUnsat)
+
+    def test_timeout_holds(self):
+        # tens of thousands of registries per level: the deadline must stop
+        # the enumeration, not only the search inside one registry.  The
+        # two timeouts end in different levels; workers=2 takes the pool.
+        vocab = corpus_vocab()
+        f = parse_formula("Attr(n) & !Attr(n)", vocab)
+        for timeout, workers in ((1.0, 1), (2.0, 1), (1.0, 2)):
+            bounds = Bounds(max_entities=5, max_precisifications=3,
+                            max_individuals=5, timeout=timeout)
+            start = time.monotonic()
+            outcome = find_v1_model(vocab, f, bounds, workers=workers)
+            assert isinstance(outcome, SearchTimeout)
+            assert outcome.elapsed < timeout + 0.5
+            assert time.monotonic() - start < timeout + 0.5
 
     def test_found_models_pass_strict_validation(self, desert_v1_vocab):
         from splogic import v1_structure_from_dict
@@ -215,6 +242,14 @@ class TestDeterminism:
         outcome = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS)
         assert isinstance(outcome, ModelFound)
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_env_variable_rejects_bad_value(
+        self, desert_fosl_vocab, formula_a, value, monkeypatch
+    ):
+        monkeypatch.setenv("SPL_THREADS", value)
+        with pytest.raises(ValueError, match="SPL_THREADS"):
+            find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS)
+
 
 class TestMonotonicity:
     def test_sat_preserved_under_larger_bounds(self, desert_fosl_vocab):
@@ -248,3 +283,90 @@ class TestBounds:
             Bounds(max_domain=0)
         with pytest.raises(ValueError):
             Bounds(timeout=0)
+
+
+class TestMemoInvariant:
+    """A memo entry that is still valid (made at or after the last touch
+    of its instance) must equal a fresh evaluation or probe: read sets
+    that miss a cell leave stale entries behind."""
+
+    @staticmethod
+    def cells(space):
+        for pred, k in space.preds.items():
+            for pi in range(space.m):
+                for rank in range(space.n ** k):
+                    if space.pred_bits[pred][pi][rank] == 0:
+                        yield ("p", pred, pi, rank)
+        for (name, pi), v in space.const_val.items():
+            if v is None:
+                yield ("c", name, pi)
+        for (sp, pi), b in space.sigma_bits.items():
+            if b == 0:
+                yield ("s", sp, pi)
+
+    @staticmethod
+    def check_memos(space):
+        checked = 0
+        for ci, fn in enumerate(space.conjuncts):
+            preset = space.presets[ci]
+            touched = space.conj_touch[ci]
+            for pi in range(space.m):
+                memo = space.u_memo[ci][pi]
+                if memo is None or memo[2] < touched:
+                    continue
+                for slot, elem in preset:
+                    space.env[slot] = elem
+                space.culprit = None
+                space.u_seen = 0
+                assert fn(pi, space.env) == _U, (ci, pi)
+                cul = space.culprit
+                assert (cul, space.u_seen) == memo[:2], (ci, pi)
+                checked += 1
+                probe = space.probe_memo[ci][pi]
+                if probe is not None and probe[2] >= touched:
+                    fresh = space._probe(cul, fn, pi, preset)
+                    assert fresh == probe[:2], (ci, pi, cul)
+                    checked += 1
+        return checked
+
+    @pytest.mark.parametrize("seed", [1044, 167, 42])
+    def test_valid_memos_match_fresh_evaluation(self, seed):
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        space = _FoslSpace(translated_vocabulary(vocab), f, 3, 2, True)
+        checked = []
+        scan = space._scan
+
+        def checked_scan():
+            result = scan()
+            checked.append(self.check_memos(space))
+            return result
+
+        space._scan = checked_scan
+        rng = random.Random(seed)
+        steps: list[list[tuple]] = []
+        refuted = False
+        for _ in range(300):
+            if steps and (refuted or rng.random() < 0.3):
+                for cell in reversed(steps.pop()):
+                    space.unassign(cell)
+                refuted = False
+                continue
+            open_cells = list(self.cells(space))
+            if not open_cells:
+                break
+            cell = rng.choice(open_cells)
+            space.assign(cell, rng.choice(space.branch_values(cell)))
+            assigned = [cell]
+            v, _ = space.propagate(assigned)
+            steps.append(assigned)
+            refuted = v == _F
+        assert len(checked) > 100 and sum(checked) > 1000
+
+    def test_box_prefix_sentence_is_sat(self):
+        # [s] forall ?x Shape(n): the box prefix standpoint must be in the
+        # read set of every ground instance under it
+        vocab = corpus_vocab()
+        f = generate_formula(vocab, 1044, 4)
+        report = equisat_check(vocab, f, CORPUS_BOUNDS)
+        assert report.agreement == "sat"
