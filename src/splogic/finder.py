@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -101,7 +102,9 @@ SearchOutcome = Union[ModelFound, ExhaustedUnsat, SearchTimeout]
 
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {workers!r}")
+        return workers
     env = os.environ.get("SPL_THREADS")
     if not env:
         return 1
@@ -344,8 +347,11 @@ class _FoslSpace:
             (sp, pi): 0 for sp in self.sps for pi in range(m)
         }
 
-        self.maxdes = -1  # largest domain element index mentioned so far
-        self.des_stack: list[int] = []
+        # least-number heuristic, per block of interchangeable elements:
+        # the largest element of each block mentioned so far, and the
+        # values a constant may take (see set_blocks)
+        self.set_blocks(((0, n),))
+        self.lnh_stack: list[tuple] = []  # (maxima, choices) per assignment
         self.env: list[int] = [0] * (max(_count_quantifiers(p) for p in parts) + 1)
 
         self.culprit: tuple | None = None
@@ -598,13 +604,16 @@ class _FoslSpace:
         if first_culprit is None:
             return _T, None, {}
         forced: dict[tuple, int] = {}
+        choices = self.choices
         for ci, cul, fn, pi, preset in probes:
+            # a constant's probe also depends on the values it may take
             memo = self.probe_memo[ci][pi]
-            if memo is not None and memo[2] >= self.conj_touch[ci]:
+            if (memo is not None and memo[2] >= self.conj_touch[ci]
+                    and (cul[0] != "c" or memo[3] == choices)):
                 survivors, keep = memo[0], memo[1]
             else:
                 survivors, keep = self._probe(cul, fn, pi, preset)
-                self.probe_memo[ci][pi] = (survivors, keep, tick)
+                self.probe_memo[ci][pi] = (survivors, keep, tick, choices)
             if survivors == 0:
                 return _F, None, {}
             if survivors == 1:
@@ -664,27 +673,66 @@ class _FoslSpace:
             for ci in self.watch.get(key, ()):
                 self.conj_touch[ci] = self.tick
 
-    def assign(self, cell: tuple, value: int) -> None:
+    def set_blocks(self, blocks: tuple[tuple[int, int], ...]) -> None:
+        """Partition the domain into blocks [start, end) whose elements are
+        interchangeable apart from what assignments mention; only valid
+        while no cell is assigned."""
+        self.blocks = blocks
+        self.block_of = [b for b, (lo, hi) in enumerate(blocks) for _ in range(lo, hi)]
+        self.maxima = tuple(lo - 1 for lo, _ in blocks)
+        self.choices = self._choices()
+
+    def split(self, sorts: tuple[str, str], r: int) -> list[tuple]:
+        """Make the first sort hold of the elements below r and the second
+        of the rest, at every precisification, with blocks [0, r) and
+        [r, n); the sort cells mention no element.  Returns the cells
+        assigned, for the caller to unassign in reverse order."""
+        first, second = sorts
+        self.set_blocks(((0, r), (r, self.n)))
+        cells = []
+        for pi in range(self.m):
+            for e in range(self.n):
+                for pred, value in ((first, 1 if e < r else 2), (second, 2 if e < r else 1)):
+                    cell = ("p", pred, pi, e)
+                    self.assign(cell, value, mention=False)
+                    cells.append(cell)
+        return cells
+
+    def _choices(self) -> tuple[int, ...]:
+        # per block: the elements up to its largest mentioned one, plus
+        # one fresh element while the block has any left
+        out: list[int] = []
+        for (lo, hi), top in zip(self.blocks, self.maxima):
+            cap = min(top + 1, hi - 1) if self.symmetry else hi - 1
+            out.extend(range(lo, cap + 1))
+        return tuple(out)
+
+    def _mention(self, e: int) -> None:
+        b = self.block_of[e]
+        if e > self.maxima[b]:
+            self.maxima = self.maxima[:b] + (e,) + self.maxima[b + 1:]
+            self.choices = self._choices()
+
+    def assign(self, cell: tuple, value: int, mention: bool = True) -> None:
+        """Set a cell.  With mention false the elements it names do not
+        count as mentioned (cells that treat a block's elements alike)."""
         self.trail.append([])
-        self.des_stack.append(self.maxdes)
+        self.lnh_stack.append((self.maxima, self.choices))
         kind = cell[0]
         if kind == "p":
             _, pred, pi, rank = cell
             self.pred_bits[pred][pi][rank] = value
             self._touch(("p", pred, rank), ("p", pred))
-            arity = self.preds[pred]
-            r = rank
-            for _ in range(arity):
-                e = r % self.n
-                r //= self.n
-                if e > self.maxdes:
-                    self.maxdes = e
+            if mention:
+                r = rank
+                for _ in range(self.preds[pred]):
+                    self._mention(r % self.n)
+                    r //= self.n
         elif kind == "c":
             _, name, pi = cell
             self.const_val[(name, pi)] = value
             self._touch(("c", name))
-            if value > self.maxdes:
-                self.maxdes = value
+            self._mention(value)
         else:
             _, sp, pi = cell
             self.sigma_bits[(sp, pi)] = value
@@ -693,7 +741,7 @@ class _FoslSpace:
     def unassign(self, cell: tuple) -> None:
         for ci, pi in self.trail.pop():
             self.status[ci][pi] = _U
-        self.maxdes = self.des_stack.pop()
+        self.maxima, self.choices = self.lnh_stack.pop()
         kind = cell[0]
         if kind == "p":
             _, pred, pi, rank = cell
@@ -708,13 +756,10 @@ class _FoslSpace:
             self.sigma_bits[(sp, pi)] = 0
             self._touch(("s", sp))
 
-    def branch_values(self, cell: tuple) -> list[int]:
+    def branch_values(self, cell: tuple) -> tuple[int, ...]:
         if cell[0] == "c":
-            cap = self.n - 1
-            if self.symmetry:
-                cap = min(self.maxdes + 1, cap)
-            return list(range(cap + 1))
-        return [2, 1]  # absent before present
+            return self.choices
+        return (2, 1)  # absent before present
 
     # ---- depth-first search ----
 
@@ -784,8 +829,34 @@ class _FoslSpace:
         return structure
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, workers):
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, workers, sorts=None):
+    """Search one level: n elements, m precisifications.
+
+    sorts, when given, names two unary predicates (ind, ext) that the
+    caller vouches f makes a rigid partition of the domain: exactly one
+    of them holds of each element, the same one at every
+    precisification (bridge axioms 1 and 2 of the full translation).
+    Any model with r elements in the first sort can then be renumbered,
+    constants included, so that those are the elements 0..r-1, and
+    renumbering preserves truth.  So with symmetry reduction on and
+    n >= 2 the level is searched once per r = 0..n with the sort cells
+    fixed that way, and each of the blocks [0, r) and [r, n) keeps its
+    own least-number heuristic: its elements are interchangeable until
+    some other assignment mentions one, since the sort cells treat them
+    alike.  This replaces branching on the sort cells, which explores
+    every permutation of the same split.  The split search is serial.
+    """
     space = _FoslSpace(vocab, f, n, m, symmetry)
+    if (sorts is not None and symmetry and n >= 2
+            and all(space.preds.get(p) == 1 for p in sorts)):
+        for r in range(n + 1):
+            cells = space.split(sorts, r)
+            result = space.dfs(deadline)
+            for cell in reversed(cells):
+                space.unassign(cell)
+            if result[0] != "unsat":
+                return result
+        return ("unsat",)
     rooted: list[tuple] = []
     v, culprit = space.propagate(rooted)
     if v == _F:
@@ -823,10 +894,12 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, workers):
 
 
 def find_fosl_model(
-    vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None
+    vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None,
+    *, _sorts: tuple[str, str] | None = None,
 ) -> SearchOutcome:
     """Search for a standpoint structure making f globally true, growing
-    the domain and precisification count from 1 up to the bounds."""
+    the domain and precisification count from 1 up to the bounds.
+    _sorts is the sort hint of _search_level_fosl."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
@@ -836,7 +909,7 @@ def find_fosl_model(
     for n in range(1, bounds.max_domain + 1):
         for m in range(1, bounds.max_precisifications + 1):
             result = _search_level_fosl(
-                vocab, f, n, m, bounds.symmetry_reduction, deadline, workers
+                vocab, f, n, m, bounds.symmetry_reduction, deadline, workers, _sorts
             )
             if result[0] == "model":
                 return ModelFound(result[1], time.monotonic() - start)
@@ -1319,24 +1392,47 @@ def find_v1_model(
             found["idx"] = idx
         return result
 
-    for ne in range(1, bounds.max_entities + 1):
-        for m in range(1, bounds.max_precisifications + 1):
-            for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1):
-                found["idx"] = None
-                tasks = enumerate((ne, m, maps) for maps in _registry_combos(ne, m, r))
-                if workers <= 1:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        for ne in range(1, bounds.max_entities + 1):
+            for m in range(1, bounds.max_precisifications + 1):
+                for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1):
+                    found["idx"] = None
+                    tasks = enumerate((ne, m, maps) for maps in _registry_combos(ne, m, r))
                     # lazily, so the loop below stops at the first model or
                     # at the deadline without building the remaining spaces
-                    results = map(run, tasks)
-                else:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(run, tasks))
-                for result in results:
-                    if result[0] == "model":
-                        return ModelFound(result[1], time.monotonic() - start)
-                    if result[0] == "timeout":
-                        return SearchTimeout(time.monotonic() - start)
-    return ExhaustedUnsat(bounds, time.monotonic() - start)
+                    if pool is None:
+                        results = map(run, tasks)
+                    else:
+                        results = _run_in_order(pool, run, tasks, workers, deadline)
+                    for result in results:
+                        if result[0] == "model":
+                            return ModelFound(result[1], time.monotonic() - start)
+                        if result[0] == "timeout":
+                            return SearchTimeout(time.monotonic() - start)
+        return ExhaustedUnsat(bounds, time.monotonic() - start)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _run_in_order(pool, run, tasks, ahead: int, deadline: float):
+    """run(task) for each task, yielded in task order, with at most
+    `ahead` tasks in the pool at a time.  Once the deadline has passed no
+    further task is submitted, and the results end with a timeout."""
+    pending: deque = deque()
+    timed_out = False
+    for task in tasks:
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        if time.monotonic() > deadline:
+            timed_out = True
+            break
+        pending.append(pool.submit(run, task))
+    while pending:
+        yield pending.popleft().result()
+    if timed_out:
+        yield ("timeout",)
 
 
 def _is_pi_independent(f: Formula, domain_varies: bool = False) -> bool:
@@ -1492,7 +1588,10 @@ def equisat_check(
         symmetry_reduction=bounds.symmetry_reduction,
     )
     t1 = time.monotonic()
-    fosl_result = find_fosl_model(trans_vocab, trans_f_search, fosl_bounds, workers)
+    # bridge axioms 1 and 2 make ind/ext a rigid partition of the domain
+    fosl_result = find_fosl_model(
+        trans_vocab, trans_f_search, fosl_bounds, workers, _sorts=("ind", "ext")
+    )
     fosl_dir = DirectionOutcome(
         direction="fosl",
         outcome=_outcome_name(fosl_result),

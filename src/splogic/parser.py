@@ -254,7 +254,13 @@ class _Parser:
 def parse_raw(text: str) -> Formula:
     """Parse without vocabulary checks; result uses only the six core nodes."""
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        # each nesting level costs several frames of the descent
+        tok = p.peek()
+        where = tok.pos if tok is not None else len(text)
+        raise FormulaSyntaxError("formula nested too deeply", where) from None
     trailing = p.peek()
     if trailing is not None:
         raise FormulaSyntaxError(

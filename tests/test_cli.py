@@ -192,6 +192,22 @@ class TestSolve:
         assert code == 2
         assert "SPL_THREADS" in err
 
+    def test_non_positive_workers_exit_two(self, capsys):
+        for flavor, formula, vocab in (
+            ("fosl", "formula_a.txt", "desert_fosl_vocab.json"),
+            ("v1", "formula_c.txt", "desert_v1_vocab.json"),
+        ):
+            code, _, err = run(
+                capsys, "solve",
+                "--formula", str(FIXTURES / formula),
+                "--vocab", str(FIXTURES / vocab),
+                "--flavor", flavor,
+                "--bounds", "3,2",
+                "--workers", "-3",
+            )
+            assert code == 2
+            assert "workers" in err
+
     def test_v1_solve(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from splogic import (
     translated_vocabulary,
     v1_structure_to_dict,
 )
+from splogic import finder
 from splogic.finder import _F, _U, _FoslSpace
 
 from naive_eval import naive_is_model, naive_is_model_v1
@@ -141,6 +143,31 @@ class TestV1Search:
             assert outcome.elapsed < timeout + 0.5
             assert time.monotonic() - start < timeout + 0.5
 
+    def test_pool_stops_drawing_tasks_at_the_deadline(self, monkeypatch):
+        # a fake clock passes the deadline while the fifth registry task is
+        # drawn; the pool may hold at most `workers` tasks, so no more than
+        # that many may be drawn afterwards
+        clock = [0.0]
+        monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        draws = []
+        combos = finder._registry_combos
+
+        def counted(ne, m, r):
+            for maps in combos(ne, m, r):
+                draws.append(maps)
+                if len(draws) == 5:
+                    clock[0] = 10.0
+                yield maps
+
+        monkeypatch.setattr(finder, "_registry_combos", counted)
+        vocab = corpus_vocab()
+        f = parse_formula("Attr(n) & !Attr(n)", vocab)
+        bounds = Bounds(max_entities=5, max_precisifications=3, max_individuals=5,
+                        timeout=1.0)
+        outcome = find_v1_model(vocab, f, bounds, workers=2)
+        assert isinstance(outcome, SearchTimeout)
+        assert 5 <= len(draws) <= 5 + 2
+
     def test_found_models_pass_strict_validation(self, desert_v1_vocab):
         from splogic import v1_structure_from_dict
 
@@ -241,6 +268,15 @@ class TestDeterminism:
         monkeypatch.setenv("SPL_THREADS", "3")
         outcome = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS)
         assert isinstance(outcome, ModelFound)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, desert_fosl_vocab, formula_a, workers):
+        with pytest.raises(ValueError, match="workers"):
+            find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS, workers=workers)
+        vocab = corpus_vocab()
+        with pytest.raises(ValueError, match="workers"):
+            find_v1_model(vocab, parse_formula("Attr(n)", vocab), CORPUS_BOUNDS,
+                          workers=workers)
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_env_variable_rejects_bad_value(
@@ -370,3 +406,79 @@ class TestMemoInvariant:
         f = generate_formula(vocab, 1044, 4)
         report = equisat_check(vocab, f, CORPUS_BOUNDS)
         assert report.agreement == "sat"
+
+
+class TestSortSplit:
+    """equisat_check's backward search fixes the rigid ind/ext partition,
+    individuals first, instead of branching on it element by element."""
+
+    @pytest.mark.parametrize("entities, individuals", [(1, 2), (2, 1)])
+    def test_backward_outcome_matches_unsplit_search(self, entities, individuals):
+        # without symmetry reduction the backward search is not split
+        vocab = corpus_vocab()
+        on = Bounds(max_entities=entities, max_individuals=individuals,
+                    max_precisifications=2, timeout=60)
+        off = Bounds(max_entities=entities, max_individuals=individuals,
+                     max_precisifications=2, timeout=60, symmetry_reduction=False)
+        seen = set()
+        for seed in range(60):
+            f = generate_formula(vocab, seed, 4)
+            split = equisat_check(vocab, f, on).directions[1]
+            plain = equisat_check(vocab, f, off).directions[1]
+            assert split.outcome == plain.outcome, seed
+            seen.add(split.outcome)
+        assert seen == {"sat", "unsat"}
+
+    def test_constant_values_per_block(self):
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
+        space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True)
+        cell = ("c", "n", 0)
+        assert space.branch_values(cell) == (0,)
+        space.split(("ind", "ext"), 2)
+        # the sort cells mention no element: one fresh element per block
+        assert space.branch_values(cell) == (0, 2)
+        space.assign(("p", "Kind", 1, 3), 1)
+        assert space.branch_values(cell) == (0, 2, 3)
+        space.assign(("c", "n", 1), 0)
+        assert space.branch_values(cell) == (0, 1, 2, 3)
+        space.unassign(("c", "n", 1))
+        space.unassign(("p", "Kind", 1, 3))
+        assert space.branch_values(cell) == (0, 2)
+
+    @staticmethod
+    def expected_choices(space):
+        # from scratch: every element an assigned cell names, sort cells
+        # aside; per block, values up to the largest of them plus one
+        mentioned = {v for v in space.const_val.values() if v is not None}
+        for pred, k in space.preds.items():
+            if pred in ("ind", "ext"):
+                continue
+            for pi in range(space.m):
+                for rank, bit in enumerate(space.pred_bits[pred][pi]):
+                    for _ in range(k if bit else 0):
+                        mentioned.add(rank % space.n)
+                        rank //= space.n
+        out = []
+        for lo, hi in space.blocks:
+            top = max((e for e in mentioned if lo <= e < hi), default=lo - 1)
+            out.extend(range(lo, min(top + 1, hi - 1) + 1))
+        return tuple(out)
+
+    @pytest.mark.parametrize("seed", [167, 42])
+    def test_search_keeps_block_values_in_step(self, seed, monkeypatch):
+        checked = []
+        for name in ("assign", "unassign"):
+            method = getattr(_FoslSpace, name)
+
+            def checked_method(space, *args, _method=method, **kwargs):
+                _method(space, *args, **kwargs)
+                assert space.choices == self.expected_choices(space)
+                checked.append(len(space.blocks))
+
+            monkeypatch.setattr(_FoslSpace, name, checked_method)
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        find_fosl_model(translated_vocabulary(vocab), f, bounds, _sorts=("ind", "ext"))
+        assert checked.count(2) > 1000

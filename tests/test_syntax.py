@@ -126,6 +126,15 @@ class TestParseErrors:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("P(c) P(c)", VOCAB)
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        # no depth limit of its own: Python's recursion limit surfaces as
+        # a syntax error, not a RecursionError
+        text = "(" * 1000 + "P(c)" + ")" * 1000
+        for parse in (parse_raw, lambda t: parse_formula(t, VOCAB)):
+            with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+                parse(text)
+        assert parse_formula("!" * 500 + "P(c)", VOCAB) is not None
+
 
 class TestPrinting:
     def test_direct_rendering(self):
