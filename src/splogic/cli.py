@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-symmetry", action="store_true",
                            help="disable symmetry reduction")
             p.add_argument("--workers", type=int, default=None,
-                           help="worker threads (default: SPL_THREADS or 1)")
+                           help="worker count, must be positive; every search runs "
+                                "serially in one thread (default: SPL_THREADS or 1)")
 
     p = sub.add_parser("check", help="evaluate a formula against a model file")
     p.add_argument("--formula", required=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 
 class SplError(Exception):
     """Base class for all errors raised by this package."""
@@ -50,3 +52,17 @@ class AxiomViolationError(SplError):
     def __init__(self, message: str, axiom_label: str):
         super().__init__(message)
         self.axiom_label = axiom_label
+
+
+def nesting_guard(fn):
+    """Wrap fn so that Python's recursion limit, which a deeply nested
+    formula reaches, raises EvaluationError instead of RecursionError."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise EvaluationError("formula nested too deeply") from None
+
+    return guarded

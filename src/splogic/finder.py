@@ -8,8 +8,13 @@ query three-valued after each assignment: definitely-false prunes the
 branch, definitely-true completes the remaining cells with defaults,
 and an unknown result names a blocking cell to branch on next.  Domains
 grow from size 1, false comes before true, and smaller elements come
-first, so the first model found is canonical for the enumeration order;
-the outcome is independent of the worker count.
+first, so the first model found is canonical for the enumeration order.
+
+The standpoint space and the V1 space (one per registry of extension
+maps) share one depth-first search.  Every search runs serially in the
+calling thread: the worker count (argument or SPL_THREADS) is validated
+and otherwise ignored, since CPU-bound search gains nothing from threads
+under the GIL, so outcomes are the same whatever its value.
 """
 
 from __future__ import annotations
@@ -17,12 +22,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import EvaluationError, SplError
+from .errors import EvaluationError, SplError, nesting_guard
 from .fosl import FoslStructure, is_model, make_fosl_structure
 from .syntax import (
     And,
@@ -100,21 +103,22 @@ class SearchTimeout:
 SearchOutcome = Union[ModelFound, ExhaustedUnsat, SearchTimeout]
 
 
-def _worker_count(workers: int | None) -> int:
+def _check_workers(workers: int | None) -> None:
+    """Reject a worker count (argument, else SPL_THREADS) below 1; the
+    search is serial whatever the count."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers must be a positive integer, got {workers!r}")
-        return workers
+        return
     env = os.environ.get("SPL_THREADS")
     if not env:
-        return 1
+        return
     try:
         count = int(env)
     except ValueError:
         count = 0
     if count < 1:
         raise ValueError(f"SPL_THREADS must be a positive integer, got {env!r}")
-    return count
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
@@ -312,10 +316,66 @@ def _strip_ground_prefix(f: Formula, n: int) -> tuple[list[str], list[str], Form
 
 
 # ---------------------------------------------------------------------------
+# What both search spaces share
+# ---------------------------------------------------------------------------
+
+class _Space:
+    """Depth-first search over the cells of a partial structure.  A space
+    provides propagate, branch_values, assign, unassign and materialize;
+    its _poke is the one place that writes a cell."""
+
+    def dfs(self, deadline: float):
+        if time.monotonic() > deadline:
+            return ("timeout",)
+        propagated: list[tuple] = []
+        try:
+            v, culprit = self.propagate(propagated)
+            if v == _F:
+                return ("unsat",)
+            if v == _T:
+                return ("model", self.materialize())
+            for value in self.branch_values(culprit):
+                self.assign(culprit, value)
+                result = self.dfs(deadline)
+                self.unassign(culprit)
+                if result[0] != "unsat":
+                    return result
+            return ("unsat",)
+        finally:
+            for cell in reversed(propagated):
+                self.unassign(cell)
+
+
+def _rows(bits, arity: int, names: list[str]) -> list[tuple[str, ...]]:
+    """The sorted tuples a table of membership bits holds true; tuple
+    ranks are numerals in base len(names), first argument leading."""
+    base = len(names)
+    rows = []
+    for rank, b in enumerate(bits):
+        if b == 1:
+            row = []
+            for _ in range(arity):
+                row.append(names[rank % base])
+                rank //= base
+            rows.append(tuple(reversed(row)))
+    return sorted(rows)
+
+
+def _sigma(standpoints, sigma_bits: dict, precs: list[str]) -> dict[str, list[str]]:
+    """Each standpoint's precisifications; one the formula does not
+    mention (no cells) admits none."""
+    return {
+        sp: [p for pi, p in enumerate(precs) if sigma_bits.get((sp, pi)) == 1]
+        for sp in sorted(standpoints)
+        if sp != UNIVERSAL_STANDPOINT
+    }
+
+
+# ---------------------------------------------------------------------------
 # Standpoint-logic search space
 # ---------------------------------------------------------------------------
 
-class _FoslSpace:
+class _FoslSpace(_Space):
     """Partial standpoint structure over n domain elements and m
     precisifications, restricted to the symbols the formula mentions."""
 
@@ -653,7 +713,8 @@ class _FoslSpace:
         return survivors, keep
 
     def _poke(self, cell: tuple, value) -> None:
-        # raw cell write for probing: no trail, touch or designation updates
+        # the one cell write; None unsets.  Probes write through it alone,
+        # with no trail, touch or designation updates
         kind = cell[0]
         if kind == "p":
             _, pred, pi, rank = cell
@@ -667,8 +728,11 @@ class _FoslSpace:
 
     # ---- assignment trail ----
 
-    def _touch(self, *keys: tuple) -> None:
+    def _touch(self, cell: tuple) -> None:
+        # the read-set keys of a cell: its symbol's, and for a predicate
+        # cell also its own, ("p", pred, rank)
         self.tick += 1
+        keys = (cell[:2], cell[:2] + cell[3:]) if len(cell) == 4 else (cell[:2],)
         for key in keys:
             for ci in self.watch.get(key, ()):
                 self.conj_touch[ci] = self.tick
@@ -718,118 +782,52 @@ class _FoslSpace:
         count as mentioned (cells that treat a block's elements alike)."""
         self.trail.append([])
         self.lnh_stack.append((self.maxima, self.choices))
-        kind = cell[0]
-        if kind == "p":
-            _, pred, pi, rank = cell
-            self.pred_bits[pred][pi][rank] = value
-            self._touch(("p", pred, rank), ("p", pred))
-            if mention:
-                r = rank
-                for _ in range(self.preds[pred]):
-                    self._mention(r % self.n)
-                    r //= self.n
-        elif kind == "c":
-            _, name, pi = cell
-            self.const_val[(name, pi)] = value
-            self._touch(("c", name))
+        self._poke(cell, value)
+        self._touch(cell)
+        if mention and cell[0] == "c":
             self._mention(value)
-        else:
-            _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = value
-            self._touch(("s", sp))
+        elif mention and cell[0] == "p":
+            r = cell[3]
+            for _ in range(self.preds[cell[1]]):
+                self._mention(r % self.n)
+                r //= self.n
 
     def unassign(self, cell: tuple) -> None:
         for ci, pi in self.trail.pop():
             self.status[ci][pi] = _U
         self.maxima, self.choices = self.lnh_stack.pop()
-        kind = cell[0]
-        if kind == "p":
-            _, pred, pi, rank = cell
-            self.pred_bits[pred][pi][rank] = 0
-            self._touch(("p", pred, rank), ("p", pred))
-        elif kind == "c":
-            _, name, pi = cell
-            self.const_val[(name, pi)] = None
-            self._touch(("c", name))
-        else:
-            _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = 0
-            self._touch(("s", sp))
+        self._poke(cell, None)
+        self._touch(cell)
 
     def branch_values(self, cell: tuple) -> tuple[int, ...]:
         if cell[0] == "c":
             return self.choices
         return (2, 1)  # absent before present
 
-    # ---- depth-first search ----
-
-    def dfs(self, deadline: float):
-        if time.monotonic() > deadline:
-            return ("timeout",)
-        propagated: list[tuple] = []
-        try:
-            v, culprit = self.propagate(propagated)
-            if v == _F:
-                return ("unsat",)
-            if v == _T:
-                return ("model", self.materialize())
-            for value in self.branch_values(culprit):
-                self.assign(culprit, value)
-                result = self.dfs(deadline)
-                self.unassign(culprit)
-                if result[0] != "unsat":
-                    return result
-            return ("unsat",)
-        finally:
-            for cell in reversed(propagated):
-                self.unassign(cell)
-
     def materialize(self) -> FoslStructure:
         domain = [f"d{i}" for i in range(self.n)]
         precs = [f"p{i}" for i in range(self.m)]
-        sigma = {}
-        for sp in sorted(self.vocab.standpoints):
-            if sp == UNIVERSAL_STANDPOINT:
-                continue
-            if sp in self.sps:
-                sigma[sp] = [
-                    precs[pi] for pi in range(self.m) if self.sigma_bits[(sp, pi)] == 1
-                ]
-            else:
-                sigma[sp] = []
         interpretation = {}
         for pi in range(self.m):
-            preds = {}
-            for p, k in self.preds.items():
-                rows = []
-                bits = self.pred_bits[p][pi]
-                for rank in range(self.n ** k):
-                    if bits[rank] == 1:
-                        row = []
-                        r = rank
-                        for _ in range(k):
-                            row.append(domain[r % self.n])
-                            r //= self.n
-                        rows.append(tuple(reversed(row)))
-                preds[p] = sorted(rows)
+            preds = {
+                p: _rows(self.pred_bits[p][pi], k, domain) for p, k in self.preds.items()
+            }
             for p, k in self.vocab.predicates.items():
                 if p not in preds and k is not None:
                     preds[p] = []
             constants = {}
             for c in sorted(self.vocab.constants):
-                if c in self.consts:
-                    v = self.const_val[(c, pi)]
-                    constants[c] = domain[v if v is not None else 0]
-                else:
-                    constants[c] = domain[0]
+                v = self.const_val.get((c, pi))
+                constants[c] = domain[v if v is not None else 0]
             interpretation[precs[pi]] = {"predicates": preds, "constants": constants}
+        sigma = _sigma(self.vocab.standpoints, self.sigma_bits, precs)
         structure = make_fosl_structure(domain, precs, sigma, interpretation)
         if not is_model(structure, self.formula):
             raise SplError("internal error: candidate failed revalidation")
         return structure
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, workers, sorts=None):
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, sorts=None):
     """Search one level: n elements, m precisifications.
 
     sorts, when given, names two unary predicates (ind, ext) that the
@@ -844,7 +842,8 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, workers, sorts=None):
     own least-number heuristic: its elements are interchangeable until
     some other assignment mentions one, since the sort cells treat them
     alike.  This replaces branching on the sort cells, which explores
-    every permutation of the same split.  The split search is serial.
+    every permutation of the same split.  Otherwise the level is one
+    search over every cell.
     """
     space = _FoslSpace(vocab, f, n, m, symmetry)
     if (sorts is not None and symmetry and n >= 2
@@ -857,42 +856,22 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, workers, sorts=None):
             if result[0] != "unsat":
                 return result
         return ("unsat",)
-    rooted: list[tuple] = []
-    v, culprit = space.propagate(rooted)
-    if v == _F:
-        return ("unsat",)
-    if v == _T:
-        return ("model", space.materialize())
-    branches = space.branch_values(culprit)
-    if workers <= 1 or len(branches) <= 1:
-        return space.dfs(deadline)
+    return space.dfs(deadline)
 
-    found: dict[str, int | None] = {"idx": None}
 
-    def run(idx_value):
-        idx, value = idx_value
-        best = found["idx"]
-        if best is not None and best < idx:
-            return ("skipped",)
-        sp = _FoslSpace(vocab, f, n, m, symmetry)
-        pre: list[tuple] = []
-        _, cul = sp.propagate(pre)
-        sp.assign(cul, value)
-        result = sp.dfs(deadline)
-        if result[0] == "model" and (found["idx"] is None or idx < found["idx"]):
-            found["idx"] = idx
-        return result
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, enumerate(branches)))
+def _first_outcome(results, bounds: Bounds, start: float) -> SearchOutcome:
+    """The outcome of a search over a sequence of subspaces, given the
+    lazy sequence of their dfs results: the first model or timeout, or
+    exhaustion."""
     for result in results:
         if result[0] == "model":
-            return result
+            return ModelFound(result[1], time.monotonic() - start)
         if result[0] == "timeout":
-            return ("timeout",)
-    return ("unsat",)
+            return SearchTimeout(time.monotonic() - start)
+    return ExhaustedUnsat(bounds, time.monotonic() - start)
 
 
+@nesting_guard
 def find_fosl_model(
     vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None,
     *, _sorts: tuple[str, str] | None = None,
@@ -903,26 +882,22 @@ def find_fosl_model(
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
-    workers = _worker_count(workers)
+    _check_workers(workers)
     start = time.monotonic()
     deadline = start + bounds.timeout
-    for n in range(1, bounds.max_domain + 1):
-        for m in range(1, bounds.max_precisifications + 1):
-            result = _search_level_fosl(
-                vocab, f, n, m, bounds.symmetry_reduction, deadline, workers, _sorts
-            )
-            if result[0] == "model":
-                return ModelFound(result[1], time.monotonic() - start)
-            if result[0] == "timeout":
-                return SearchTimeout(time.monotonic() - start)
-    return ExhaustedUnsat(bounds, time.monotonic() - start)
+    results = (
+        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, _sorts)
+        for n in range(1, bounds.max_domain + 1)
+        for m in range(1, bounds.max_precisifications + 1)
+    )
+    return _first_outcome(results, bounds, start)
 
 
 # ---------------------------------------------------------------------------
 # Variable-reference search space
 # ---------------------------------------------------------------------------
 
-class _V1Space:
+class _V1Space(_Space):
     """Partial V1 structure for a fixed registry of extension maps.
 
     maps[i][pi] gives the precise version of individual i at
@@ -1196,7 +1171,9 @@ class _V1Space:
                     culprit = mc
         return (_U, culprit) if culprit is not None else (_T, None)
 
-    def status3(self) -> tuple[int, tuple | None]:
+    def propagate(self, assigned: list) -> tuple[int, tuple | None]:
+        """One evaluation pass; this space entails no assignments, so
+        `assigned` is left as it is."""
         sv, sc = self.structural3()
         if sv == _F:
             return _F, None
@@ -1220,69 +1197,43 @@ class _V1Space:
             return _T, None
         return _U, culprit
 
-    def assign(self, cell: tuple, value: int) -> None:
-        self.trail.append([])
+    def _poke(self, cell: tuple, value) -> None:
+        # the one cell write; None unsets
         kind = cell[0]
         if kind == "k":
             _, k, pi, i = cell
-            self.sortal_bits[k][pi][i] = value
+            self.sortal_bits[k][pi][i] = 0 if value is None else value
         elif kind == "a":
             _, a, pi, rank = cell
-            self.indef_bits[a][pi][rank] = value
+            bits = self.indef_bits[a][pi]
             if value == 1:
                 self.true_indef.append((a, pi, rank))
+            elif bits[rank] == 1:  # unsetting the latest true tuple
+                self.true_indef.pop()
+            bits[rank] = 0 if value is None else value
         elif kind == "q":
             _, q, rank = cell
-            self.precise_bits[q][rank] = value
+            self.precise_bits[q][rank] = 0 if value is None else value
         elif kind == "n":
             _, nm, pi = cell
             self.name_val[(nm, pi)] = value
         else:
             _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = value
+            self.sigma_bits[(sp, pi)] = 0 if value is None else value
+
+    def assign(self, cell: tuple, value: int) -> None:
+        self.trail.append([])
+        self._poke(cell, value)
 
     def unassign(self, cell: tuple) -> None:
         for ci, pi in self.trail.pop():
             self.status[ci][pi] = _U
-        kind = cell[0]
-        if kind == "k":
-            _, k, pi, i = cell
-            self.sortal_bits[k][pi][i] = 0
-        elif kind == "a":
-            _, a, pi, rank = cell
-            if self.indef_bits[a][pi][rank] == 1:
-                self.true_indef.pop()
-            self.indef_bits[a][pi][rank] = 0
-        elif kind == "q":
-            _, q, rank = cell
-            self.precise_bits[q][rank] = 0
-        elif kind == "n":
-            _, nm, pi = cell
-            self.name_val[(nm, pi)] = None
-        else:
-            _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = 0
+        self._poke(cell, None)
 
     def branch_values(self, cell: tuple) -> list[int]:
         if cell[0] == "n":
             return list(range(self.r))
         return [2, 1]
-
-    def dfs(self, deadline: float):
-        if time.monotonic() > deadline:
-            return ("timeout",)
-        v, culprit = self.status3()
-        if v == _F:
-            return ("unsat",)
-        if v == _T:
-            return ("model", self.materialize())
-        for value in self.branch_values(culprit):
-            self.assign(culprit, value)
-            result = self.dfs(deadline)
-            self.unassign(culprit)
-            if result[0] != "unsat":
-                return result
-        return ("unsat",)
 
     def materialize(self) -> V1Structure:
         entities = [f"e{i}" for i in range(self.ne)]
@@ -1292,16 +1243,6 @@ class _V1Space:
             idents[i]: {precs[pi]: entities[self.maps[i][pi]] for pi in range(self.m)}
             for i in range(self.r)
         }
-        sigma = {}
-        for sp in sorted(self.vocab.standpoints):
-            if sp == UNIVERSAL_STANDPOINT:
-                continue
-            if sp in self.sps:
-                sigma[sp] = [
-                    precs[pi] for pi in range(self.m) if self.sigma_bits[(sp, pi)] == 1
-                ]
-            else:
-                sigma[sp] = []
         sortals = {
             precs[pi]: {
                 k: [idents[i] for i in range(self.r) if self.sortal_bits[k][pi][i] == 1]
@@ -1309,45 +1250,24 @@ class _V1Space:
             }
             for pi in range(self.m)
         }
-        indefinite = {}
-        for pi in range(self.m):
-            table = {}
-            for a in sorted(self.vocab.indefinite):
-                rows = []
-                if a in self.indef_bits:
-                    arity = self.vocab.indefinite[a] or 1
-                    bits = self.indef_bits[a][pi]
-                    for rank in range(self.r ** arity):
-                        if bits[rank] == 1:
-                            row = []
-                            x = rank
-                            for _ in range(arity):
-                                row.append(idents[x % self.r])
-                                x //= self.r
-                            rows.append(tuple(reversed(row)))
-                table[a] = sorted(rows)
-            indefinite[precs[pi]] = table
-        precise = {}
-        for q in sorted(self.vocab.precise):
-            rows = []
-            if q in self.precise_bits:
-                arity = self.vocab.precise[q] or 1
-                bits = self.precise_bits[q]
-                for rank in range(self.ne ** arity):
-                    if bits[rank] == 1:
-                        row = []
-                        x = rank
-                        for _ in range(arity):
-                            row.append(entities[x % self.ne])
-                            x //= self.ne
-                        rows.append(tuple(reversed(row)))
-            precise[q] = sorted(rows)
+        indefinite = {
+            precs[pi]: {
+                a: _rows(self.indef_bits[a][pi], k or 1, idents) if a in self.indef_bits else []
+                for a, k in sorted(self.vocab.indefinite.items())
+            }
+            for pi in range(self.m)
+        }
+        precise = {
+            q: _rows(self.precise_bits[q], k or 1, entities) if q in self.precise_bits else []
+            for q, k in sorted(self.vocab.precise.items())
+        }
         names = {
             precs[pi]: {
                 nm: idents[self.name_val[(nm, pi)]] for nm in sorted(self.vocab.names)
             }
             for pi in range(self.m)
         }
+        sigma = _sigma(self.vocab.standpoints, self.sigma_bits, precs)
         structure = make_v1_structure(
             entities, precs, sigma, individuals, sortals, indefinite, precise, names
         )
@@ -1361,6 +1281,7 @@ def _registry_combos(ne: int, m: int, r: int):
     return itertools.combinations(all_maps, r)
 
 
+@nesting_guard
 def find_v1_model(
     vocab: V1Vocabulary, f: Formula, bounds: Bounds, workers: int | None = None
 ) -> SearchOutcome:
@@ -1368,71 +1289,24 @@ def find_v1_model(
 
     Entity counts, precisification counts and registry sizes grow from the
     smallest; registries are combinations of distinct extension maps in
-    lexicographic order."""
+    lexicographic order, enumerated lazily, and no registry's space is
+    built once the deadline has passed."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
-    workers = _worker_count(workers)
+    _check_workers(workers)
     start = time.monotonic()
     deadline = start + bounds.timeout
     min_r = 1 if vocab.names else 0
-
-    found: dict[str, int | None] = {"idx": None}
-
-    def run(task):
-        idx, (ne, m, maps) = task
-        best = found["idx"]
-        if best is not None and best < idx:
-            return ("skipped",)
-        if time.monotonic() > deadline:
-            return ("timeout",)
-        space = _V1Space(vocab, f, ne, m, maps)
-        result = space.dfs(deadline)
-        if result[0] == "model" and (found["idx"] is None or idx < found["idx"]):
-            found["idx"] = idx
-        return result
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for ne in range(1, bounds.max_entities + 1):
-            for m in range(1, bounds.max_precisifications + 1):
-                for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1):
-                    found["idx"] = None
-                    tasks = enumerate((ne, m, maps) for maps in _registry_combos(ne, m, r))
-                    # lazily, so the loop below stops at the first model or
-                    # at the deadline without building the remaining spaces
-                    if pool is None:
-                        results = map(run, tasks)
-                    else:
-                        results = _run_in_order(pool, run, tasks, workers, deadline)
-                    for result in results:
-                        if result[0] == "model":
-                            return ModelFound(result[1], time.monotonic() - start)
-                        if result[0] == "timeout":
-                            return SearchTimeout(time.monotonic() - start)
-        return ExhaustedUnsat(bounds, time.monotonic() - start)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
-def _run_in_order(pool, run, tasks, ahead: int, deadline: float):
-    """run(task) for each task, yielded in task order, with at most
-    `ahead` tasks in the pool at a time.  Once the deadline has passed no
-    further task is submitted, and the results end with a timeout."""
-    pending: deque = deque()
-    timed_out = False
-    for task in tasks:
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
-        pending.append(pool.submit(run, task))
-    while pending:
-        yield pending.popleft().result()
-    if timed_out:
-        yield ("timeout",)
+    results = (
+        ("timeout",) if time.monotonic() > deadline
+        else _V1Space(vocab, f, ne, m, maps).dfs(deadline)
+        for ne in range(1, bounds.max_entities + 1)
+        for m in range(1, bounds.max_precisifications + 1)
+        for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1)
+        for maps in _registry_combos(ne, m, r)
+    )
+    return _first_outcome(results, bounds, start)
 
 
 def _is_pi_independent(f: Formula, domain_varies: bool = False) -> bool:

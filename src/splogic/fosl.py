@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EvaluationError, ModelFormatError
+from .errors import EvaluationError, ModelFormatError, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -193,6 +193,7 @@ def satisfies_at(m: FoslStructure, pi: str, f: Formula) -> bool:
     return True
 
 
+@nesting_guard
 def is_model(m: FoslStructure, f: Formula) -> bool:
     return all(satisfies_at(m, pi, f) for pi in m.precisifications)
 

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EvaluationError, ModelFormatError
+from .errors import EvaluationError, ModelFormatError, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -296,6 +296,7 @@ def satisfies_at_v1(m: V1Structure, pi: str, f: Formula) -> bool:
     return True
 
 
+@nesting_guard
 def is_model_v1(m: V1Structure, f: Formula) -> bool:
     return all(satisfies_at_v1(m, pi, f) for pi in m.precisifications)
 

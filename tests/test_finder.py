@@ -1,4 +1,5 @@
 import random
+import threading
 import time
 from types import SimpleNamespace
 
@@ -6,6 +7,8 @@ import pytest
 
 from splogic import (
     Bounds,
+    Box,
+    EvaluationError,
     ExhaustedUnsat,
     ModelFound,
     SearchTimeout,
@@ -18,6 +21,7 @@ from splogic import (
     is_model,
     is_model_v1,
     make_fosl_vocabulary,
+    make_v1_structure,
     make_v1_vocabulary,
     parse_formula,
     translated_vocabulary,
@@ -82,6 +86,13 @@ class TestFoslSearch:
 
         f = parse_formula("Desert(?x)", desert_fosl_vocab)
         with pytest.raises(EvaluationError):
+            find_fosl_model(desert_fosl_vocab, f, DESERT_BOUNDS)
+
+    def test_deep_nesting_is_an_evaluation_error(self, desert_fosl_vocab):
+        f = parse_formula("Desert(house)", desert_fosl_vocab)
+        for _ in range(600):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
             find_fosl_model(desert_fosl_vocab, f, DESERT_BOUNDS)
 
 
@@ -167,6 +178,40 @@ class TestV1Search:
         outcome = find_v1_model(vocab, f, bounds, workers=2)
         assert isinstance(outcome, SearchTimeout)
         assert 5 <= len(draws) <= 5 + 2
+
+    def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
+        f = parse_formula("Desert(house)", desert_v1_vocab)
+        for _ in range(600):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            find_v1_model(desert_v1_vocab, f, self.BOUNDS)
+
+    # Two individuals may share an extension map (they stay distinct
+    # individuals), but registries are drawn as combinations of distinct
+    # maps, so at one entity and one precisification a registry holds a
+    # single individual and `a` and `b` cannot denote different ones.
+    SHARED_MAP = Bounds(max_entities=1, max_precisifications=1, max_individuals=2,
+                        timeout=60)
+
+    @staticmethod
+    def shared_map_case():
+        vocab = make_v1_vocabulary(["K"], {}, {}, ["a", "b"], [])
+        return vocab, parse_formula("!(a = b)", vocab)
+
+    def test_individuals_sharing_a_map_model_distinct_names(self):
+        vocab, f = self.shared_map_case()
+        with pytest.warns(UserWarning, match="share one extension map"):
+            m = make_v1_structure(
+                ["e0"], ["p0"], {}, {"i0": {"p0": "e0"}, "i1": {"p0": "e0"}},
+                {"p0": {"K": ["i0", "i1"]}}, {}, {}, {"p0": {"a": "i0", "b": "i1"}},
+            )
+        assert is_model_v1(m, f)
+        assert naive_is_model_v1(m, f)
+
+    @pytest.mark.xfail(strict=True, reason="registries never repeat an extension map")
+    def test_finds_individuals_sharing_a_map(self):
+        vocab, f = self.shared_map_case()
+        assert isinstance(find_v1_model(vocab, f, self.SHARED_MAP), ModelFound)
 
     def test_found_models_pass_strict_validation(self, desert_v1_vocab):
         from splogic import v1_structure_from_dict
@@ -263,6 +308,26 @@ class TestDeterminism:
                 else:
                     results.append(type(outcome).__name__)
             assert results[0] == results[1] == results[2]
+
+    def test_searches_start_no_thread(self, desert_fosl_vocab, formula_a,
+                                      desert_v1_vocab, monkeypatch):
+        # the thread count seen inside every search node is the caller's
+        counts = []
+        for cls in (finder._FoslSpace, finder._V1Space):
+            def counted(space, deadline, _dfs=cls.dfs):
+                counts.append(threading.active_count())
+                return _dfs(space, deadline)
+
+            monkeypatch.setattr(cls, "dfs", counted)
+        before = threading.active_count()
+        fosl = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS, workers=4)
+        searched = len(counts)
+        f = generate_formula(desert_v1_vocab, 0, 3)
+        find_v1_model(desert_v1_vocab, f, Bounds(max_entities=2, max_individuals=2,
+                                                 timeout=120), workers=4)
+        assert isinstance(fosl, ModelFound)
+        assert 0 < searched < len(counts)
+        assert set(counts) == {before}
 
     def test_env_variable_caps_workers(self, desert_fosl_vocab, formula_a, monkeypatch):
         monkeypatch.setenv("SPL_THREADS", "3")

@@ -98,6 +98,13 @@ class TestIsModel:
     def test_diamond_finds_witness(self, m0):
         assert is_model(m0, pf("<*> P(c)")) is True
 
+    def test_deep_nesting_is_an_evaluation_error(self, m0):
+        f = pf("P(c)")
+        for _ in range(600):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            is_model(m0, f)
+
 
 class TestInvariants:
     BOUNDS = Bounds(max_domain=3, max_precisifications=3, timeout=60)

@@ -4,6 +4,7 @@ import pytest
 
 from splogic import (
     Bounds,
+    Box,
     Const,
     EvaluationError,
     ModelFormatError,
@@ -88,6 +89,13 @@ class TestSatisfies:
     def test_formula_c_holds_in_v0(self, v0, formula_c_v1):
         assert satisfies_v1(v0, "p1", {}, formula_c_v1) is True
         assert is_model_v1(v0, formula_c_v1) is True
+
+    def test_deep_nesting_is_an_evaluation_error(self, v0, desert_v1_vocab):
+        f = pf("Desert(a)", desert_v1_vocab)
+        for _ in range(600):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            is_model_v1(v0, f)
 
     def test_quantifier_covers_sortal_domain(self, v0, desert_v1_vocab):
         f = pf("forall ?x (Building(?x) | Desert(?x))", desert_v1_vocab)
