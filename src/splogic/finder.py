@@ -11,7 +11,11 @@ grow from size 1, false comes before true, and smaller elements come
 first, so the first model found is canonical for the enumeration order.
 
 The standpoint space and the V1 space (one per registry of extension
-maps) share one depth-first search.  Every search runs serially in the
+maps) share one depth-first search and one three-valued compiler (see
+_Space); each supplies only its universal quantifier, and V1 its atoms
+over precise entities.  An unknown result names as its blocking cell the
+first unset cell read by a subformula it depends on: a subformula that
+turns out decided leaves no trace.  Every search runs serially in the
 calling thread: the worker count (argument or SPL_THREADS) is validated
 and otherwise ignored, since CPU-bound search gains nothing from threads
 under the GIL, so outcomes are the same whatever its value.
@@ -320,9 +324,27 @@ def _strip_ground_prefix(f: Formula, n: int) -> tuple[list[str], list[str], Form
 # ---------------------------------------------------------------------------
 
 class _Space:
-    """Depth-first search over the cells of a partial structure.  A space
-    provides propagate, branch_values, assign, unassign and materialize;
-    its _poke is the one place that writes a cell."""
+    """Depth-first search over the cells of a partial structure, and the
+    three-valued compiler both logics share.
+
+    A space keeps its cells in three tables: pred_bits[pred][pi][rank]
+    (membership bits, tuple ranks in base self.base), const_val[(name,
+    pi)] (an element or None) and sigma_bits[(sp, pi)]; their cells are
+    ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A space
+    provides propagate, materialize, _quantify (the universal over its
+    domain) and the values a constant may take, self.choices; it may
+    extend assign and unassign, and add cell kinds of its own to _poke,
+    the one place that writes a cell.
+
+    Compiled closures fn(pi, env) return a three-valued int.  An unset
+    cell read is reported through _note: it counts in self.u_seen and, if
+    no cell is recorded yet, becomes self.culprit, the cell an unknown
+    result names for the search to branch on.  A closure that returns a
+    decided value after an unknown child restores both to their values at
+    its entry, so they only describe subformulas an unknown result
+    depends on.  An atom whose predicate has no pred_bits table compiles
+    through the space's _precise_atom (V1's rigid precise predicates).
+    """
 
     def dfs(self, deadline: float):
         if time.monotonic() > deadline:
@@ -344,6 +366,167 @@ class _Space:
         finally:
             for cell in reversed(propagated):
                 self.unassign(cell)
+
+    def branch_values(self, cell: tuple) -> tuple[int, ...]:
+        if cell[0] == "c":
+            return self.choices
+        return (2, 1)  # absent before present
+
+    def assign(self, cell: tuple, value: int) -> None:
+        self.trail.append([])
+        self._poke(cell, value)
+
+    def unassign(self, cell: tuple) -> None:
+        for ci, pi in self.trail.pop():
+            self.status[ci][pi] = _U
+        self._poke(cell, None)
+
+    def _poke(self, cell: tuple, value) -> None:
+        # the one cell write; None unsets
+        kind = cell[0]
+        if kind == "p":
+            _, pred, pi, rank = cell
+            self.pred_bits[pred][pi][rank] = 0 if value is None else value
+        elif kind == "c":
+            _, name, pi = cell
+            self.const_val[(name, pi)] = value
+        else:
+            _, sp, pi = cell
+            self.sigma_bits[(sp, pi)] = 0 if value is None else value
+
+    # ---- compilation to closures: fn(pi, env) -> three-valued int ----
+
+    def _note(self, cell) -> None:
+        self.u_seen += 1
+        if self.culprit is None:
+            self.culprit = cell
+
+    def _compile(self, f: Formula, slots: dict[str, int]):
+        if isinstance(f, Atom):
+            resolvers = [self._compile_term(t, slots) for t in f.args]
+            if f.pred not in self.pred_bits:
+                return self._precise_atom(f.pred, resolvers)
+            arrays = self.pred_bits[f.pred]
+            pred = f.pred
+            base = self.base
+
+            def fn(pi, env):
+                rank = 0
+                for resolve in resolvers:
+                    e = resolve(pi, env)
+                    if e is None:
+                        return _U
+                    rank = rank * base + e
+                b = arrays[pi][rank]
+                if b == 0:
+                    self._note(("p", pred, pi, rank))
+                    return _U
+                return _T if b == 1 else _F
+
+            return fn
+        if isinstance(f, Equal):
+            left = self._compile_term(f.left, slots)
+            right = self._compile_term(f.right, slots)
+
+            def fn(pi, env):
+                a = left(pi, env)
+                if a is None:
+                    return _U
+                b = right(pi, env)
+                if b is None:
+                    return _U
+                return _T if a == b else _F
+
+            return fn
+        if isinstance(f, Not):
+            child = self._compile(f.body, slots)
+
+            def fn(pi, env):
+                v = child(pi, env)
+                if v == _U:
+                    return _U
+                return _F if v == _T else _T
+
+            return fn
+        if isinstance(f, And):
+            lf = self._compile(f.left, slots)
+            rf = self._compile(f.right, slots)
+
+            def fn(pi, env):
+                cul, seen = self.culprit, self.u_seen
+                lv = lf(pi, env)
+                if lv == _F:
+                    return _F
+                rv = rf(pi, env)
+                if rv == _F:
+                    self.culprit, self.u_seen = cul, seen
+                    return _F
+                return _U if (lv == _U or rv == _U) else _T
+
+            return fn
+        if isinstance(f, Forall):
+            slot = len(slots)
+            inner = dict(slots)
+            inner[f.var] = slot
+            return self._quantify(slot, self._compile(f.body, inner))
+        if isinstance(f, Box):
+            child = self._compile(f.body, slots)
+            sp = f.standpoint
+            m = self.m
+            if sp == UNIVERSAL_STANDPOINT:
+
+                def fn(pi, env):
+                    cul, seen = self.culprit, self.u_seen
+                    unknown = False
+                    for p2 in range(m):
+                        v = child(p2, env)
+                        if v == _F:
+                            self.culprit, self.u_seen = cul, seen
+                            return _F
+                        if v == _U:
+                            unknown = True
+                    return _U if unknown else _T
+
+                return fn
+
+            bits = self.sigma_bits
+
+            def fn(pi, env):
+                cul, seen = self.culprit, self.u_seen
+                unknown = False
+                for p2 in range(m):
+                    b = bits[(sp, p2)]
+                    if b == 2:
+                        continue
+                    v = child(p2, env)
+                    if v == _F:
+                        if b == 1:
+                            self.culprit, self.u_seen = cul, seen
+                            return _F
+                        self._note(("s", sp, p2))  # membership still open
+                        unknown = True
+                    elif v == _U:
+                        unknown = True
+                return _U if unknown else _T
+
+            return fn
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _compile_term(self, t, slots: dict[str, int]):
+        if isinstance(t, Var):
+            slot = slots[t.name]
+            return lambda pi, env: env[slot]
+        name = t.name
+        vals = self.const_val
+
+        def resolve(pi, env):
+            v = vals[(name, pi)]
+            if v is None:
+                self._note(("c", name, pi))
+                return None
+            return v
+
+        return resolve
 
 
 def _rows(bits, arity: int, names: list[str]) -> list[tuple[str, ...]]:
@@ -382,7 +565,7 @@ class _FoslSpace(_Space):
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool):
         self.vocab = vocab
         self.formula = f
-        self.n = n
+        self.n = self.base = n
         self.m = m
         self.symmetry = symmetry
 
@@ -468,152 +651,24 @@ class _FoslSpace(_Space):
         self.u_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
         self.probe_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
 
-    # ---- compilation to closures: fn(pi, env) -> three-valued int ----
-    #
-    # Rather than returning (value, blocking-cell) pairs, evaluators record
-    # the first blocking cell they meet in self.culprit (reset per conjunct
-    # evaluation); unknown results always leave it set.
-
-    def _note(self, cell) -> None:
-        self.u_seen += 1
-        if self.culprit is None:
-            self.culprit = cell
-
-    def _compile(self, f: Formula, slots: dict[str, int]):
+    def _quantify(self, slot: int, child):
+        # the universal ranges over all n elements
         n = self.n
-        if isinstance(f, Atom):
-            resolvers = [self._compile_term(t, slots) for t in f.args]
-            arrays = self.pred_bits[f.pred]
-            pred = f.pred
 
-            def fn(pi, env):
-                rank = 0
-                for resolve in resolvers:
-                    e = resolve(pi, env)
-                    if e is None:
-                        return _U
-                    rank = rank * n + e
-                b = arrays[pi][rank]
-                if b == 0:
-                    self._note(("p", pred, pi, rank))
-                    return _U
-                return _T if b == 1 else _F
-
-            return fn
-        if isinstance(f, Equal):
-            left = self._compile_term(f.left, slots)
-            right = self._compile_term(f.right, slots)
-
-            def fn(pi, env):
-                a = left(pi, env)
-                if a is None:
-                    return _U
-                b = right(pi, env)
-                if b is None:
-                    return _U
-                return _T if a == b else _F
-
-            return fn
-        if isinstance(f, Not):
-            child = self._compile(f.body, slots)
-
-            def fn(pi, env):
+        def fn(pi, env):
+            cul, seen = self.culprit, self.u_seen
+            unknown = False
+            for e in range(n):
+                env[slot] = e
                 v = child(pi, env)
+                if v == _F:
+                    self.culprit, self.u_seen = cul, seen
+                    return _F
                 if v == _U:
-                    return _U
-                return _F if v == _T else _T
+                    unknown = True
+            return _U if unknown else _T
 
-            return fn
-        if isinstance(f, And):
-            lf = self._compile(f.left, slots)
-            rf = self._compile(f.right, slots)
-
-            def fn(pi, env):
-                lv = lf(pi, env)
-                if lv == _F:
-                    return _F
-                rv = rf(pi, env)
-                if rv == _F:
-                    return _F
-                return _U if (lv == _U or rv == _U) else _T
-
-            return fn
-        if isinstance(f, Forall):
-            slot = len(slots)
-            inner = dict(slots)
-            inner[f.var] = slot
-            child = self._compile(f.body, inner)
-
-            def fn(pi, env):
-                unknown = False
-                for e in range(n):
-                    env[slot] = e
-                    v = child(pi, env)
-                    if v == _F:
-                        return _F
-                    if v == _U:
-                        unknown = True
-                return _U if unknown else _T
-
-            return fn
-        if isinstance(f, Box):
-            child = self._compile(f.body, slots)
-            sp = f.standpoint
-            m = self.m
-            if sp == UNIVERSAL_STANDPOINT:
-
-                def fn(pi, env):
-                    unknown = False
-                    for p2 in range(m):
-                        v = child(p2, env)
-                        if v == _F:
-                            return _F
-                        if v == _U:
-                            unknown = True
-                    return _U if unknown else _T
-
-                return fn
-
-            bits = self.sigma_bits
-
-            def fn(pi, env):
-                unknown = False
-                for p2 in range(m):
-                    b = bits[(sp, p2)]
-                    if b == 2:
-                        continue
-                    v = child(p2, env)
-                    if b == 1:
-                        if v == _F:
-                            return _F
-                        if v == _U:
-                            unknown = True
-                    else:  # membership still open
-                        if v == _F:
-                            self._note(("s", sp, p2))
-                            unknown = True
-                        elif v == _U:
-                            unknown = True
-                return _U if unknown else _T
-
-            return fn
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _compile_term(self, t, slots: dict[str, int]):
-        if isinstance(t, Var):
-            slot = slots[t.name]
-            return lambda pi, env: env[slot]
-        name = t.name
-        vals = self.const_val
-
-        def resolve(pi, env):
-            v = vals[(name, pi)]
-            if v is None:
-                self._note(("c", name, pi))
-                return None
-            return v
-
-        return resolve
+        return fn
 
     # ---- three-valued status of the whole query ----
 
@@ -712,21 +767,10 @@ class _FoslSpace(_Space):
                 keep = value
         return survivors, keep
 
-    def _poke(self, cell: tuple, value) -> None:
-        # the one cell write; None unsets.  Probes write through it alone,
-        # with no trail, touch or designation updates
-        kind = cell[0]
-        if kind == "p":
-            _, pred, pi, rank = cell
-            self.pred_bits[pred][pi][rank] = 0 if value is None else value
-        elif kind == "c":
-            _, name, pi = cell
-            self.const_val[(name, pi)] = value
-        else:
-            _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = 0 if value is None else value
-
     # ---- assignment trail ----
+    #
+    # Probes write through _poke alone, with no trail, touch or
+    # least-number updates.
 
     def _touch(self, cell: tuple) -> None:
         # the read-set keys of a cell: its symbol's, and for a predicate
@@ -780,9 +824,8 @@ class _FoslSpace(_Space):
     def assign(self, cell: tuple, value: int, mention: bool = True) -> None:
         """Set a cell.  With mention false the elements it names do not
         count as mentioned (cells that treat a block's elements alike)."""
-        self.trail.append([])
         self.lnh_stack.append((self.maxima, self.choices))
-        self._poke(cell, value)
+        _Space.assign(self, cell, value)
         self._touch(cell)
         if mention and cell[0] == "c":
             self._mention(value)
@@ -793,16 +836,9 @@ class _FoslSpace(_Space):
                 r //= self.n
 
     def unassign(self, cell: tuple) -> None:
-        for ci, pi in self.trail.pop():
-            self.status[ci][pi] = _U
         self.maxima, self.choices = self.lnh_stack.pop()
-        self._poke(cell, None)
+        _Space.unassign(self, cell)
         self._touch(cell)
-
-    def branch_values(self, cell: tuple) -> tuple[int, ...]:
-        if cell[0] == "c":
-            return self.choices
-        return (2, 1)  # absent before present
 
     def materialize(self) -> FoslStructure:
         domain = [f"d{i}" for i in range(self.n)]
@@ -903,7 +939,10 @@ class _V1Space(_Space):
     maps[i][pi] gives the precise version of individual i at
     precisification pi; the registry content itself is enumerated outside
     (all strictly increasing combinations of distinct maps, so duplicate
-    registries never occur).
+    registries never occur).  pred_bits holds the sortal and indefinite
+    tables over individuals (base r), const_val the proper names; the
+    rigid precise tables over entities are precise_bits, with cells
+    ("q", pred, rank).
     """
 
     def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int,
@@ -913,37 +952,32 @@ class _V1Space(_Space):
         self.ne = ne
         self.m = m
         self.maps = maps
-        self.r = len(maps)
+        self.r = self.base = len(maps)
+        self.choices = tuple(range(self.r))  # a name may denote any individual
 
         preds: dict[str, int] = {}
         consts: set[str] = set()
         sps: set[str] = set()
         _symbols_of(f, preds, consts, sps)
-        self.sps = sorted(sps)
+        self.preds = preds
         self.sortal_list = sorted(vocab.sortals)
-
-        r, ne_ = self.r, ne
-        self.sortal_bits = {
-            k: [bytearray(r) for _ in range(m)] for k in self.sortal_list
-        }
-        self.indef_bits = {
-            a: [bytearray(r ** (vocab.indefinite[a] or 1)) for _ in range(m)]
-            for a in sorted(vocab.indefinite)
-            if a in preds
-        }
+        self.indefinite = {a for a in vocab.indefinite if a in preds}
+        self.pred_bits = {k: [bytearray(self.r) for _ in range(m)] for k in self.sortal_list}
+        for a in sorted(self.indefinite):
+            self.pred_bits[a] = [bytearray(self.r ** preds[a]) for _ in range(m)]
         self.precise_bits = {
-            q: bytearray(ne_ ** (vocab.precise[q] or 1))
-            for q in sorted(vocab.precise)
-            if q in preds
+            q: bytearray(ne ** preds[q]) for q in sorted(vocab.precise) if q in preds
         }
-        self.name_val: dict[tuple[str, int], int | None] = {
+        self.const_val: dict[tuple[str, int], int | None] = {
             (nm, pi): None for nm in sorted(vocab.names) for pi in range(m)
         }
         self.sigma_bits: dict[tuple[str, int], int] = {
-            (sp, pi): 0 for sp in self.sps for pi in range(m)
+            (sp, pi): 0 for sp in sorted(sps) for pi in range(m)
         }
         self.true_indef: list[tuple[str, int, int]] = []  # (A, pi, rank) set true
 
+        self.culprit: tuple | None = None
+        self.u_seen = 0
         parts = _flatten_and(_level_formula(f, m, v1_domains=True))
         self.env: list[int] = [0] * max(_count_quantifiers(p) for p in parts)
         self.pi_indep = [_is_pi_independent(c, domain_varies=True) for c in parts]
@@ -952,203 +986,75 @@ class _V1Space(_Space):
         self.trail: list[list[tuple[int, int]]] = [[]]
 
     def member3(self, i: int, pi: int) -> tuple[int, tuple | None]:
-        """Is individual i admitted by some sortal at pi?"""
+        """Is individual i admitted by some sortal at pi?  An unknown
+        answer comes with the first open sortal cell."""
         culprit = None
         for k in self.sortal_list:
-            b = self.sortal_bits[k][pi][i]
+            b = self.pred_bits[k][pi][i]
             if b == 1:
                 return _T, None
             if b == 0 and culprit is None:
-                culprit = ("k", k, pi, i)
+                culprit = ("p", k, pi, i)
         return (_U, culprit) if culprit is not None else (_F, None)
 
-    def _compile(self, f: Formula, slots: dict[str, int]):
+    def _quantify(self, slot: int, child):
+        # the universal ranges over the individuals some sortal admits at
+        # pi; a false body counts only once its individual is admitted
         r = self.r
-        if isinstance(f, Atom):
-            resolvers = [self._compile_term(t, slots) for t in f.args]
-            pred = f.pred
-            if pred in self.vocab.sortals:
-                arrays = self.sortal_bits[pred]
-                resolve = resolvers[0]
+        member3 = self.member3
 
-                def fn(pi, env):
-                    i, cul = resolve(pi, env)
-                    if i is None:
-                        return _U, cul
-                    b = arrays[pi][i]
-                    if b == 0:
-                        return _U, ("k", pred, pi, i)
-                    return (_T, None) if b == 1 else (_F, None)
+        def fn(pi, env):
+            cul, seen = self.culprit, self.u_seen
+            unknown = False
+            for i in range(r):
+                mv, mc = member3(i, pi)
+                if mv == _F:
+                    continue
+                env[slot] = i
+                v = child(pi, env)
+                if v == _T:
+                    continue
+                if v == _F:
+                    if mv == _T:
+                        self.culprit, self.u_seen = cul, seen
+                        return _F
+                    self._note(mc)
+                unknown = True
+            return _U if unknown else _T
 
-                return fn
-            if pred in self.vocab.indefinite:
-                arrays = self.indef_bits[pred]
+        return fn
 
-                def fn(pi, env):
-                    rank = 0
-                    for resolve in resolvers:
-                        i, cul = resolve(pi, env)
-                        if i is None:
-                            return _U, cul
-                        rank = rank * r + i
-                    b = arrays[pi][rank]
-                    if b == 0:
-                        return _U, ("a", pred, pi, rank)
-                    return (_T, None) if b == 1 else (_F, None)
+    def _precise_atom(self, pred: str, resolvers):
+        # each argument is dereferenced to its individual's precise
+        # version at pi
+        bits = self.precise_bits[pred]
+        maps = self.maps
+        ne = self.ne
 
-                return fn
-            if pred in self.vocab.precise:
-                bits = self.precise_bits[pred]
-                maps = self.maps
-                ne = self.ne
+        def fn(pi, env):
+            rank = 0
+            for resolve in resolvers:
+                i = resolve(pi, env)
+                if i is None:
+                    return _U
+                rank = rank * ne + maps[i][pi]
+            b = bits[rank]
+            if b == 0:
+                self._note(("q", pred, rank))
+                return _U
+            return _T if b == 1 else _F
 
-                def fn(pi, env):
-                    rank = 0
-                    for resolve in resolvers:
-                        i, cul = resolve(pi, env)
-                        if i is None:
-                            return _U, cul
-                        # dereference to the precise version at pi
-                        rank = rank * ne + maps[i][pi]
-                    b = bits[rank]
-                    if b == 0:
-                        return _U, ("q", pred, rank)
-                    return (_T, None) if b == 1 else (_F, None)
-
-                return fn
-            raise EvaluationError(f"predicate {pred!r} not in the vocabulary")
-        if isinstance(f, Equal):
-            left = self._compile_term(f.left, slots)
-            right = self._compile_term(f.right, slots)
-
-            def fn(pi, env):
-                a, cul = left(pi, env)
-                if a is None:
-                    return _U, cul
-                b, cul = right(pi, env)
-                if b is None:
-                    return _U, cul
-                return (_T, None) if a == b else (_F, None)
-
-            return fn
-        if isinstance(f, Not):
-            child = self._compile(f.body, slots)
-
-            def fn(pi, env):
-                v, cul = child(pi, env)
-                if v == _U:
-                    return _U, cul
-                return (_F if v == _T else _T), None
-
-            return fn
-        if isinstance(f, And):
-            lf = self._compile(f.left, slots)
-            rf = self._compile(f.right, slots)
-
-            def fn(pi, env):
-                lv, lc = lf(pi, env)
-                if lv == _F:
-                    return _F, None
-                rv, rc = rf(pi, env)
-                if rv == _F:
-                    return _F, None
-                if lv == _U:
-                    return _U, lc
-                if rv == _U:
-                    return _U, rc
-                return _T, None
-
-            return fn
-        if isinstance(f, Forall):
-            slot = len(slots)
-            inner = dict(slots)
-            inner[f.var] = slot
-            child = self._compile(f.body, inner)
-            member3 = self.member3
-
-            def fn(pi, env):
-                culprit = None
-                for i in range(r):
-                    mv, mc = member3(i, pi)
-                    if mv == _F:
-                        continue
-                    env[slot] = i
-                    bv, bc = child(pi, env)
-                    if mv == _T and bv == _F:
-                        return _F, None
-                    if bv == _T:
-                        continue
-                    if culprit is None:
-                        culprit = bc if bv == _U else mc
-                return (_U, culprit) if culprit is not None else (_T, None)
-
-            return fn
-        if isinstance(f, Box):
-            child = self._compile(f.body, slots)
-            sp = f.standpoint
-            m = self.m
-            if sp == UNIVERSAL_STANDPOINT:
-
-                def fn(pi, env):
-                    culprit = None
-                    for p2 in range(m):
-                        v, cul = child(p2, env)
-                        if v == _F:
-                            return _F, None
-                        if v == _U and culprit is None:
-                            culprit = cul
-                    return (_U, culprit) if culprit is not None else (_T, None)
-
-                return fn
-
-            bits = self.sigma_bits
-
-            def fn(pi, env):
-                culprit = None
-                for p2 in range(m):
-                    b = bits[(sp, p2)]
-                    if b == 2:
-                        continue
-                    v, cul = child(p2, env)
-                    if b == 1:
-                        if v == _F:
-                            return _F, None
-                        if v == _U and culprit is None:
-                            culprit = cul
-                    else:
-                        if v == _F and culprit is None:
-                            culprit = ("s", sp, p2)
-                        elif v == _U and culprit is None:
-                            culprit = cul
-                return (_U, culprit) if culprit is not None else (_T, None)
-
-            return fn
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _compile_term(self, t, slots: dict[str, int]):
-        if isinstance(t, Var):
-            slot = slots[t.name]
-            return lambda pi, env: (env[slot], None)
-        name = t.name
-        vals = self.name_val
-
-        def resolve(pi, env):
-            v = vals[(name, pi)]
-            if v is None:
-                return None, ("n", name, pi)
-            return v, None
-
-        return resolve
+        return fn
 
     def structural3(self) -> tuple[int, tuple | None]:
         """Well-formedness constraints the search must respect: every name
         denotes an admitted individual, and true indefinite tuples only
         mention admitted individuals."""
         culprit = None
-        for (nm, pi), v in self.name_val.items():
+        for (nm, pi), v in self.const_val.items():
             if v is None:
                 if culprit is None:
-                    culprit = ("n", nm, pi)
+                    culprit = ("c", nm, pi)
                 continue
             mv, mc = self.member3(v, pi)
             if mv == _F:
@@ -1157,27 +1063,21 @@ class _V1Space(_Space):
                 culprit = mc
         r = self.r
         for a, pi, rank in self.true_indef:
-            digits = []
-            x = rank
-            arity = self.vocab.indefinite[a] or 1
-            for _ in range(arity):
-                digits.append(x % r)
-                x //= r
-            for i in digits:
-                mv, mc = self.member3(i, pi)
+            for _ in range(self.preds[a]):
+                mv, mc = self.member3(rank % r, pi)
                 if mv == _F:
                     return _F, None
                 if mv == _U and culprit is None:
                     culprit = mc
+                rank //= r
         return (_U, culprit) if culprit is not None else (_T, None)
 
     def propagate(self, assigned: list) -> tuple[int, tuple | None]:
         """One evaluation pass; this space entails no assignments, so
         `assigned` is left as it is."""
-        sv, sc = self.structural3()
+        sv, culprit = self.structural3()
         if sv == _F:
             return _F, None
-        culprit = sc if sv == _U else None
         frame = self.trail[-1]
         for ci, fn in enumerate(self.conjuncts):
             row = self.status[ci]
@@ -1185,55 +1085,30 @@ class _V1Space(_Space):
             for pi in range(span):
                 if row[pi] == _T:
                     continue
-                v, cul = fn(pi, self.env)
+                self.culprit = None
+                v = fn(pi, self.env)
                 if v == _F:
                     return _F, None
                 if v == _T:
                     row[pi] = _T
                     frame.append((ci, pi))
                 elif culprit is None:
-                    culprit = cul
+                    culprit = self.culprit
         if culprit is None:
             return _T, None
         return _U, culprit
 
     def _poke(self, cell: tuple, value) -> None:
-        # the one cell write; None unsets
-        kind = cell[0]
-        if kind == "k":
-            _, k, pi, i = cell
-            self.sortal_bits[k][pi][i] = 0 if value is None else value
-        elif kind == "a":
-            _, a, pi, rank = cell
-            bits = self.indef_bits[a][pi]
-            if value == 1:
-                self.true_indef.append((a, pi, rank))
-            elif bits[rank] == 1:  # unsetting the latest true tuple
-                self.true_indef.pop()
-            bits[rank] = 0 if value is None else value
-        elif kind == "q":
+        if cell[0] == "q":
             _, q, rank = cell
             self.precise_bits[q][rank] = 0 if value is None else value
-        elif kind == "n":
-            _, nm, pi = cell
-            self.name_val[(nm, pi)] = value
-        else:
-            _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = 0 if value is None else value
-
-    def assign(self, cell: tuple, value: int) -> None:
-        self.trail.append([])
-        self._poke(cell, value)
-
-    def unassign(self, cell: tuple) -> None:
-        for ci, pi in self.trail.pop():
-            self.status[ci][pi] = _U
-        self._poke(cell, None)
-
-    def branch_values(self, cell: tuple) -> list[int]:
-        if cell[0] == "n":
-            return list(range(self.r))
-        return [2, 1]
+            return
+        if cell[0] == "p" and cell[1] in self.indefinite:
+            if value == 1:
+                self.true_indef.append(cell[1:])
+            elif self.pred_bits[cell[1]][cell[2]][cell[3]] == 1:
+                self.true_indef.pop()  # unsetting the latest true tuple
+        _Space._poke(self, cell, value)  # not super(): it costs on this hot path
 
     def materialize(self) -> V1Structure:
         entities = [f"e{i}" for i in range(self.ne)]
@@ -1245,25 +1120,27 @@ class _V1Space(_Space):
         }
         sortals = {
             precs[pi]: {
-                k: [idents[i] for i in range(self.r) if self.sortal_bits[k][pi][i] == 1]
+                k: [idents[i] for i in range(self.r) if self.pred_bits[k][pi][i] == 1]
                 for k in self.sortal_list
             }
             for pi in range(self.m)
         }
         indefinite = {
             precs[pi]: {
-                a: _rows(self.indef_bits[a][pi], k or 1, idents) if a in self.indef_bits else []
-                for a, k in sorted(self.vocab.indefinite.items())
+                a: _rows(self.pred_bits[a][pi], self.preds[a], idents)
+                if a in self.indefinite else []
+                for a in sorted(self.vocab.indefinite)
             }
             for pi in range(self.m)
         }
         precise = {
-            q: _rows(self.precise_bits[q], k or 1, entities) if q in self.precise_bits else []
-            for q, k in sorted(self.vocab.precise.items())
+            q: _rows(self.precise_bits[q], self.preds[q], entities)
+            if q in self.precise_bits else []
+            for q in sorted(self.vocab.precise)
         }
         names = {
             precs[pi]: {
-                nm: idents[self.name_val[(nm, pi)]] for nm in sorted(self.vocab.names)
+                nm: idents[self.const_val[(nm, pi)]] for nm in sorted(self.vocab.names)
             }
             for pi in range(self.m)
         }
@@ -1274,6 +1151,16 @@ class _V1Space(_Space):
         if not is_model_v1(structure, self.formula):
             raise SplError("internal error: candidate failed revalidation")
         return structure
+
+
+def _search_registry(vocab, f, ne, m, maps, deadline):
+    """Search one registry's space.  Its compiled closures refer back to
+    the space; breaking that cycle here frees the space at once instead
+    of leaving thousands of them to the cyclic garbage collector."""
+    space = _V1Space(vocab, f, ne, m, maps)
+    result = space.dfs(deadline)
+    space.conjuncts = None
+    return result
 
 
 def _registry_combos(ne: int, m: int, r: int):
@@ -1300,7 +1187,7 @@ def find_v1_model(
     min_r = 1 if vocab.names else 0
     results = (
         ("timeout",) if time.monotonic() > deadline
-        else _V1Space(vocab, f, ne, m, maps).dfs(deadline)
+        else _search_registry(vocab, f, ne, m, maps, deadline)
         for ne in range(1, bounds.max_entities + 1)
         for m in range(1, bounds.max_precisifications + 1)
         for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1)
@@ -1400,6 +1287,7 @@ def _outcome_name(result: SearchOutcome) -> str:
     return "timeout"
 
 
+@nesting_guard
 def equisat_check(
     vocab: V1Vocabulary,
     f: Formula,

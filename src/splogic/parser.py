@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -353,6 +353,7 @@ def _child(f: Formula, required: int) -> str:
     return f"({text})" if level < required else text
 
 
+@nesting_guard
 def print_formula(f: Formula) -> str:
     """Canonical text for f; parsing the result reproduces f exactly."""
     return _render(f)[0]

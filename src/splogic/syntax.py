@@ -17,6 +17,7 @@ from .errors import (
     ArityMismatchError,
     UndeclaredSymbolError,
     VocabularyError,
+    nesting_guard,
 )
 
 UNIVERSAL_STANDPOINT = "*"
@@ -346,6 +347,7 @@ def make_v1_vocabulary(
 # Validation of formulas against a vocabulary
 # ---------------------------------------------------------------------------
 
+@nesting_guard
 def validate_formula(f: Formula, vocab: Vocabulary) -> None:
     """Raise UndeclaredSymbolError/ArityMismatchError if f does not fit vocab.
 

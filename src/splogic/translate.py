@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 
-from .errors import AxiomViolationError, ModelFormatError
+from .errors import AxiomViolationError, ModelFormatError, nesting_guard
 from .fosl import FoslStructure, is_model, make_fosl_structure
 from .syntax import (
     And,
@@ -197,6 +197,7 @@ def axiom_set(vocab: V1Vocabulary, strict_names: bool = False) -> list[Formula]:
     return [f for _, f in labeled_axioms(vocab, strict_names)]
 
 
+@nesting_guard
 def full_translation(
     f: Formula, vocab: V1Vocabulary, strict_names: bool = False
 ) -> Formula:

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from splogic import (
     Bounds,
+    Box,
+    EvaluationError,
     equisat_check,
     generate_formula,
     make_v1_vocabulary,
@@ -37,6 +41,13 @@ class TestEquisatHarness:
         f = parse_formula("!exists ?x ?x = n", vocab)
         report = equisat_check(vocab, f, BOUNDS)
         assert report.agreement == "unsat"
+
+    def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
+        f = parse_formula("Desert(house)", desert_v1_vocab)
+        for _ in range(1500):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            equisat_check(desert_v1_vocab, f, BOUNDS)
 
     def test_report_serializes(self, desert_v1_vocab, formula_c_v1):
         bounds = Bounds(max_entities=3, max_individuals=2,

@@ -28,7 +28,7 @@ from splogic import (
     v1_structure_to_dict,
 )
 from splogic import finder
-from splogic.finder import _F, _U, _FoslSpace
+from splogic.finder import _F, _U, _FoslSpace, _V1Space
 
 from naive_eval import naive_is_model, naive_is_model_v1
 from naive_enum import naive_fosl_sat
@@ -142,7 +142,8 @@ class TestV1Search:
     def test_timeout_holds(self):
         # tens of thousands of registries per level: the deadline must stop
         # the enumeration, not only the search inside one registry.  The
-        # two timeouts end in different levels; workers=2 takes the pool.
+        # two timeouts end in different levels; workers=2 must not change
+        # that, since the search is serial whatever the worker count.
         vocab = corpus_vocab()
         f = parse_formula("Attr(n) & !Attr(n)", vocab)
         for timeout, workers in ((1.0, 1), (2.0, 1), (1.0, 2)):
@@ -155,9 +156,10 @@ class TestV1Search:
             assert time.monotonic() - start < timeout + 0.5
 
     def test_pool_stops_drawing_tasks_at_the_deadline(self, monkeypatch):
-        # a fake clock passes the deadline while the fifth registry task is
-        # drawn; the pool may hold at most `workers` tasks, so no more than
-        # that many may be drawn afterwards
+        # a fake clock passes the deadline while the fifth registry is
+        # drawn; the search checks the deadline before building each
+        # registry's space, so it draws no more (the bound allows up to
+        # `workers` more)
         clock = [0.0]
         monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         draws = []
@@ -185,6 +187,14 @@ class TestV1Search:
             f = Box("*", f)
         with pytest.raises(EvaluationError, match="nested too deeply"):
             find_v1_model(desert_v1_vocab, f, self.BOUNDS)
+
+    def test_wildcard_arity_tables_follow_the_formula(self):
+        # a wildcard arity is pinned by its use, here to two arguments
+        vocab = make_v1_vocabulary(["K"], {"A": None}, {"Q": None}, ["a", "b"], [])
+        f = parse_formula("A(a, b) & !A(b, a) & Q(a, b) & !(a = b)", vocab)
+        outcome = find_v1_model(vocab, f, self.BOUNDS)
+        assert isinstance(outcome, ModelFound)
+        assert naive_is_model_v1(outcome.structure, f)
 
     # Two individuals may share an extension map (they stay distinct
     # individuals), but registries are drawn as combinations of distinct
@@ -473,6 +483,39 @@ class TestMemoInvariant:
         assert report.agreement == "sat"
 
 
+class TestCulpritRule:
+    """An unknown result reports only cells it depends on: in
+    !(P(c) & R(c)) & Q(c) with R(c) false, the unset P(c) read inside the
+    false conjunction must not be the culprit, nor count in u_seen."""
+
+    TEXT = "!(P(c) & R(c)) & Q(c)"
+
+    @staticmethod
+    def evaluate(space, f):
+        # compiled as written: the level formula would reorder conjuncts
+        fn = space._compile(f, {})
+        space.culprit = None
+        space.u_seen = 0
+        assert fn(0, space.env) == _U
+        return space.culprit, space.u_seen
+
+    def test_standpoint_space(self):
+        vocab = make_fosl_vocabulary({"P": 1, "Q": 1, "R": 1}, ["c"], [])
+        f = parse_formula(self.TEXT, vocab)
+        space = _FoslSpace(vocab, f, 1, 1, True)
+        space.assign(("c", "c", 0), 0)
+        space.assign(("p", "R", 0, 0), 2)
+        assert self.evaluate(space, f) == (("p", "Q", 0, 0), 1)
+
+    def test_v1_space(self):
+        vocab = make_v1_vocabulary(["K"], {"P": 1, "Q": 1, "R": 1}, {}, ["c"], [])
+        f = parse_formula(self.TEXT, vocab)
+        space = _V1Space(vocab, f, 1, 1, ((0,),))
+        space.assign(("c", "c", 0), 0)
+        space.assign(("p", "R", 0, 0), 2)
+        assert self.evaluate(space, f) == (("p", "Q", 0, 0), 1)
+
+
 class TestSortSplit:
     """equisat_check's backward search fixes the rigid ind/ext partition,
     individuals first, instead of branching on it element by element."""
@@ -544,6 +587,7 @@ class TestSortSplit:
             monkeypatch.setattr(_FoslSpace, name, checked_method)
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
-        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        # level n=4 is the one the equisat_hard sentences exhaust
+        bounds = Bounds(max_domain=4, max_precisifications=2, timeout=60)
         find_fosl_model(translated_vocabulary(vocab), f, bounds, _sorts=("ind", "ext"))
         assert checked.count(2) > 1000

@@ -7,6 +7,7 @@ from splogic import (
     Box,
     Const,
     Equal,
+    EvaluationError,
     Forall,
     FormulaSyntaxError,
     Not,
@@ -22,6 +23,7 @@ from splogic import (
     make_v1_vocabulary,
     parse_formula,
     print_formula,
+    validate_formula,
 )
 from splogic.parser import parse_raw
 
@@ -135,6 +137,13 @@ class TestParseErrors:
                 parse(text)
         assert parse_formula("!" * 500 + "P(c)", VOCAB) is not None
 
+    def test_validating_deep_nesting_is_an_evaluation_error(self):
+        f = Atom("P", (Const("c"),))
+        for _ in range(1500):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            validate_formula(f, VOCAB)
+
 
 class TestPrinting:
     def test_direct_rendering(self):
@@ -147,6 +156,13 @@ class TestPrinting:
     def test_printer_resugars_exists(self):
         f = Not(Forall("x", Not(Atom("P", (Var("x"),)))))
         assert print_formula(f) == "exists ?x P(?x)"
+
+    def test_deep_nesting_is_an_evaluation_error(self):
+        f = Atom("P", (Const("c"),))
+        for _ in range(600):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            print_formula(f)
 
     def test_roundtrip_on_a_thousand_random_formulas(self):
         from splogic import generate_formula, make_v1_vocabulary

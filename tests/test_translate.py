@@ -6,6 +6,7 @@ from splogic import (
     AxiomViolationError,
     Bounds,
     Box,
+    EvaluationError,
     ModelFormatError,
     axiom_set,
     formula_size,
@@ -153,6 +154,13 @@ class TestFullTranslation:
     def test_requires_sentence(self, desert_v1_vocab):
         f = parse_formula("Desert(?x)", desert_v1_vocab)
         with pytest.raises(ModelFormatError):
+            full_translation(f, desert_v1_vocab)
+
+    def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
+        f = parse_formula("Desert(house)", desert_v1_vocab)
+        for _ in range(1500):
+            f = Box("*", f)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
             full_translation(f, desert_v1_vocab)
 
     def test_report_fields(self, desert_v1_vocab, formula_c_v1):
