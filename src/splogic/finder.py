@@ -337,12 +337,12 @@ class _Space:
     the one place that writes a cell.
 
     Compiled closures fn(pi, env) return a three-valued int.  An unset
-    cell read is reported through _note: it counts in self.u_seen and, if
-    no cell is recorded yet, becomes self.culprit, the cell an unknown
-    result names for the search to branch on.  A closure that returns a
-    decided value after an unknown child restores both to their values at
-    its entry, so they only describe subformulas an unknown result
-    depends on.  An atom whose predicate has no pred_bits table compiles
+    cell read is reported through _note: if no cell is recorded yet, it
+    becomes self.culprit, the cell an unknown result names for the search
+    to branch on.  A closure that returns a decided value after an
+    unknown child restores the culprit it found at its entry, so the
+    culprit always comes from a subformula an unknown result depends
+    on.  An atom whose predicate has no pred_bits table compiles
     through the space's _precise_atom (V1's rigid precise predicates).
     """
 
@@ -397,7 +397,6 @@ class _Space:
     # ---- compilation to closures: fn(pi, env) -> three-valued int ----
 
     def _note(self, cell) -> None:
-        self.u_seen += 1
         if self.culprit is None:
             self.culprit = cell
 
@@ -453,13 +452,13 @@ class _Space:
             rf = self._compile(f.right, slots)
 
             def fn(pi, env):
-                cul, seen = self.culprit, self.u_seen
+                cul = self.culprit
                 lv = lf(pi, env)
                 if lv == _F:
                     return _F
                 rv = rf(pi, env)
                 if rv == _F:
-                    self.culprit, self.u_seen = cul, seen
+                    self.culprit = cul
                     return _F
                 return _U if (lv == _U or rv == _U) else _T
 
@@ -476,12 +475,12 @@ class _Space:
             if sp == UNIVERSAL_STANDPOINT:
 
                 def fn(pi, env):
-                    cul, seen = self.culprit, self.u_seen
+                    cul = self.culprit
                     unknown = False
                     for p2 in range(m):
                         v = child(p2, env)
                         if v == _F:
-                            self.culprit, self.u_seen = cul, seen
+                            self.culprit = cul
                             return _F
                         if v == _U:
                             unknown = True
@@ -492,7 +491,7 @@ class _Space:
             bits = self.sigma_bits
 
             def fn(pi, env):
-                cul, seen = self.culprit, self.u_seen
+                cul = self.culprit
                 unknown = False
                 for p2 in range(m):
                     b = bits[(sp, p2)]
@@ -501,7 +500,7 @@ class _Space:
                     v = child(p2, env)
                     if v == _F:
                         if b == 1:
-                            self.culprit, self.u_seen = cul, seen
+                            self.culprit = cul
                             return _F
                         self._note(("s", sp, p2))  # membership still open
                         unknown = True
@@ -598,7 +597,6 @@ class _FoslSpace(_Space):
         self.env: list[int] = [0] * (max(_count_quantifiers(p) for p in parts) + 1)
 
         self.culprit: tuple | None = None
-        self.u_seen = 0
 
         # Universal blocks at the top of a conjunct (boxes commute with
         # them under the constant-domain semantics) are ground into one
@@ -656,13 +654,13 @@ class _FoslSpace(_Space):
         n = self.n
 
         def fn(pi, env):
-            cul, seen = self.culprit, self.u_seen
+            cul = self.culprit
             unknown = False
             for e in range(n):
                 env[slot] = e
                 v = child(pi, env)
                 if v == _F:
-                    self.culprit, self.u_seen = cul, seen
+                    self.culprit = cul
                     return _F
                 if v == _U:
                     unknown = True
@@ -675,10 +673,10 @@ class _FoslSpace(_Space):
     def _scan(self) -> tuple[int, tuple | None, dict]:
         """One evaluation pass over all undecided instances.
 
-        Returns (value, first blocking cell, entailed assignments).  An
-        instance within two unknown cell reads of a decision has its
-        blocking cell probed against the instance alone: no surviving
-        value refutes the node; a single one is an entailed assignment.
+        Returns (value, first blocking cell, entailed assignments).  Every
+        unknown instance has its blocking cell probed against the
+        instance alone: no surviving value refutes the node; a single one
+        is an entailed assignment.
         """
         first_culprit = None
         probes = []
@@ -696,13 +694,12 @@ class _FoslSpace(_Space):
                 if row[pi] == _T:
                     continue
                 memo = memo_row[pi]
-                if memo is not None and memo[2] >= touched:
-                    cul, count = memo[0], memo[1]
+                if memo is not None and memo[1] >= touched:
+                    cul = memo[0]
                 else:
                     for slot, elem in preset:
                         env[slot] = elem
                     self.culprit = None
-                    self.u_seen = 0
                     v = fn(pi, env)
                     if v == _F:
                         return _F, None, {}
@@ -710,12 +707,11 @@ class _FoslSpace(_Space):
                         row[pi] = _T
                         frame.append((ci, pi))
                         continue
-                    cul, count = self.culprit, self.u_seen
-                    memo_row[pi] = (cul, count, tick)
+                    cul = self.culprit
+                    memo_row[pi] = (cul, tick)
                 if first_culprit is None:
                     first_culprit = cul
-                if count <= 2:
-                    probes.append((ci, cul, fn, pi, preset))
+                probes.append((ci, cul, fn, pi, preset))
         if first_culprit is None:
             return _T, None, {}
         forced: dict[tuple, int] = {}
@@ -977,7 +973,6 @@ class _V1Space(_Space):
         self.true_indef: list[tuple[str, int, int]] = []  # (A, pi, rank) set true
 
         self.culprit: tuple | None = None
-        self.u_seen = 0
         parts = _flatten_and(_level_formula(f, m, v1_domains=True))
         self.env: list[int] = [0] * max(_count_quantifiers(p) for p in parts)
         self.pi_indep = [_is_pi_independent(c, domain_varies=True) for c in parts]
@@ -1004,7 +999,7 @@ class _V1Space(_Space):
         member3 = self.member3
 
         def fn(pi, env):
-            cul, seen = self.culprit, self.u_seen
+            cul = self.culprit
             unknown = False
             for i in range(r):
                 mv, mc = member3(i, pi)
@@ -1016,7 +1011,7 @@ class _V1Space(_Space):
                     continue
                 if v == _F:
                     if mv == _T:
-                        self.culprit, self.u_seen = cul, seen
+                        self.culprit = cul
                         return _F
                     self._note(mc)
                 unknown = True

@@ -423,15 +423,14 @@ class TestMemoInvariant:
             touched = space.conj_touch[ci]
             for pi in range(space.m):
                 memo = space.u_memo[ci][pi]
-                if memo is None or memo[2] < touched:
+                if memo is None or memo[1] < touched:
                     continue
                 for slot, elem in preset:
                     space.env[slot] = elem
                 space.culprit = None
-                space.u_seen = 0
                 assert fn(pi, space.env) == _U, (ci, pi)
                 cul = space.culprit
-                assert (cul, space.u_seen) == memo[:2], (ci, pi)
+                assert cul == memo[0], (ci, pi)
                 checked += 1
                 probe = space.probe_memo[ci][pi]
                 if probe is not None and probe[2] >= touched:
@@ -486,7 +485,7 @@ class TestMemoInvariant:
 class TestCulpritRule:
     """An unknown result reports only cells it depends on: in
     !(P(c) & R(c)) & Q(c) with R(c) false, the unset P(c) read inside the
-    false conjunction must not be the culprit, nor count in u_seen."""
+    false conjunction must not be the culprit."""
 
     TEXT = "!(P(c) & R(c)) & Q(c)"
 
@@ -495,9 +494,8 @@ class TestCulpritRule:
         # compiled as written: the level formula would reorder conjuncts
         fn = space._compile(f, {})
         space.culprit = None
-        space.u_seen = 0
         assert fn(0, space.env) == _U
-        return space.culprit, space.u_seen
+        return space.culprit
 
     def test_standpoint_space(self):
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1, "R": 1}, ["c"], [])
@@ -505,7 +503,7 @@ class TestCulpritRule:
         space = _FoslSpace(vocab, f, 1, 1, True)
         space.assign(("c", "c", 0), 0)
         space.assign(("p", "R", 0, 0), 2)
-        assert self.evaluate(space, f) == (("p", "Q", 0, 0), 1)
+        assert self.evaluate(space, f) == ("p", "Q", 0, 0)
 
     def test_v1_space(self):
         vocab = make_v1_vocabulary(["K"], {"P": 1, "Q": 1, "R": 1}, {}, ["c"], [])
@@ -513,7 +511,21 @@ class TestCulpritRule:
         space = _V1Space(vocab, f, 1, 1, ((0,),))
         space.assign(("c", "c", 0), 0)
         space.assign(("p", "R", 0, 0), 2)
-        assert self.evaluate(space, f) == (("p", "Q", 0, 0), 1)
+        assert self.evaluate(space, f) == ("p", "Q", 0, 0)
+
+
+class TestProbing:
+    """Every undecided instance has its blocking cell probed, however many
+    times it reads unset cells."""
+
+    def test_instances_reading_a_cell_three_times_refute_the_node(self):
+        # each conjunct reads P(c) three times; probed alone, the first
+        # forces P(c) false and the second forces it true
+        vocab = make_fosl_vocabulary({"P": 1}, ["c"], [])
+        f = parse_formula("(P(c) -> !P(c) & !P(c)) & (!P(c) -> P(c) & P(c))", vocab)
+        space = _FoslSpace(vocab, f, 1, 1, True)
+        space.assign(("c", "c", 0), 0)
+        assert space.propagate([]) == (_F, None)
 
 
 class TestSortSplit:
