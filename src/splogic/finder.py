@@ -10,15 +10,17 @@ and an unknown result names a blocking cell to branch on next.  Domains
 grow from size 1, false comes before true, and smaller elements come
 first, so the first model found is canonical for the enumeration order.
 
-The standpoint space and the V1 space (one per registry of extension
-maps) share one depth-first search and one three-valued compiler (see
-_Space); each supplies only its universal quantifier, and V1 its atoms
-over precise entities.  An unknown result names as its blocking cell the
-first unset cell read by a subformula it depends on: a subformula that
-turns out decided leaves no trace.  Every search runs serially in the
-calling thread: the worker count (argument or SPL_THREADS) is validated
-and otherwise ignored, since CPU-bound search gains nothing from threads
-under the GIL, so outcomes are the same whatever its value.
+The standpoint space and the V1 space (one per level, shared by its
+registries of extension maps) share one depth-first search and one
+three-valued compiler, which also creates their cells and read sets (see
+_Space); each supplies its universal quantifier and tables, V1 also its
+atoms over precise entities.  An unknown result names as its blocking
+cell the first unset cell read by a subformula it depends on: a
+subformula that turns out decided leaves no trace.  Every search runs
+serially in the calling thread: the worker count (argument or
+SPL_THREADS) is validated and otherwise ignored, since CPU-bound search
+gains nothing from threads under the GIL, so outcomes are the same
+whatever its value.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .syntax import (
     And,
     Atom,
     Box,
-    Const,
     Equal,
     Forall,
     Formula,
@@ -131,94 +132,9 @@ def _flatten_and(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _symbols_of(f: Formula, preds: dict[str, int], consts: set[str], sps: set[str]) -> None:
-    if isinstance(f, Atom):
-        preds.setdefault(f.pred, len(f.args))
-        for t in f.args:
-            if isinstance(t, Const):
-                consts.add(t.name)
-    elif isinstance(f, Equal):
-        for t in (f.left, f.right):
-            if isinstance(t, Const):
-                consts.add(t.name)
-    elif isinstance(f, Not):
-        _symbols_of(f.body, preds, consts, sps)
-    elif isinstance(f, And):
-        _symbols_of(f.left, preds, consts, sps)
-        _symbols_of(f.right, preds, consts, sps)
-    elif isinstance(f, Forall):
-        _symbols_of(f.body, preds, consts, sps)
-    elif isinstance(f, Box):
-        if f.standpoint != UNIVERSAL_STANDPOINT:
-            sps.add(f.standpoint)
-        _symbols_of(f.body, preds, consts, sps)
-
-
-def _read_keys(f: Formula, slots: dict[str, int], wide: set, exact: set) -> None:
-    """Collect the read set of f once the variables in slots are ground:
-    (pred, argument slots) into exact for atoms over those variables
-    only, predicate, constant and standpoint keys into wide."""
-    if isinstance(f, Atom):
-        if all(isinstance(t, Var) and t.name in slots for t in f.args):
-            exact.add((f.pred, tuple(slots[t.name] for t in f.args)))
-            return
-        wide.add(("p", f.pred))
-        for t in f.args:
-            if isinstance(t, Const):
-                wide.add(("c", t.name))
-    elif isinstance(f, Equal):
-        for t in (f.left, f.right):
-            if isinstance(t, Const):
-                wide.add(("c", t.name))
-    elif isinstance(f, Not):
-        _read_keys(f.body, slots, wide, exact)
-    elif isinstance(f, And):
-        _read_keys(f.left, slots, wide, exact)
-        _read_keys(f.right, slots, wide, exact)
-    elif isinstance(f, Forall):
-        inner = {v: s for v, s in slots.items() if v != f.var}
-        _read_keys(f.body, inner, wide, exact)
-    elif isinstance(f, Box):
-        if f.standpoint != UNIVERSAL_STANDPOINT:
-            wide.add(("s", f.standpoint))
-        _read_keys(f.body, slots, wide, exact)
-
-
 # ---------------------------------------------------------------------------
 # Per-level preprocessing
 # ---------------------------------------------------------------------------
-
-def _alpha_normalize(f: Formula, mapping: dict[str, str], depth: int) -> Formula:
-    """Rename bound variables canonically by nesting depth so that
-    structurally identical subformulas compare equal."""
-    if isinstance(f, Atom):
-        args = tuple(
-            Var(mapping.get(t.name, t.name)) if isinstance(t, Var) else t
-            for t in f.args
-        )
-        return Atom(f.pred, args)
-    if isinstance(f, Equal):
-        left, right = (
-            Var(mapping.get(t.name, t.name)) if isinstance(t, Var) else t
-            for t in (f.left, f.right)
-        )
-        return Equal(left, right)
-    if isinstance(f, Not):
-        return Not(_alpha_normalize(f.body, mapping, depth))
-    if isinstance(f, And):
-        return And(
-            _alpha_normalize(f.left, mapping, depth),
-            _alpha_normalize(f.right, mapping, depth),
-        )
-    if isinstance(f, Forall):
-        fresh = f"q{depth}"
-        inner = dict(mapping)
-        inner[f.var] = fresh
-        return Forall(fresh, _alpha_normalize(f.body, inner, depth + 1))
-    if isinstance(f, Box):
-        return Box(f.standpoint, _alpha_normalize(f.body, mapping, depth))
-    raise TypeError(f"not a formula: {f!r}")
-
 
 def _simplify(f: Formula, m: int, v1_domains: bool):
     """Constant-fold for a level with m precisifications: collapse the
@@ -255,6 +171,7 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
                 members.append(s)
         if not members:
             return True
+        members = list(dict.fromkeys(members))  # drop duplicate members
         seen = set(members)
         for g in members:
             if Not(g) in seen:
@@ -285,7 +202,7 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
 
 def _level_formula(f: Formula, m: int, v1_domains: bool) -> Formula:
     """The formula specialized to a level with m precisifications."""
-    s = _simplify(_alpha_normalize(f, {}, 0), m, v1_domains)
+    s = _simplify(f, m, v1_domains)
     if s is True:
         return truth()
     if s is False:
@@ -331,10 +248,18 @@ class _Space:
     (membership bits, tuple ranks in base self.base), const_val[(name,
     pi)] (an element or None) and sigma_bits[(sp, pi)]; their cells are
     ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A space
-    provides propagate, materialize, _quantify (the universal over its
-    domain) and the values a constant may take, self.choices; it may
-    extend assign and unassign, and add cell kinds of its own to _poke,
-    the one place that writes a cell.
+    provides _table, propagate, materialize, _quantify (the universal
+    over its domain) and the values a constant may take, self.choices;
+    it may extend assign and unassign, and add cell kinds of its own to
+    _poke, the one place that writes a cell.
+
+    The compiler is the one walk over a level's formula.  It creates a
+    symbol's cells when it first meets it (a predicate's table through
+    _table(pred, arity)) and adds the read-set keys of what it compiles
+    to self.reads: ("p", pred, env slots) for an atom over variables
+    only, ("p", pred) for any other, ("c", name) and ("s", sp).  A bound
+    variable takes an env slot above every slot in scope (_bind), so a
+    rebound variable never overwrites the one it shadows.
 
     Compiled closures fn(pi, env) return a three-valued int.  An unset
     cell read is reported through _note: if no cell is recorded yet, it
@@ -342,8 +267,8 @@ class _Space:
     to branch on.  A closure that returns a decided value after an
     unknown child restores the culprit it found at its entry, so the
     culprit always comes from a subformula an unknown result depends
-    on.  An atom whose predicate has no pred_bits table compiles
-    through the space's _precise_atom (V1's rigid precise predicates).
+    on.  An atom whose predicate _table gives no table compiles through
+    the space's _precise_atom (V1's rigid precise predicates).
     """
 
     def dfs(self, deadline: float):
@@ -400,12 +325,22 @@ class _Space:
         if self.culprit is None:
             self.culprit = cell
 
+    def _bind(self, slots: dict[str, int], var: str) -> dict[str, int]:
+        slot = max(slots.values(), default=-1) + 1
+        while len(self.env) <= slot:
+            self.env.append(0)
+        return {**slots, var: slot}
+
     def _compile(self, f: Formula, slots: dict[str, int]):
         if isinstance(f, Atom):
             resolvers = [self._compile_term(t, slots) for t in f.args]
-            if f.pred not in self.pred_bits:
+            if all(isinstance(t, Var) for t in f.args):
+                self.reads.add(("p", f.pred, tuple(slots[t.name] for t in f.args)))
+            else:
+                self.reads.add(("p", f.pred))
+            arrays = self._table(f.pred, len(f.args))
+            if arrays is None:
                 return self._precise_atom(f.pred, resolvers)
-            arrays = self.pred_bits[f.pred]
             pred = f.pred
             base = self.base
 
@@ -464,10 +399,8 @@ class _Space:
 
             return fn
         if isinstance(f, Forall):
-            slot = len(slots)
-            inner = dict(slots)
-            inner[f.var] = slot
-            return self._quantify(slot, self._compile(f.body, inner))
+            inner = self._bind(slots, f.var)
+            return self._quantify(inner[f.var], self._compile(f.body, inner))
         if isinstance(f, Box):
             child = self._compile(f.body, slots)
             sp = f.standpoint
@@ -488,7 +421,10 @@ class _Space:
 
                 return fn
 
+            self.reads.add(("s", sp))
             bits = self.sigma_bits
+            for p2 in range(m):
+                bits.setdefault((sp, p2), 0)
 
             def fn(pi, env):
                 cul = self.culprit
@@ -516,7 +452,10 @@ class _Space:
             slot = slots[t.name]
             return lambda pi, env: env[slot]
         name = t.name
+        self.reads.add(("c", name))
         vals = self.const_val
+        for pi in range(self.m):
+            vals.setdefault((name, pi), None)
 
         def resolve(pi, env):
             v = vals[(name, pi)]
@@ -567,34 +506,19 @@ class _FoslSpace(_Space):
         self.n = self.base = n
         self.m = m
         self.symmetry = symmetry
-
-        level = _level_formula(f, m, v1_domains=False)
-        parts = _flatten_and(level)
-
-        preds: dict[str, int] = {}
-        consts: set[str] = set()
-        sps: set[str] = set()
-        _symbols_of(level, preds, consts, sps)
-        self.preds = {p: preds[p] for p in sorted(preds)}
-        self.consts = sorted(consts)
-        self.sps = sorted(sps)
-
-        self.pred_bits = {
-            p: [bytearray(n ** k) for _ in range(m)] for p, k in self.preds.items()
-        }
-        self.const_val: dict[tuple[str, int], int | None] = {
-            (c, pi): None for c in self.consts for pi in range(m)
-        }
-        self.sigma_bits: dict[tuple[str, int], int] = {
-            (sp, pi): 0 for sp in self.sps for pi in range(m)
-        }
+        # the compiler creates the cells of the symbols the level formula
+        # mentions (see _table)
+        self.preds: dict[str, int] = {}
+        self.pred_bits: dict[str, list[bytearray]] = {}
+        self.const_val: dict[tuple[str, int], int | None] = {}
+        self.sigma_bits: dict[tuple[str, int], int] = {}
+        self.env: list[int] = []
 
         # least-number heuristic, per block of interchangeable elements:
         # the largest element of each block mentioned so far, and the
         # values a constant may take (see set_blocks)
         self.set_blocks(((0, n),))
         self.lnh_stack: list[tuple] = []  # (maxima, choices) per assignment
-        self.env: list[int] = [0] * (max(_count_quantifiers(p) for p in parts) + 1)
 
         self.culprit: tuple | None = None
 
@@ -603,27 +527,32 @@ class _FoslSpace(_Space):
         # instance per element tuple, so the probe machinery sees small,
         # nearly-decided constraints instead of one monolithic quantifier.
         #
-        # Each instance also gets its read set: the keys of the cells its
-        # evaluation can read.  An atom whose arguments are all ground
-        # variables reads one cell per precisification, keyed
-        # ("p", pred, rank); any other atom is keyed by its whole predicate
-        # ("p", pred); constants and non-universal standpoints by name.  The
-        # read set comes from the rebuilt formula so that it includes the
-        # standpoints of the box prefix.
+        # Each instance also gets its read set, from the compiler's keys
+        # for the rebuilt formula (so it has the box prefix's standpoints):
+        # an atom over ground variables only (slots below len(qvars)) is
+        # keyed by its own cell, ("p", pred, rank), any other atom by its
+        # whole predicate.
         self.conjuncts: list = []  # compiled bodies
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
-        for part in parts:
+        for part in _flatten_and(_level_formula(f, m, v1_domains=False)):
             boxes, qvars, body = _strip_ground_prefix(part, n)
             rebuilt = body
             for sp in reversed(boxes):
                 rebuilt = Box(sp, rebuilt)
-            slots = {v: i for i, v in enumerate(qvars)}
-            wide: set[tuple] = set()
-            exact: set[tuple[str, tuple[int, ...]]] = set()
-            _read_keys(rebuilt, slots, wide, exact)
+            slots: dict[str, int] = {}
+            for v in qvars:
+                slots = self._bind(slots, v)
+            self.reads: set[tuple] = set()
             fn = self._compile(rebuilt, slots)
+            wide: set[tuple] = set()
+            exact: list[tuple[str, tuple[int, ...]]] = []
+            for key in self.reads:
+                if len(key) == 3 and all(s < len(qvars) for s in key[2]):
+                    exact.append(key[1:])
+                else:
+                    wide.add(key[:2])
             indep = _is_pi_independent(rebuilt)
             for combo in itertools.product(range(n), repeat=len(qvars)):
                 ci = len(self.conjuncts)
@@ -648,6 +577,12 @@ class _FoslSpace(_Space):
         self.conj_touch = [0] * len(self.conjuncts)
         self.u_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
         self.probe_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
+
+    def _table(self, pred: str, arity: int) -> list[bytearray]:
+        if pred not in self.pred_bits:
+            self.preds[pred] = arity
+            self.pred_bits[pred] = [bytearray(self.n ** arity) for _ in range(self.m)]
+        return self.pred_bits[pred]
 
     def _quantify(self, slot: int, child):
         # the universal ranges over all n elements
@@ -930,12 +865,13 @@ def find_fosl_model(
 # ---------------------------------------------------------------------------
 
 class _V1Space(_Space):
-    """Partial V1 structure for a fixed registry of extension maps.
+    """Partial V1 structure for registries of r extension maps.
 
     maps[i][pi] gives the precise version of individual i at
-    precisification pi; the registry content itself is enumerated outside
+    precisification pi.  The registries of a level are enumerated outside
     (all strictly increasing combinations of distinct maps, so duplicate
-    registries never occur).  pred_bits holds the sortal and indefinite
+    registries never occur) and searched in one space, each writing its
+    maps into the maps list.  pred_bits holds the sortal and indefinite
     tables over individuals (base r), const_val the proper names; the
     rigid precise tables over entities are precise_bits, with cells
     ("q", pred, rank).
@@ -947,38 +883,44 @@ class _V1Space(_Space):
         self.formula = f
         self.ne = ne
         self.m = m
-        self.maps = maps
+        self.maps = list(maps)
         self.r = self.base = len(maps)
         self.choices = tuple(range(self.r))  # a name may denote any individual
 
-        preds: dict[str, int] = {}
-        consts: set[str] = set()
-        sps: set[str] = set()
-        _symbols_of(f, preds, consts, sps)
-        self.preds = preds
+        # structural3 constrains every sortal and name, so they have cells
+        # whether or not f mentions them; the compiler creates the
+        # indefinite and precise tables and the standpoint cells (_table)
+        self.preds: dict[str, int] = {}  # indefinite and precise arities
         self.sortal_list = sorted(vocab.sortals)
-        self.indefinite = {a for a in vocab.indefinite if a in preds}
+        self.indefinite: set[str] = set()
         self.pred_bits = {k: [bytearray(self.r) for _ in range(m)] for k in self.sortal_list}
-        for a in sorted(self.indefinite):
-            self.pred_bits[a] = [bytearray(self.r ** preds[a]) for _ in range(m)]
-        self.precise_bits = {
-            q: bytearray(ne ** preds[q]) for q in sorted(vocab.precise) if q in preds
-        }
+        self.precise_bits: dict[str, bytearray] = {}
         self.const_val: dict[tuple[str, int], int | None] = {
             (nm, pi): None for nm in sorted(vocab.names) for pi in range(m)
         }
-        self.sigma_bits: dict[tuple[str, int], int] = {
-            (sp, pi): 0 for sp in sorted(sps) for pi in range(m)
-        }
+        self.sigma_bits: dict[tuple[str, int], int] = {}
         self.true_indef: list[tuple[str, int, int]] = []  # (A, pi, rank) set true
 
         self.culprit: tuple | None = None
+        self.env: list[int] = []
+        self.reads: set[tuple] = set()  # unused: this space keeps no memos
         parts = _flatten_and(_level_formula(f, m, v1_domains=True))
-        self.env: list[int] = [0] * max(_count_quantifiers(p) for p in parts)
         self.pi_indep = [_is_pi_independent(c, domain_varies=True) for c in parts]
         self.conjuncts = [self._compile(c, {}) for c in parts]
         self.status = [[_U] * m for _ in self.conjuncts]
         self.trail: list[list[tuple[int, int]]] = [[]]
+
+    def _table(self, pred: str, arity: int) -> list[bytearray] | None:
+        if pred in self.vocab.precise:
+            if pred not in self.precise_bits:
+                self.preds[pred] = arity
+                self.precise_bits[pred] = bytearray(self.ne ** arity)
+            return None  # compiled by _precise_atom
+        if pred not in self.pred_bits:  # an indefinite predicate
+            self.preds[pred] = arity
+            self.indefinite.add(pred)
+            self.pred_bits[pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
+        return self.pred_bits[pred]
 
     def member3(self, i: int, pi: int) -> tuple[int, tuple | None]:
         """Is individual i admitted by some sortal at pi?  An unknown
@@ -1148,14 +1090,25 @@ class _V1Space(_Space):
         return structure
 
 
-def _search_registry(vocab, f, ne, m, maps, deadline):
-    """Search one registry's space.  Its compiled closures refer back to
-    the space; breaking that cycle here frees the space at once instead
-    of leaving thousands of them to the cyclic garbage collector."""
-    space = _V1Space(vocab, f, ne, m, maps)
-    result = space.dfs(deadline)
-    space.conjuncts = None
-    return result
+def _search_level_v1(vocab, f, ne, m, r, deadline):
+    """The dfs results, lazily, of the registries of r individuals at ne
+    entities and m precisifications, all in one space: a finished dfs
+    leaves every cell unset, and the instance statuses of its own trail
+    frame are reset, so the next registry only writes its maps.  No
+    registry is searched once the deadline has passed."""
+    space = None
+    for maps in _registry_combos(ne, m, r):
+        if time.monotonic() > deadline:
+            yield ("timeout",)
+            return
+        if space is None:
+            space = _V1Space(vocab, f, ne, m, maps)
+        else:
+            space.maps[:] = maps
+        space.trail.append([])
+        yield space.dfs(deadline)
+        for ci, pi in space.trail.pop():
+            space.status[ci][pi] = _U
 
 
 def _registry_combos(ne: int, m: int, r: int):
@@ -1170,9 +1123,10 @@ def find_v1_model(
     """Search for a variable reference structure making f globally true.
 
     Entity counts, precisification counts and registry sizes grow from the
-    smallest; registries are combinations of distinct extension maps in
-    lexicographic order, enumerated lazily, and no registry's space is
-    built once the deadline has passed."""
+    smallest, one search space per level (see _search_level_v1);
+    registries are combinations of distinct extension maps in
+    lexicographic order, enumerated lazily, and none is searched once the
+    deadline has passed."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
@@ -1181,12 +1135,11 @@ def find_v1_model(
     deadline = start + bounds.timeout
     min_r = 1 if vocab.names else 0
     results = (
-        ("timeout",) if time.monotonic() > deadline
-        else _search_registry(vocab, f, ne, m, maps, deadline)
+        result
         for ne in range(1, bounds.max_entities + 1)
         for m in range(1, bounds.max_precisifications + 1)
         for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1)
-        for maps in _registry_combos(ne, m, r)
+        for result in _search_level_v1(vocab, f, ne, m, r, deadline)
     )
     return _first_outcome(results, bounds, start)
 
@@ -1211,18 +1164,6 @@ def _is_pi_independent(f: Formula, domain_varies: bool = False) -> bool:
         )
     if isinstance(f, Forall):
         return not domain_varies and _is_pi_independent(f.body, domain_varies)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _count_quantifiers(f: Formula) -> int:
-    if isinstance(f, (Atom, Equal)):
-        return 0
-    if isinstance(f, (Not, Box)):
-        return _count_quantifiers(f.body)
-    if isinstance(f, Forall):
-        return 1 + _count_quantifiers(f.body)
-    if isinstance(f, And):
-        return max(_count_quantifiers(f.left), _count_quantifiers(f.right))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -12,6 +12,7 @@ version there.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 from .errors import AxiomViolationError, ModelFormatError, nesting_guard
 from .fosl import FoslStructure, is_model, make_fosl_structure
@@ -39,6 +40,7 @@ from .syntax import (
     is_monodic,
     make_fosl_vocabulary,
     validate_formula,
+    _validate,
 )
 from .v1 import V1Structure, individuals_at, make_v1_structure
 
@@ -201,12 +203,21 @@ def axiom_set(vocab: V1Vocabulary, strict_names: bool = False) -> list[Formula]:
 def full_translation(
     f: Formula, vocab: V1Vocabulary, strict_names: bool = False
 ) -> Formula:
-    """Translated formula conjoined with the box-prefixed bridge axioms."""
+    """Translated formula conjoined with the box-prefixed bridge axioms.
+    A wildcard (None) arity that f uses is pinned by that use, so that the
+    axioms and the translated sentence agree on it."""
     if free_variables(f):
         raise ModelFormatError(
             f"full translation requires a sentence; free: {sorted(free_variables(f))}"
         )
-    core = translate_formula(f, vocab)
+    pinned: dict[str, int] = {}
+    _validate(f, vocab, pinned)
+    core = _translate(f, vocab, _FreshVars(all_variables(f)))
+    vocab = replace(
+        vocab,
+        indefinite={a: pinned.get(a, k) for a, k in vocab.indefinite.items()},
+        precise={q: pinned.get(q, k) for q, k in vocab.precise.items()},
+    )
     boxed = [Box(UNIVERSAL_STANDPOINT, ax) for ax in axiom_set(vocab, strict_names)]
     return conjoin([core, *boxed])
 

@@ -42,6 +42,14 @@ class TestEquisatHarness:
         report = equisat_check(vocab, f, BOUNDS)
         assert report.agreement == "unsat"
 
+    def test_wildcard_arities_pinned_by_use(self):
+        # the bridge axioms for A and Q take the arity the sentence uses
+        vocab = make_v1_vocabulary(["K"], {"A": None}, {"Q": None}, ["a", "b"], [])
+        f = parse_formula("A(a, b) & Q(a, b) & !(a = b)", vocab)
+        report = equisat_check(vocab, f, BOUNDS)
+        assert report.agreement == "sat"
+        assert all(d.outcome == "sat" and d.verified for d in report.directions)
+
     def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
         f = parse_formula("Desert(house)", desert_v1_vocab)
         for _ in range(1500):

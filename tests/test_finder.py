@@ -188,6 +188,24 @@ class TestV1Search:
         with pytest.raises(EvaluationError, match="nested too deeply"):
             find_v1_model(desert_v1_vocab, f, self.BOUNDS)
 
+    def test_one_space_per_level(self, monkeypatch):
+        # every registry of an (entities, precisifications, individuals)
+        # level is searched in the same space
+        levels = []
+
+        class Counted(_V1Space):
+            def __init__(self, vocab, f, ne, m, maps):
+                levels.append((ne, m, len(maps)))
+                super().__init__(vocab, f, ne, m, maps)
+
+        monkeypatch.setattr(finder, "_V1Space", Counted)
+        vocab = corpus_vocab()
+        f = parse_formula("Attr(n) & !Attr(n)", vocab)
+        bounds = Bounds(max_entities=3, max_precisifications=2, max_individuals=3,
+                        timeout=60)
+        assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
+        assert len(levels) == len(set(levels)) == 13
+
     def test_wildcard_arity_tables_follow_the_formula(self):
         # a wildcard arity is pinned by its use, here to two arguments
         vocab = make_v1_vocabulary(["K"], {"A": None}, {"Q": None}, ["a", "b"], [])
@@ -255,6 +273,35 @@ class TestSoundness:
                 found += 1
                 assert naive_is_model_v1(outcome.structure, f)
         assert found > 10
+
+
+class TestShadowedVariables:
+    """A quantifier that rebinds a variable gets an env slot of its own,
+    so the variable it shadows keeps its value."""
+
+    TEXTS = [
+        # a ground prefix rebinds ?x
+        "forall ?x forall ?x exists ?y Q(?x, ?y) & !exists ?z Q(?z, ?z)",
+        # a nested quantifier rebinds ?x
+        "!forall ?x forall ?x forall ?y (P(?x) -> P(?y))",
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_agrees_with_unpruned_enumeration(self, text):
+        vocab = make_fosl_vocabulary({"P": 1, "Q": 2}, [], [])
+        f = parse_formula(text, vocab)
+        bounds = Bounds(max_domain=2, max_precisifications=2, timeout=60)
+        found = isinstance(find_fosl_model(vocab, f, bounds), ModelFound)
+        assert found == naive_fosl_sat(vocab, f, 2, 2)
+
+    def test_v1_twin_agrees_sat(self):
+        vocab = make_v1_vocabulary(["K"], {"A": 1}, {}, [], [])
+        f = parse_formula("!forall ?x forall ?x forall ?y (A(?x) -> A(?y))", vocab)
+        bounds = Bounds(max_entities=2, max_individuals=2, max_precisifications=1,
+                        timeout=60)
+        report = equisat_check(vocab, f, bounds)
+        assert report.agreement == "sat"
+        assert all(d.outcome == "sat" and d.verified for d in report.directions)
 
 
 class TestMicroCompleteness:
