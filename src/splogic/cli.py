@@ -175,9 +175,7 @@ def cmd_equisat(args) -> int:
         raise SplError("equisat requires a v1 vocabulary")
     f = parse_formula(read_formula_file(args.formula), vocab)
     bounds = parse_bounds(args.bounds, args.timeout, args.no_symmetry)
-    report = equisat_check(
-        vocab, f, bounds, strict_names=args.strict_names, workers=args.workers
-    )
+    report = equisat_check(vocab, f, bounds, workers=args.workers)
     data = report.to_dict()
     if args.out:
         # found models go to sidecar files; the report references them
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equisat", help="two-sided equisatisfiability check")
     add_common(p, bounds=True)
-    p.add_argument("--strict-names", action="store_true")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_equisat)
 

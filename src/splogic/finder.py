@@ -25,14 +25,17 @@ whatever its value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import EvaluationError, SplError, nesting_guard
-from .fosl import FoslStructure, is_model, make_fosl_structure
+from .fosl import FoslStructure, fosl_structure_to_dict, is_model, make_fosl_structure
+from .parser import print_formula
 from .syntax import (
     And,
     Atom,
@@ -52,7 +55,14 @@ from .syntax import (
     truth,
     validate_formula,
 )
-from .v1 import V1Structure, is_model_v1, make_v1_structure
+from .translate import (
+    full_translation,
+    lift_model,
+    lower_model,
+    sort_axioms,
+    translated_vocabulary,
+)
+from .v1 import V1Structure, is_model_v1, make_v1_structure, v1_structure_to_dict
 
 _F, _T, _U = 0, 1, 2  # three-valued: false / true / unknown
 # cell storage uses 0 = unset, 1 = true, 2 = false
@@ -200,8 +210,10 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
     raise TypeError(f"not a formula: {f!r}")
 
 
+@functools.lru_cache(maxsize=8)
 def _level_formula(f: Formula, m: int, v1_domains: bool) -> Formula:
-    """The formula specialized to a level with m precisifications."""
+    """The formula specialized to a level with m precisifications; the
+    levels of one search share it for each m."""
     s = _simplify(f, m, v1_domains)
     if s is True:
         return truth()
@@ -794,16 +806,21 @@ class _FoslSpace(_Space):
         return structure
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, sorts=None):
+# bridge axioms 1 and 2 under the universal box, as full_translation
+# emits them
+_SORT_AXIOMS = frozenset(Box(UNIVERSAL_STANDPOINT, ax) for _, ax in sort_axioms())
+
+
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, sorts):
     """Search one level: n elements, m precisifications.
 
-    sorts, when given, names two unary predicates (ind, ext) that the
-    caller vouches f makes a rigid partition of the domain: exactly one
-    of them holds of each element, the same one at every
-    precisification (bridge axioms 1 and 2 of the full translation).
-    Any model with r elements in the first sort can then be renumbered,
-    constants included, so that those are the elements 0..r-1, and
-    renumbering preserves truth.  So with symmetry reduction on and
+    sorts, when given, names two predicates (ind, ext) that f makes a
+    rigid partition of the domain, since its top-level conjuncts include
+    bridge axioms 1 and 2 (_SORT_AXIOMS): exactly one of them holds of
+    each element, the same one at every precisification.  Any model with
+    r elements in the first sort can then be renumbered, constants
+    included, so that those are the elements 0..r-1, and renumbering
+    preserves truth.  So with symmetry reduction on and
     n >= 2 the level is searched once per r = 0..n with the sort cells
     fixed that way, and each of the blocks [0, r) and [r, n) keeps its
     own least-number heuristic: its elements are interchangeable until
@@ -840,20 +857,22 @@ def _first_outcome(results, bounds: Bounds, start: float) -> SearchOutcome:
 
 @nesting_guard
 def find_fosl_model(
-    vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None,
-    *, _sorts: tuple[str, str] | None = None,
+    vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None
 ) -> SearchOutcome:
     """Search for a standpoint structure making f globally true, growing
-    the domain and precisification count from 1 up to the bounds.
-    _sorts is the sort hint of _search_level_fosl."""
+    the domain and precisification count from 1 up to the bounds.  When
+    f has bridge axioms 1 and 2 among its top-level conjuncts, as a full
+    translation does, each level is split on ind/ext (see
+    _search_level_fosl)."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
     _check_workers(workers)
     start = time.monotonic()
     deadline = start + bounds.timeout
+    sorts = ("ind", "ext") if _SORT_AXIOMS <= set(_flatten_and(f)) else None
     results = (
-        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, _sorts)
+        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, sorts)
         for n in range(1, bounds.max_domain + 1)
         for m in range(1, bounds.max_precisifications + 1)
     )
@@ -1228,7 +1247,6 @@ def equisat_check(
     vocab: V1Vocabulary,
     f: Formula,
     bounds: Bounds,
-    strict_names: bool = False,
     workers: int | None = None,
 ) -> EquisatReport:
     """Test a sentence and its translation on both sides of the
@@ -1241,23 +1259,18 @@ def equisat_check(
     verification failing, or one side satisfiable where the other side's
     search cannot be, is a discrepancy.
 
-    The backward search always conjoins the name-typing axioms (every
-    proper name denotes an admitted individual): the plain axiom set does
-    not constrain names, and models whose names denote precise entities
-    fall outside the model correspondence.  Every lifted V1 model
-    satisfies the name-typing axioms, so this restriction keeps the check
-    two-sided and exact.
+    Both directions use one full translation with the name-typing axioms
+    (every proper name denotes an admitted individual): the plain axiom
+    set does not constrain names, and models whose names denote precise
+    entities fall outside the model correspondence.  Every V1 model the
+    search finds has its names denote admitted individuals, so its lift
+    satisfies the name-typing axioms, and this restriction keeps the
+    check two-sided and exact.  The translation has bridge axioms 1 and
+    2 as top-level conjuncts, so the backward search splits each level
+    on ind/ext (see _search_level_fosl).
     """
-    import warnings as _warnings
-
-    from .parser import print_formula
-    from .translate import full_translation, lift_model, lower_model, translated_vocabulary
-    from .fosl import fosl_structure_to_dict
-    from .v1 import v1_structure_to_dict
-
     validate_formula(f, vocab)
-    trans_f = full_translation(f, vocab, strict_names)
-    trans_f_search = full_translation(f, vocab, strict_names=True)
+    trans_f = full_translation(f, vocab, strict_names=True)
     trans_vocab = translated_vocabulary(vocab)
     directions: list[DirectionOutcome] = []
     counterexample = None
@@ -1286,10 +1299,7 @@ def equisat_check(
         symmetry_reduction=bounds.symmetry_reduction,
     )
     t1 = time.monotonic()
-    # bridge axioms 1 and 2 make ind/ext a rigid partition of the domain
-    fosl_result = find_fosl_model(
-        trans_vocab, trans_f_search, fosl_bounds, workers, _sorts=("ind", "ext")
-    )
+    fosl_result = find_fosl_model(trans_vocab, trans_f, fosl_bounds, workers)
     fosl_dir = DirectionOutcome(
         direction="fosl",
         outcome=_outcome_name(fosl_result),
@@ -1299,8 +1309,8 @@ def equisat_check(
     lowered = None
     if isinstance(fosl_result, ModelFound):
         fosl_dir.model = fosl_structure_to_dict(fosl_result.structure)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             lowered = lower_model(fosl_result.structure, vocab)
         fosl_dir.verified = is_model_v1(lowered, f)
     directions.append(fosl_dir)

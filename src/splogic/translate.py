@@ -125,6 +125,21 @@ def _forall_all(names: list[str], body: Formula) -> Formula:
     return body
 
 
+def sort_axioms() -> list[tuple[str, Formula]]:
+    """Bridge axioms 1 and 2 with their labels: ind/ext partition the
+    domain, and both are rigid.  The model finder splits the domain on
+    ind/ext when a sentence has both, boxed, among its top-level
+    conjuncts, as full_translation emits them."""
+    x = Var("x")
+    ind_x = Atom("ind", (x,))
+    ext_x = Atom("ext", (x,))
+    box = lambda g: Box(UNIVERSAL_STANDPOINT, g)
+    return [
+        ("1", Forall("x", iff(ind_x, Not(ext_x)))),
+        ("2", Forall("x", And(iff(ind_x, box(ind_x)), iff(ext_x, box(ext_x))))),
+    ]
+
+
 def labeled_axioms(
     vocab: V1Vocabulary, strict_names: bool = False
 ) -> list[tuple[str, Formula]]:
@@ -143,15 +158,10 @@ def labeled_axioms(
     y = Var("y")
     z = Var("z")
     ind_x = Atom("ind", (x,))
-    ext_x = Atom("ext", (x,))
     ink_x = Atom("ink", (x,))
     box = lambda g: Box(UNIVERSAL_STANDPOINT, g)
 
-    out: list[tuple[str, Formula]] = []
-    out.append(("1", Forall("x", iff(ind_x, Not(ext_x)))))
-    out.append(
-        ("2", Forall("x", And(iff(ind_x, box(ind_x)), iff(ext_x, box(ext_x)))))
-    )
+    out = sort_axioms()
     for q in sorted(vocab.precise):
         arity = vocab.precise[q] or 1
         names = _vars(arity)
@@ -199,6 +209,16 @@ def axiom_set(vocab: V1Vocabulary, strict_names: bool = False) -> list[Formula]:
     return [f for _, f in labeled_axioms(vocab, strict_names)]
 
 
+def _pin_wildcards(vocab: V1Vocabulary, pinned: dict[str, int]) -> V1Vocabulary:
+    """vocab with each wildcard (None) arity that pinned names fixed, so
+    that the bridge axioms are built at that arity."""
+
+    def pin(arities):
+        return {p: k if k is not None else pinned.get(p) for p, k in arities.items()}
+
+    return replace(vocab, indefinite=pin(vocab.indefinite), precise=pin(vocab.precise))
+
+
 @nesting_guard
 def full_translation(
     f: Formula, vocab: V1Vocabulary, strict_names: bool = False
@@ -213,11 +233,7 @@ def full_translation(
     pinned: dict[str, int] = {}
     _validate(f, vocab, pinned)
     core = _translate(f, vocab, _FreshVars(all_variables(f)))
-    vocab = replace(
-        vocab,
-        indefinite={a: pinned.get(a, k) for a, k in vocab.indefinite.items()},
-        precise={q: pinned.get(q, k) for q, k in vocab.precise.items()},
-    )
+    vocab = _pin_wildcards(vocab, pinned)
     boxed = [Box(UNIVERSAL_STANDPOINT, ax) for ax in axiom_set(vocab, strict_names)]
     return conjoin([core, *boxed])
 
@@ -281,9 +297,16 @@ def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
 
     Names denoting precise entities cannot influence the truth of any
     translated sentence, so they are remapped to the canonical (smallest)
-    individual with a warning rather than rejected.
+    individual with a warning rather than rejected.  A wildcard (None)
+    arity is pinned by the structure's rows before the axioms are built.
     """
-    for label, ax in labeled_axioms(vocab):
+    pinned = {
+        p: len(next(iter(rows)))
+        for interp in mf.interpretation.values()
+        for p, rows in interp.predicates.items()
+        if rows
+    }
+    for label, ax in labeled_axioms(_pin_wildcards(vocab, pinned)):
         if not is_model(mf, ax):
             raise AxiomViolationError(
                 f"structure violates bridge axiom {label}", label

@@ -9,8 +9,9 @@ partial-assignment pruning.
 import itertools
 
 from splogic.fosl import make_fosl_structure
+from splogic.v1 import make_v1_structure
 
-from naive_eval import naive_is_model
+from naive_eval import naive_is_model, naive_is_model_v1
 
 
 def all_fosl_structures(vocab, max_domain, max_precs):
@@ -54,6 +55,64 @@ def all_fosl_structures(vocab, max_domain, max_precs):
                                 "constants": dict(zip(consts, const_rows[i])),
                             }
                         yield make_fosl_structure(domain, precs, sigma, interpretation)
+
+
+def _subsets(items):
+    return [c for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+def all_v1_structures(vocab, max_entities, max_precs, max_individuals):
+    """Every V1 structure within the bounds whose registry holds distinct
+    extension maps, with names denoting admitted individuals."""
+    indefinite = sorted((a, k) for a, k in vocab.indefinite.items() if k is not None)
+    precise = sorted((q, k) for q, k in vocab.precise.items() if k is not None)
+    sortals = sorted(vocab.sortals)
+    names = sorted(vocab.names)
+    sps = sorted(sp for sp in vocab.standpoints if sp != "*")
+    for ne in range(1, max_entities + 1):
+        entities = [f"e{i}" for i in range(ne)]
+        for m in range(1, max_precs + 1):
+            precs = [f"p{i}" for i in range(m)]
+            maps = list(itertools.product(entities, repeat=m))
+            sigmas = list(itertools.product(_subsets(precs), repeat=len(sps)))
+            precise_tables = list(itertools.product(*(
+                _subsets(list(itertools.product(entities, repeat=k))) for _, k in precise
+            )))
+            for r in range(min(max_individuals, len(maps)) + 1):
+                idents = [f"i{i}" for i in range(r)]
+                # what one precisification may hold: sortal members, then
+                # indefinite rows and names over the individuals admitted
+                local = []
+                for members in itertools.product(_subsets(idents), repeat=len(sortals)):
+                    admitted = sorted(set().union(*members))
+                    rows = list(itertools.product(*(
+                        _subsets(list(itertools.product(admitted, repeat=k)))
+                        for _, k in indefinite
+                    )))
+                    refs = list(itertools.product(admitted, repeat=len(names)))
+                    local.extend(itertools.product([members], rows, refs))
+                for registry, sigma, table, choice in itertools.product(
+                    itertools.combinations(maps, r), sigmas, precise_tables,
+                    list(itertools.product(local, repeat=m)),
+                ):
+                    yield make_v1_structure(
+                        entities, precs,
+                        {sp: list(ps) for sp, ps in zip(sps, sigma)},
+                        {i: dict(zip(precs, ext)) for i, ext in zip(idents, registry)},
+                        {pi: dict(zip(sortals, c[0])) for pi, c in zip(precs, choice)},
+                        {pi: {a: list(rows) for (a, _), rows in zip(indefinite, c[1])}
+                         for pi, c in zip(precs, choice)},
+                        {q: list(rows) for (q, _), rows in zip(precise, table)},
+                        {pi: dict(zip(names, c[2])) for pi, c in zip(precs, choice)},
+                    )
+
+
+def naive_v1_sat(vocab, formula, max_entities, max_precs, max_individuals):
+    """True iff some V1 structure of all_v1_structures is a model."""
+    for struct in all_v1_structures(vocab, max_entities, max_precs, max_individuals):
+        if naive_is_model_v1(struct, formula):
+            return True
+    return False
 
 
 def naive_fosl_sat(vocab, formula, max_domain, max_precs):

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from splogic.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -292,6 +294,17 @@ class TestEquisatCommand:
                 "--out", str(path))
             reports.append(strip(json.loads(path.read_text())))
         assert reports[0] == reports[1]
+
+
+    def test_strict_names_option_is_gone(self, capsys):
+        # the report always uses the name-typed translation
+        with pytest.raises(SystemExit) as exc:
+            main(["equisat",
+                  "--formula", str(FIXTURES / "formula_c.txt"),
+                  "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
+                  "--strict-names"])
+        assert exc.value.code == 2
+        assert "--strict-names" in capsys.readouterr().err
 
 
 class TestMonodic:

@@ -1,6 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +17,7 @@ from splogic import (
     ExhaustedUnsat,
     ModelFound,
     SearchTimeout,
+    conjoin,
     equisat_check,
     find_fosl_model,
     find_v1_model,
@@ -24,14 +30,16 @@ from splogic import (
     make_v1_structure,
     make_v1_vocabulary,
     parse_formula,
+    print_formula,
     translated_vocabulary,
     v1_structure_to_dict,
 )
 from splogic import finder
 from splogic.finder import _F, _U, _FoslSpace, _V1Space
+from splogic.translate import sort_axioms
 
 from naive_eval import naive_is_model, naive_is_model_v1
-from naive_enum import naive_fosl_sat
+from naive_enum import naive_fosl_sat, naive_v1_sat
 
 DESERT_BOUNDS = Bounds(max_domain=3, max_precisifications=2, timeout=120)
 CORPUS_BOUNDS = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
@@ -314,6 +322,22 @@ class TestMicroCompleteness:
             naive = naive_fosl_sat(vocab, f, 2, 2)
             assert pruned == naive, f"seed {seed}"
 
+    @pytest.mark.parametrize("entities, precisifications, seeds", [(2, 1, 200), (1, 2, 100)])
+    def test_v1_agrees_with_unpruned_enumeration(self, entities, precisifications, seeds):
+        # both sides draw registries from distinct extension maps; the
+        # shared-map case is TestV1Search's strict xfail
+        vocab = make_v1_vocabulary(["K"], {"A": 1}, {"Q": 1}, ["c"], ["s"])
+        bounds = Bounds(max_entities=entities, max_precisifications=precisifications,
+                        max_individuals=2, timeout=120)
+        unsat = 0
+        for seed in range(seeds):
+            f = generate_formula(vocab, seed, 3)
+            found = isinstance(find_v1_model(vocab, f, bounds), ModelFound)
+            naive = naive_v1_sat(vocab, f, entities, precisifications, 2)
+            assert found == naive, f"seed {seed}"
+            unsat += not naive
+        assert unsat > 0
+
     def test_agrees_without_symmetry_reduction(self):
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, ["c"], ["s"])
         on = Bounds(max_domain=2, max_precisifications=2, timeout=120)
@@ -365,6 +389,42 @@ class TestDeterminism:
                 else:
                     results.append(type(outcome).__name__)
             assert results[0] == results[1] == results[2]
+
+    # equisat reports on corpus sentences (seed 167 is a hard unsat one)
+    # and V1 searches, printed without their elapsed fields
+    HASH_SEED_SCRIPT = """
+import json
+import splogic as sp
+
+vocab = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+bounds = sp.Bounds(max_entities=2, max_individuals=2, max_precisifications=2)
+for seed in [*range(9), 167]:
+    report = sp.equisat_check(vocab, sp.generate_formula(vocab, seed, 4), bounds)
+    data = report.to_dict()
+    for d in data["directions"]:
+        del d["elapsed_ms"]
+    print(json.dumps(data))
+bounds = sp.Bounds(max_entities=3, max_individuals=3, max_precisifications=2)
+for seed in range(20, 25):
+    outcome = sp.find_v1_model(vocab, sp.generate_formula(vocab, seed, 4), bounds)
+    found = isinstance(outcome, sp.ModelFound)
+    print(json.dumps(sp.v1_structure_to_dict(outcome.structure) if found
+                     else type(outcome).__name__))
+"""
+
+    def test_outcomes_independent_of_hash_seed(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run([sys.executable, "-c", self.HASH_SEED_SCRIPT],
+                                  env=env, capture_output=True, text=True, check=True)
+            outputs.append(proc.stdout)
+        lines = outputs[0].splitlines()
+        assert len(lines) == 15
+        assert json.loads(lines[9])["agreement"] == "unsat"
+        assert outputs[0] == outputs[1]
 
     def test_searches_start_no_thread(self, desert_fosl_vocab, formula_a,
                                       desert_v1_vocab, monkeypatch):
@@ -576,8 +636,73 @@ class TestProbing:
 
 
 class TestSortSplit:
-    """equisat_check's backward search fixes the rigid ind/ext partition,
+    """A sentence with bridge axioms 1 and 2 among its top-level conjuncts
+    makes ind/ext a rigid partition, and the standpoint search fixes it,
     individuals first, instead of branching on it element by element."""
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        calls = []
+        split = _FoslSpace.split
+
+        def counted(space, sorts, r):
+            calls.append((space.n, space.m, r))
+            return split(space, sorts, r)
+
+        monkeypatch.setattr(_FoslSpace, "split", counted)
+        return calls
+
+    @staticmethod
+    def hard_translation():
+        # seed 167 is unsat, so every level and every split is searched
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
+        return translated_vocabulary(vocab), f
+
+    def test_full_translation_and_its_round_trip_split(self, monkeypatch):
+        calls = self.count_splits(monkeypatch)
+        vocab, f = self.hard_translation()
+        again = parse_formula(print_formula(f), vocab)
+        bounds = Bounds(max_domain=4, max_precisifications=2, timeout=60)
+        for g in (f, again):
+            calls.clear()
+            assert isinstance(find_fosl_model(vocab, g, bounds), ExhaustedUnsat)
+            # levels n = 2..4 at m = 1, 2, each split once per r = 0..n
+            assert calls == [(n, m, r) for n in (2, 3, 4) for m in (1, 2)
+                             for r in range(n + 1)]
+
+    def test_no_split_without_axiom_2(self, monkeypatch):
+        calls = self.count_splits(monkeypatch)
+        vocab, f = self.hard_translation()
+        axiom_2 = Box("*", dict(sort_axioms())["2"])
+        parts = finder._flatten_and(f)
+        assert axiom_2 in parts
+        g = conjoin([p for p in parts if p != axiom_2])
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        find_fosl_model(vocab, g, bounds)
+        assert calls == []
+
+    def test_split_outcomes_match_unsplit_search(self, monkeypatch):
+        calls = self.count_splits(monkeypatch)
+        vocab = corpus_vocab()
+        trans_vocab = translated_vocabulary(vocab)
+        on = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        off = Bounds(max_domain=3, max_precisifications=2, timeout=60,
+                     symmetry_reduction=False)
+        seen = set()
+        splitting = 0
+        for seed in range(40):
+            f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+            calls.clear()
+            split = find_fosl_model(trans_vocab, f, on)
+            splitting += bool(calls)
+            calls.clear()
+            plain = find_fosl_model(trans_vocab, f, off)
+            assert not calls, seed
+            assert type(split) == type(plain), seed
+            seen.add(type(split))
+        assert seen == {ModelFound, ExhaustedUnsat}
+        assert splitting > 30
 
     @pytest.mark.parametrize("entities, individuals", [(1, 2), (2, 1)])
     def test_backward_outcome_matches_unsplit_search(self, entities, individuals):
@@ -648,5 +773,5 @@ class TestSortSplit:
         f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
         # level n=4 is the one the equisat_hard sentences exhaust
         bounds = Bounds(max_domain=4, max_precisifications=2, timeout=60)
-        find_fosl_model(translated_vocabulary(vocab), f, bounds, _sorts=("ind", "ext"))
+        find_fosl_model(translated_vocabulary(vocab), f, bounds)
         assert checked.count(2) > 1000

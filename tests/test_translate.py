@@ -9,7 +9,9 @@ from splogic import (
     EvaluationError,
     ModelFormatError,
     axiom_set,
+    find_v1_model,
     formula_size,
+    fosl_structure_to_dict,
     full_translation,
     generate_formula,
     generate_v1_structure,
@@ -267,6 +269,23 @@ class TestLowerModel:
         with pytest.raises(AxiomViolationError) as err:
             lower_model(bad, desert_v1_vocab)
         assert err.value.axiom_label == "6"
+
+    def test_wildcard_arity_axioms_take_the_structure_arity(self):
+        # A: None is used at arity 2; a row A(e0, e0) over a precise
+        # entity breaks axiom 7:A, which must be checked at arity 2
+        vocab = make_v1_vocabulary(["K"], {"A": None}, {}, ["a", "b"], [])
+        f = parse_formula("A(a, b)", vocab)
+        bounds = Bounds(max_entities=1, max_precisifications=1, max_individuals=2)
+        found = find_v1_model(vocab, f, bounds)
+        data = fosl_structure_to_dict(lift_model(found.structure))
+        data["interpretation"]["p0"]["predicates"]["A"].append(["e0", "e0"])
+        bad = make_fosl_structure(
+            data["domain"], data["precisifications"], data["sigma"], data["interpretation"]
+        )
+        assert not is_model(bad, full_translation(f, vocab))
+        with pytest.raises(AxiomViolationError) as err:
+            lower_model(bad, vocab)
+        assert err.value.axiom_label == "7:A"
 
     def test_name_at_precise_entity_is_remapped_with_warning(self, desert_v1_vocab):
         shifted = make_fosl_structure(

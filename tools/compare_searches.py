@@ -1,0 +1,108 @@
+"""Compare the search results of two source trees of splogic.
+
+    python3 tools/compare_searches.py OLD_SRC NEW_SRC
+    python3 tools/compare_searches.py --dump SRC > results.json
+
+Each tree runs in its own process and fingerprints three sets of searches:
+
+  corpus   equisat_check on corpus seeds 0-199 at entities 2,
+           individuals 2, precisifications 2 (the Tier-1 corpus);
+  hard     the same harness on the six sentences of
+           bench/data/equisat_hard.json;
+  pool     find_v1_model on the 400 sentences of bench/data/solve_v1.json
+           at entities 4, precisifications 2, individuals 3.
+
+A fingerprint holds every report and outcome, models included, with the
+elapsed fields removed, and the number of depth-first search calls per
+set and per space class (counted around _Space.dfs).  The comparison
+prints the totals of both trees and every item that differs, and exits 1
+when any does.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "bench" / "data"
+
+
+def _strip_elapsed(data):
+    if isinstance(data, dict):
+        return {k: _strip_elapsed(v) for k, v in data.items()
+                if k not in ("elapsed", "elapsed_ms")}
+    if isinstance(data, list):
+        return [_strip_elapsed(v) for v in data]
+    return data
+
+
+def dump() -> dict:
+    import splogic as sp
+    from splogic import finder
+
+    counts: dict[str, int] = {}
+    dfs = finder._Space.dfs
+
+    def counted(space, deadline):
+        name = type(space).__name__
+        counts[name] = counts.get(name, 0) + 1
+        return dfs(space, deadline)
+
+    finder._Space.dfs = counted
+    vocab = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+    equisat_bounds = sp.Bounds(max_entities=2, max_individuals=2,
+                               max_precisifications=2, timeout=60)
+    pool_bounds = sp.Bounds(max_entities=4, max_individuals=3,
+                            max_precisifications=2, timeout=60)
+    hard = [row[0] for row in json.loads((DATA / "equisat_hard.json").read_text())["rows"]]
+    pool = [row[0] for row in json.loads((DATA / "solve_v1.json").read_text())["rows"]]
+
+    out: dict = {"items": {}, "dfs": {}}
+    for name, seeds in (("corpus", range(200)), ("hard", hard), ("pool", pool)):
+        counts.clear()
+        for seed in seeds:
+            f = sp.generate_formula(vocab, seed, 4)
+            if name == "pool":
+                outcome = sp.find_v1_model(vocab, f, pool_bounds)
+                item = {"outcome": type(outcome).__name__}
+                if isinstance(outcome, sp.ModelFound):
+                    item["model"] = sp.v1_structure_to_dict(outcome.structure)
+            else:
+                item = sp.equisat_check(vocab, f, equisat_bounds).to_dict()
+            out["items"][f"{name}:{seed}"] = _strip_elapsed(item)
+        out["dfs"][name] = dict(sorted(counts.items()))
+    return out
+
+
+def _run(src: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--dump", src],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--dump":
+        sys.path.insert(0, argv[1])
+        json.dump(dump(), sys.stdout, sort_keys=True)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (_run(src) for src in argv)
+    print("dfs calls, old:", json.dumps(old["dfs"], sort_keys=True))
+    print("dfs calls, new:", json.dumps(new["dfs"], sort_keys=True))
+    differ = sorted(k for k in old["items"].keys() | new["items"].keys()
+                    if old["items"].get(k) != new["items"].get(k))
+    for key in differ:
+        print("differs:", key)
+    print(f"{len(new['items']) - len(differ)} of {len(new['items'])} items identical")
+    return 1 if differ or old["dfs"] != new["dfs"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
