@@ -146,12 +146,12 @@ def _flatten_and(f: Formula) -> list[Formula]:
 # Per-level preprocessing
 # ---------------------------------------------------------------------------
 
-def _simplify(f: Formula, m: int, v1_domains: bool):
+def _simplify(f: Formula, m: int):
     """Constant-fold for a level with m precisifications: collapse the
     universal box at m == 1, fold trivial equalities, drop double
-    negations, and return a bool when the value is forced.  With
-    v1_domains the quantifier range may be empty, so a false body does
-    not force a false universal."""
+    negations, and return a bool when the value is forced.  A universal
+    with a false body stays a universal over falsity, since a V1
+    quantifier range may be empty."""
     if isinstance(f, Atom):
         return f
     if isinstance(f, Equal):
@@ -159,7 +159,7 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
             return True
         return f
     if isinstance(f, Not):
-        s = _simplify(f.body, m, v1_domains)
+        s = _simplify(f.body, m)
         if isinstance(s, bool):
             return not s
         if isinstance(s, Not):
@@ -170,7 +170,7 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
         queue = _flatten_and(f)
         while queue:
             g = queue.pop(0)
-            s = _simplify(g, m, v1_domains)
+            s = _simplify(g, m)
             if s is False:
                 return False
             if s is True:
@@ -189,15 +189,14 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
         members.sort(key=formula_size)  # cheap decisive parts first; stable
         return conjoin(members)
     if isinstance(f, Forall):
-        s = _simplify(f.body, m, v1_domains)
+        s = _simplify(f.body, m)
         if s is True:
             return True
         if s is False:
-            # a V1 quantifier domain may be empty, so falsity cannot escape
-            return Forall(f.var, falsity()) if v1_domains else False
+            return Forall(f.var, falsity())
         return Forall(f.var, s)
     if isinstance(f, Box):
-        s = _simplify(f.body, m, v1_domains)
+        s = _simplify(f.body, m)
         if s is True:
             return True
         if f.standpoint == UNIVERSAL_STANDPOINT:
@@ -211,10 +210,10 @@ def _simplify(f: Formula, m: int, v1_domains: bool):
 
 
 @functools.lru_cache(maxsize=8)
-def _level_formula(f: Formula, m: int, v1_domains: bool) -> Formula:
+def _level_formula(f: Formula, m: int) -> Formula:
     """The formula specialized to a level with m precisifications; the
     levels of one search share it for each m."""
-    s = _simplify(f, m, v1_domains)
+    s = _simplify(f, m)
     if s is True:
         return truth()
     if s is False:
@@ -261,9 +260,9 @@ class _Space:
     pi)] (an element or None) and sigma_bits[(sp, pi)]; their cells are
     ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A space
     provides _table, propagate, materialize, _quantify (the universal
-    over its domain) and the values a constant may take, self.choices;
-    it may extend assign and unassign, and add cell kinds of its own to
-    _poke, the one place that writes a cell.
+    over its domain) and self.choices, the values a constant branches
+    over; it may extend assign, decide (the one branching step) and
+    unassign, and add cell kinds to _poke, the one place that writes.
 
     The compiler is the one walk over a level's formula.  It creates a
     symbol's cells when it first meets it (a predicate's table through
@@ -294,7 +293,7 @@ class _Space:
             if v == _T:
                 return ("model", self.materialize())
             for value in self.branch_values(culprit):
-                self.assign(culprit, value)
+                self.decide(culprit, value)
                 result = self.dfs(deadline)
                 self.unassign(culprit)
                 if result[0] != "unsat":
@@ -308,6 +307,9 @@ class _Space:
         if cell[0] == "c":
             return self.choices
         return (2, 1)  # absent before present
+
+    def decide(self, cell: tuple, value: int) -> None:
+        self.assign(cell, value)
 
     def assign(self, cell: tuple, value: int) -> None:
         self.trail.append([])
@@ -510,7 +512,14 @@ def _sigma(standpoints, sigma_bits: dict, precs: list[str]) -> dict[str, list[st
 
 class _FoslSpace(_Space):
     """Partial standpoint structure over n domain elements and m
-    precisifications, restricted to the symbols the formula mentions."""
+    precisifications, restricted to the symbols the formula mentions.
+
+    Symmetry is broken only at decisions: with symmetry reduction on, a
+    constant branches over each block's elements (see set_blocks) up to
+    the largest one a decision on the path names, plus one fresh one
+    (the least-number heuristic, LNH).  Propagation derives only values
+    every model below the node shares (_probe), which keep the models'
+    symmetry, so forced cells mention nothing."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool):
         self.vocab = vocab
@@ -526,9 +535,8 @@ class _FoslSpace(_Space):
         self.sigma_bits: dict[tuple[str, int], int] = {}
         self.env: list[int] = []
 
-        # least-number heuristic, per block of interchangeable elements:
-        # the largest element of each block mentioned so far, and the
-        # values a constant may take (see set_blocks)
+        # the LNH state: the largest element of each block a decision
+        # mentioned, and self.choices (see set_blocks)
         self.set_blocks(((0, n),))
         self.lnh_stack: list[tuple] = []  # (maxima, choices) per assignment
 
@@ -548,7 +556,7 @@ class _FoslSpace(_Space):
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
-        for part in _flatten_and(_level_formula(f, m, v1_domains=False)):
+        for part in _flatten_and(_level_formula(f, m)):
             boxes, qvars, body = _strip_ground_prefix(part, n)
             rebuilt = body
             for sp in reversed(boxes):
@@ -622,8 +630,8 @@ class _FoslSpace(_Space):
 
         Returns (value, first blocking cell, entailed assignments).  Every
         unknown instance has its blocking cell probed against the
-        instance alone: no surviving value refutes the node; a single one
-        is an entailed assignment.
+        instance alone (see _probe): no surviving value refutes the node;
+        a single one is an entailed value, and all are forced together.
         """
         first_culprit = None
         probes = []
@@ -662,16 +670,13 @@ class _FoslSpace(_Space):
         if first_culprit is None:
             return _T, None, {}
         forced: dict[tuple, int] = {}
-        choices = self.choices
         for ci, cul, fn, pi, preset in probes:
-            # a constant's probe also depends on the values it may take
             memo = self.probe_memo[ci][pi]
-            if (memo is not None and memo[2] >= self.conj_touch[ci]
-                    and (cul[0] != "c" or memo[3] == choices)):
+            if memo is not None and memo[2] >= self.conj_touch[ci]:
                 survivors, keep = memo[0], memo[1]
             else:
                 survivors, keep = self._probe(cul, fn, pi, preset)
-                self.probe_memo[ci][pi] = (survivors, keep, tick, choices)
+                self.probe_memo[ci][pi] = (survivors, keep, tick)
             if survivors == 0:
                 return _F, None, {}
             if survivors == 1:
@@ -694,11 +699,12 @@ class _FoslSpace(_Space):
 
     def _probe(self, cell, fn, pi, preset) -> tuple[int, int | None]:
         """How many values of cell keep this one instance satisfiable,
-        and the last value that did."""
+        and the last value that did.  A constant is tried at every
+        element, whatever the LNH cap, so one survivor is entailed."""
         survivors = 0
         keep = None
         env = self.env
-        for value in self.branch_values(cell):
+        for value in range(self.n) if cell[0] == "c" else (2, 1):
             self._poke(cell, value)
             for slot, elem in preset:
                 env[slot] = elem
@@ -710,10 +716,7 @@ class _FoslSpace(_Space):
                 keep = value
         return survivors, keep
 
-    # ---- assignment trail ----
-    #
-    # Probes write through _poke alone, with no trail, touch or
-    # least-number updates.
+    # ---- assignment trail; probes write through _poke alone ----
 
     def _touch(self, cell: tuple) -> None:
         # the read-set keys of a cell: its symbol's, and for a predicate
@@ -726,7 +729,7 @@ class _FoslSpace(_Space):
 
     def set_blocks(self, blocks: tuple[tuple[int, int], ...]) -> None:
         """Partition the domain into blocks [start, end) whose elements are
-        interchangeable apart from what assignments mention; only valid
+        interchangeable apart from what decisions mention; only valid
         while no cell is assigned."""
         self.blocks = blocks
         self.block_of = [b for b, (lo, hi) in enumerate(blocks) for _ in range(lo, hi)]
@@ -736,8 +739,9 @@ class _FoslSpace(_Space):
     def split(self, sorts: tuple[str, str], r: int) -> list[tuple]:
         """Make the first sort hold of the elements below r and the second
         of the rest, at every precisification, with blocks [0, r) and
-        [r, n); the sort cells mention no element.  Returns the cells
-        assigned, for the caller to unassign in reverse order."""
+        [r, n).  The sort cells treat a block's elements alike, so they
+        are assigned, not decided.  Returns the cells assigned, for the
+        caller to unassign in reverse order."""
         first, second = sorts
         self.set_blocks(((0, r), (r, self.n)))
         cells = []
@@ -745,7 +749,7 @@ class _FoslSpace(_Space):
             for e in range(self.n):
                 for pred, value in ((first, 1 if e < r else 2), (second, 2 if e < r else 1)):
                     cell = ("p", pred, pi, e)
-                    self.assign(cell, value, mention=False)
+                    self.assign(cell, value)
                     cells.append(cell)
         return cells
 
@@ -764,15 +768,16 @@ class _FoslSpace(_Space):
             self.maxima = self.maxima[:b] + (e,) + self.maxima[b + 1:]
             self.choices = self._choices()
 
-    def assign(self, cell: tuple, value: int, mention: bool = True) -> None:
-        """Set a cell.  With mention false the elements it names do not
-        count as mentioned (cells that treat a block's elements alike)."""
+    def assign(self, cell: tuple, value: int) -> None:
         self.lnh_stack.append((self.maxima, self.choices))
         _Space.assign(self, cell, value)
         self._touch(cell)
-        if mention and cell[0] == "c":
+
+    def decide(self, cell: tuple, value: int) -> None:
+        self.assign(cell, value)
+        if cell[0] == "c":
             self._mention(value)
-        elif mention and cell[0] == "p":
+        elif cell[0] == "p":
             r = cell[3]
             for _ in range(self.preds[cell[1]]):
                 self._mention(r % self.n)
@@ -816,18 +821,13 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, sorts):
 
     sorts, when given, names two predicates (ind, ext) that f makes a
     rigid partition of the domain, since its top-level conjuncts include
-    bridge axioms 1 and 2 (_SORT_AXIOMS): exactly one of them holds of
-    each element, the same one at every precisification.  Any model with
-    r elements in the first sort can then be renumbered, constants
-    included, so that those are the elements 0..r-1, and renumbering
-    preserves truth.  So with symmetry reduction on and
-    n >= 2 the level is searched once per r = 0..n with the sort cells
-    fixed that way, and each of the blocks [0, r) and [r, n) keeps its
-    own least-number heuristic: its elements are interchangeable until
-    some other assignment mentions one, since the sort cells treat them
-    alike.  This replaces branching on the sort cells, which explores
-    every permutation of the same split.  Otherwise the level is one
-    search over every cell.
+    bridge axioms 1 and 2 (_SORT_AXIOMS).  Any model with r elements in
+    the first sort can be renumbered so that those are the elements
+    0..r-1.  So with symmetry reduction on and n >= 2 the level is
+    searched once per r = 0..n with the sort cells so fixed (split),
+    each block [0, r), [r, n) with its own least-number heuristic,
+    instead of branching on the sort cells through every permutation of
+    the same split.  Otherwise the level is one search over every cell.
     """
     space = _FoslSpace(vocab, f, n, m, symmetry)
     if (sorts is not None and symmetry and n >= 2
@@ -923,7 +923,7 @@ class _V1Space(_Space):
         self.culprit: tuple | None = None
         self.env: list[int] = []
         self.reads: set[tuple] = set()  # unused: this space keeps no memos
-        parts = _flatten_and(_level_formula(f, m, v1_domains=True))
+        parts = _flatten_and(_level_formula(f, m))
         self.pi_indep = [_is_pi_independent(c, domain_varies=True) for c in parts]
         self.conjuncts = [self._compile(c, {}) for c in parts]
         self.status = [[_U] * m for _ in self.conjuncts]

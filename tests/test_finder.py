@@ -72,6 +72,14 @@ class TestFoslSearch:
         outcome = find_fosl_model(desert_fosl_vocab, f, DESERT_BOUNDS)
         assert isinstance(outcome, ExhaustedUnsat)
 
+    def test_two_constants_at_fresh_elements(self):
+        # each P(.) instance alone admits a and b at any element: probing
+        # them only at the first one would force both there
+        vocab = make_fosl_vocabulary({"P": 1}, ["a", "b"], [])
+        f = parse_formula("P(a) & P(b) & a != b", vocab)
+        bounds = Bounds(max_domain=3, max_precisifications=1, timeout=60)
+        assert isinstance(find_fosl_model(vocab, f, bounds), ModelFound)
+
     def test_rigid_reading_is_unsatisfiable(self, desert_fosl_vocab, formula_c_rigid):
         outcome = find_fosl_model(desert_fosl_vocab, formula_c_rigid, DESERT_BOUNDS)
         assert isinstance(outcome, ExhaustedUnsat)
@@ -313,10 +321,12 @@ class TestShadowedVariables:
 
 
 class TestMicroCompleteness:
-    def test_agrees_with_unpruned_enumeration(self):
-        vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, ["c"], ["s"])
+    @pytest.mark.parametrize("constants, seeds", [(["c"], 60), (["a", "b"], 300)],
+                             ids=["c", "a-b"])
+    def test_agrees_with_unpruned_enumeration(self, constants, seeds):
+        vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, constants, ["s"])
         bounds = Bounds(max_domain=2, max_precisifications=2, timeout=120)
-        for seed in range(60):
+        for seed in range(seeds):
             f = generate_formula(vocab, seed, 3)
             pruned = isinstance(find_fosl_model(vocab, f, bounds), ModelFound)
             naive = naive_fosl_sat(vocab, f, 2, 2)
@@ -730,27 +740,27 @@ class TestSortSplit:
         space.split(("ind", "ext"), 2)
         # the sort cells mention no element: one fresh element per block
         assert space.branch_values(cell) == (0, 2)
-        space.assign(("p", "Kind", 1, 3), 1)
+        space.decide(("p", "Kind", 1, 3), 1)
         assert space.branch_values(cell) == (0, 2, 3)
-        space.assign(("c", "n", 1), 0)
+        space.decide(("c", "n", 1), 0)
         assert space.branch_values(cell) == (0, 1, 2, 3)
         space.unassign(("c", "n", 1))
         space.unassign(("p", "Kind", 1, 3))
         assert space.branch_values(cell) == (0, 2)
 
     @staticmethod
-    def expected_choices(space):
-        # from scratch: every element an assigned cell names, sort cells
-        # aside; per block, values up to the largest of them plus one
-        mentioned = {v for v in space.const_val.values() if v is not None}
-        for pred, k in space.preds.items():
-            if pred in ("ind", "ext"):
-                continue
-            for pi in range(space.m):
-                for rank, bit in enumerate(space.pred_bits[pred][pi]):
-                    for _ in range(k if bit else 0):
-                        mentioned.add(rank % space.n)
-                        rank //= space.n
+    def expected_choices(space, decisions):
+        # from scratch: every element a decision on the current path
+        # names; per block, values up to the largest of them plus one
+        mentioned = set()
+        for cell in decisions:
+            if cell[0] == "c":
+                mentioned.add(space.const_val[cell[1:]])
+            elif cell[0] == "p":
+                rank = cell[3]
+                for _ in range(space.preds[cell[1]]):
+                    mentioned.add(rank % space.n)
+                    rank //= space.n
         out = []
         for lo, hi in space.blocks:
             top = max((e for e in mentioned if lo <= e < hi), default=lo - 1)
@@ -760,12 +770,17 @@ class TestSortSplit:
     @pytest.mark.parametrize("seed", [167, 42])
     def test_search_keeps_block_values_in_step(self, seed, monkeypatch):
         checked = []
-        for name in ("assign", "unassign"):
+        decisions = []  # the decided cells on the current path
+        for name in ("assign", "decide", "unassign"):
             method = getattr(_FoslSpace, name)
 
-            def checked_method(space, *args, _method=method, **kwargs):
-                _method(space, *args, **kwargs)
-                assert space.choices == self.expected_choices(space)
+            def checked_method(space, cell, *args, _name=name, _method=method):
+                _method(space, cell, *args)
+                if _name == "decide":
+                    decisions.append(cell)
+                elif _name == "unassign" and decisions and decisions[-1] == cell:
+                    decisions.pop()
+                assert space.choices == self.expected_choices(space, decisions)
                 checked.append(len(space.blocks))
 
             monkeypatch.setattr(_FoslSpace, name, checked_method)

@@ -3,14 +3,17 @@
     python3 tools/compare_searches.py OLD_SRC NEW_SRC
     python3 tools/compare_searches.py --dump SRC > results.json
 
-Each tree runs in its own process and fingerprints three sets of searches:
+Each tree runs in its own process and fingerprints four sets of searches:
 
   corpus   equisat_check on corpus seeds 0-199 at entities 2,
            individuals 2, precisifications 2 (the Tier-1 corpus);
   hard     the same harness on the six sentences of
            bench/data/equisat_hard.json;
   pool     find_v1_model on the 400 sentences of bench/data/solve_v1.json
-           at entities 4, precisifications 2, individuals 3.
+           at entities 4, precisifications 2, individuals 3;
+  fosl     find_fosl_model on generated sentences of depth 3, seeds
+           0-299, over predicates P/1, Q/1, constants a, b and
+           standpoint s, at domain 3, precisifications 2.
 
 A fingerprint holds every report and outcome, models included, with the
 elapsed fields removed, and the number of depth-first search calls per
@@ -52,25 +55,38 @@ def dump() -> dict:
         return dfs(space, deadline)
 
     finder._Space.dfs = counted
+
+    def outcome_item(outcome, to_dict) -> dict:
+        item = {"outcome": type(outcome).__name__}
+        if isinstance(outcome, sp.ModelFound):
+            item["model"] = to_dict(outcome.structure)
+        return item
+
     vocab = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
     equisat_bounds = sp.Bounds(max_entities=2, max_individuals=2,
                                max_precisifications=2, timeout=60)
     pool_bounds = sp.Bounds(max_entities=4, max_individuals=3,
                             max_precisifications=2, timeout=60)
+    fosl_vocab = sp.make_fosl_vocabulary({"P": 1, "Q": 1}, ["a", "b"], ["s"])
+    fosl_bounds = sp.Bounds(max_domain=3, max_precisifications=2, timeout=60)
     hard = [row[0] for row in json.loads((DATA / "equisat_hard.json").read_text())["rows"]]
     pool = [row[0] for row in json.loads((DATA / "solve_v1.json").read_text())["rows"]]
 
     out: dict = {"items": {}, "dfs": {}}
-    for name, seeds in (("corpus", range(200)), ("hard", hard), ("pool", pool)):
+    for name, seeds in (("corpus", range(200)), ("hard", hard), ("pool", pool),
+                        ("fosl", range(300))):
         counts.clear()
         for seed in seeds:
-            f = sp.generate_formula(vocab, seed, 4)
-            if name == "pool":
-                outcome = sp.find_v1_model(vocab, f, pool_bounds)
-                item = {"outcome": type(outcome).__name__}
-                if isinstance(outcome, sp.ModelFound):
-                    item["model"] = sp.v1_structure_to_dict(outcome.structure)
+            if name == "fosl":
+                f = sp.generate_formula(fosl_vocab, seed, 3)
+                item = outcome_item(sp.find_fosl_model(fosl_vocab, f, fosl_bounds),
+                                    sp.fosl_structure_to_dict)
+            elif name == "pool":
+                f = sp.generate_formula(vocab, seed, 4)
+                item = outcome_item(sp.find_v1_model(vocab, f, pool_bounds),
+                                    sp.v1_structure_to_dict)
             else:
+                f = sp.generate_formula(vocab, seed, 4)
                 item = sp.equisat_check(vocab, f, equisat_bounds).to_dict()
             out["items"][f"{name}:{seed}"] = _strip_elapsed(item)
         out["dfs"][name] = dict(sorted(counts.items()))
