@@ -40,6 +40,7 @@ from .syntax import (
     And,
     Atom,
     Box,
+    Const,
     Equal,
     Forall,
     Formula,
@@ -56,9 +57,11 @@ from .syntax import (
     validate_formula,
 )
 from .translate import (
+    admitted_are_individuals,
     full_translation,
     lift_model,
     lower_model,
+    prec_axioms,
     sort_axioms,
     translated_vocabulary,
 )
@@ -146,66 +149,75 @@ def _flatten_and(f: Formula) -> list[Formula]:
 # Per-level preprocessing
 # ---------------------------------------------------------------------------
 
-def _simplify(f: Formula, m: int):
+def _simplify(f: Formula, m: int) -> tuple:
     """Constant-fold for a level with m precisifications: collapse the
     universal box at m == 1, fold trivial equalities, drop double
-    negations, and return a bool when the value is forced.  A universal
+    negations, and give a bool when the value is forced.  A universal
     with a false body stays a universal over falsity, since a V1
-    quantifier range may be empty."""
+    quantifier range may be empty.  Conjunction members are flattened,
+    deduplicated and stably sorted by size, cheap decisive parts first.
+
+    One pass: the result comes as a triple (formula or bool, its node
+    count, inner), where inner holds the member triples of a
+    conjunction, the triple of a negation's body and None otherwise, so
+    no size is counted twice."""
     if isinstance(f, Atom):
-        return f
+        return f, 1, None
     if isinstance(f, Equal):
         if f.left == f.right:
-            return True
-        return f
+            return True, 0, None
+        return f, 1, None
     if isinstance(f, Not):
-        s = _simplify(f.body, m)
+        body = _simplify(f.body, m)
+        s, size, inner = body
         if isinstance(s, bool):
-            return not s
+            return not s, 0, None
         if isinstance(s, Not):
-            return s.body
-        return Not(s)
+            return inner
+        return Not(s), size + 1, body
     if isinstance(f, And):
-        members: list[Formula] = []
-        queue = _flatten_and(f)
-        while queue:
-            g = queue.pop(0)
-            s = _simplify(g, m)
+        parts: dict[Formula, tuple] = {}  # first occurrences, in order
+        for g in _flatten_and(f):
+            part = _simplify(g, m)
+            s = part[0]
             if s is False:
-                return False
+                return False, 0, None
             if s is True:
                 continue
-            if isinstance(s, And):
-                queue = _flatten_and(s) + queue
-            else:
-                members.append(s)
-        if not members:
-            return True
-        members = list(dict.fromkeys(members))  # drop duplicate members
-        seen = set(members)
-        for g in members:
-            if Not(g) in seen:
-                return False
-        members.sort(key=formula_size)  # cheap decisive parts first; stable
-        return conjoin(members)
+            for member in part[2] if isinstance(s, And) else (part,):
+                parts.setdefault(member[0], member)
+        if not parts:
+            return True, 0, None
+        for g in parts:
+            if isinstance(g, Not) and g.body in parts:
+                return False, 0, None
+        if len(parts) == 1:
+            return next(iter(parts.values()))
+        members = sorted(parts.values(), key=lambda part: part[1])  # stable
+        size = len(members) - 1 + sum(part[1] for part in members)
+        return conjoin([part[0] for part in members]), size, members
     if isinstance(f, Forall):
-        s = _simplify(f.body, m)
+        s, size, _ = _simplify(f.body, m)
         if s is True:
-            return True
+            return True, 0, None
         if s is False:
-            return Forall(f.var, falsity())
-        return Forall(f.var, s)
+            out = Forall(f.var, falsity())
+            return out, formula_size(out), None
+        return Forall(f.var, s), size + 1, None
     if isinstance(f, Box):
-        s = _simplify(f.body, m)
+        body = _simplify(f.body, m)
+        s, size, _ = body
         if s is True:
-            return True
+            return True, 0, None
         if f.standpoint == UNIVERSAL_STANDPOINT:
             if s is False:
-                return False
-            return s if m == 1 else Box(f.standpoint, s)
+                return False, 0, None
+            if m == 1:
+                return body
         if s is False:
-            return Box(f.standpoint, falsity())  # true iff the standpoint is empty
-        return Box(f.standpoint, s)
+            out = Box(f.standpoint, falsity())  # true iff the standpoint is empty
+            return out, formula_size(out), None
+        return Box(f.standpoint, s), size + 1, None
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -213,7 +225,7 @@ def _simplify(f: Formula, m: int):
 def _level_formula(f: Formula, m: int) -> Formula:
     """The formula specialized to a level with m precisifications; the
     levels of one search share it for each m."""
-    s = _simplify(f, m)
+    s = _simplify(f, m)[0]
     if s is True:
         return truth()
     if s is False:
@@ -811,29 +823,72 @@ class _FoslSpace(_Space):
         return structure
 
 
-# bridge axioms 1 and 2 under the universal box, as full_translation
-# emits them
+# bridge axioms under the universal box, as full_translation emits them:
+# 1 and 2 (the rigid ind/ext partition), and 4 and 5 (every individual
+# has a precise version, an ext element)
 _SORT_AXIOMS = frozenset(Box(UNIVERSAL_STANDPOINT, ax) for _, ax in sort_axioms())
+_PREC_AXIOMS = frozenset(Box(UNIVERSAL_STANDPOINT, ax) for _, ax in prec_axioms())
+_INK_IND = admitted_are_individuals()
+_SORTS = ("ind", "ext")
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, sorts):
-    """Search one level: n elements, m precisifications.
+def _sort_floors(f: Formula) -> tuple[int, int] | None:
+    """The least numbers of ind and of ext elements every model of f has,
+    read from its top-level conjuncts, or None unless they include bridge
+    axioms 1 and 2 under the universal box, which make ind/ext a rigid
+    partition of the domain.
 
-    sorts, when given, names two predicates (ind, ext) that f makes a
-    rigid partition of the domain, since its top-level conjuncts include
-    bridge axioms 1 and 2 (_SORT_AXIOMS).  Any model with r elements in
-    the first sort can be renumbered so that those are the elements
-    0..r-1.  So with symmetry reduction on and n >= 2 the level is
-    searched once per r = 0..n with the sort cells so fixed (split),
-    each block [0, r), [r, n) with its own least-number heuristic,
-    instead of branching on the sort cells through every permutation of
-    the same split.  Otherwise the level is one search over every cell.
+    The ind floor is 1 when they include a name-typing axiom [*] ink(c)
+    and axiom 8, [*] forall x((ink(x) -> ind(x)) & ...): c denotes an
+    ind element.  The ext floor is 1 when they include axioms 4 and 5:
+    an ind element has a prec partner in ext, and with no ind element
+    the domain, never empty, is all ext (axiom 1)."""
+    parts = set(_flatten_and(f))
+    if not _SORT_AXIOMS <= parts:
+        return None
+    named = axiom_8 = False
+    for part in parts:
+        if not (isinstance(part, Box) and part.standpoint == UNIVERSAL_STANDPOINT):
+            continue
+        body = part.body
+        if (isinstance(body, Atom) and body.pred == "ink" and len(body.args) == 1
+                and isinstance(body.args[0], Const)):
+            named = True
+        elif (isinstance(body, Forall) and body.var == "x"
+              and isinstance(body.body, And) and body.body.left == _INK_IND):
+            axiom_8 = True
+    return int(named and axiom_8), int(_PREC_AXIOMS <= parts)
+
+
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors):
+    """Search one level: n elements, m precisifications.  No space is
+    built once the deadline has passed.
+
+    floors, when given, are the least numbers of ind and ext elements of
+    the models of f, whose top-level conjuncts make ind/ext a rigid
+    partition of the domain (see _sort_floors).  Any model with r
+    elements in ind can be renumbered so that those are the elements
+    0..r-1.  So with symmetry reduction on, the level is searched once
+    per r from the ind floor to n less the ext floor, with the sort cells
+    so fixed (split), each block [0, r), [r, n) with its own least-number
+    heuristic, instead of branching on the sort cells through every
+    permutation of the same split; a level that no r fits, such as n = 1
+    when both floors are 1, is unsat without a space, and a one-element
+    level is searched unsplit.  Otherwise the level is one search over
+    every cell.
     """
+    if time.monotonic() > deadline:
+        return ("timeout",)
+    sizes = None  # the ind block sizes r, when the level is split
+    if floors is not None and symmetry:
+        ind_floor, ext_floor = floors
+        sizes = range(ind_floor, n - ext_floor + 1)
+        if not sizes:
+            return ("unsat",)
     space = _FoslSpace(vocab, f, n, m, symmetry)
-    if (sorts is not None and symmetry and n >= 2
-            and all(space.preds.get(p) == 1 for p in sorts)):
-        for r in range(n + 1):
-            cells = space.split(sorts, r)
+    if sizes is not None and n >= 2 and all(space.preds.get(p) == 1 for p in _SORTS):
+        for r in sizes:
+            cells = space.split(_SORTS, r)
             result = space.dfs(deadline)
             for cell in reversed(cells):
                 space.unassign(cell)
@@ -862,17 +917,18 @@ def find_fosl_model(
     """Search for a standpoint structure making f globally true, growing
     the domain and precisification count from 1 up to the bounds.  When
     f has bridge axioms 1 and 2 among its top-level conjuncts, as a full
-    translation does, each level is split on ind/ext (see
-    _search_level_fosl)."""
+    translation does, each level is split on ind/ext, starting each sort
+    at the least size the other bridge axioms among them force (see
+    _sort_floors and _search_level_fosl)."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
     _check_workers(workers)
     start = time.monotonic()
     deadline = start + bounds.timeout
-    sorts = ("ind", "ext") if _SORT_AXIOMS <= set(_flatten_and(f)) else None
+    floors = _sort_floors(f)
     results = (
-        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, sorts)
+        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floors)
         for n in range(1, bounds.max_domain + 1)
         for m in range(1, bounds.max_precisifications + 1)
     )
@@ -1267,7 +1323,11 @@ def equisat_check(
     satisfies the name-typing axioms, and this restriction keeps the
     check two-sided and exact.  The translation has bridge axioms 1 and
     2 as top-level conjuncts, so the backward search splits each level
-    on ind/ext (see _search_level_fosl).
+    on ind/ext (see _search_level_fosl).  Its axioms 4 and 5 leave no
+    model without an entity, and with a proper name the name-typing
+    axioms and axiom 8 none without an individual, so the split skips
+    those sizes (see _sort_floors) and, with names, the one-element
+    levels altogether.
     """
     validate_formula(f, vocab)
     trans_f = full_translation(f, vocab, strict_names=True)

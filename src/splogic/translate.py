@@ -140,6 +140,36 @@ def sort_axioms() -> list[tuple[str, Formula]]:
     ]
 
 
+def prec_axioms() -> list[tuple[str, Formula]]:
+    """Bridge axioms 4 and 5 with their labels: prec relates individuals
+    to entities, and every individual has a precise version.  With axiom
+    1 they leave no model without an ext element, and the model finder
+    reads that from a sentence with both, boxed, among its top-level
+    conjuncts."""
+    x = Var("x")
+    y = Var("y")
+    ind_x = Atom("ind", (x,))
+    return [
+        (
+            "4",
+            _forall_all(
+                ["x", "y"],
+                implies(Atom("prec", (x, y)), And(ind_x, Atom("ext", (y,)))),
+            ),
+        ),
+        ("5", Forall("x", implies(ind_x, exists("y", Atom("prec", (x, y)))))),
+    ]
+
+
+def admitted_are_individuals() -> Formula:
+    """ink(x) -> ind(x), the first conjunct of bridge axiom 8's body.  With
+    a name-typing axiom ink(c) it leaves no model without an ind element,
+    and the model finder reads that from a sentence with both, boxed,
+    among its top-level conjuncts."""
+    x = Var("x")
+    return implies(Atom("ink", (x,)), Atom("ind", (x,)))
+
+
 def labeled_axioms(
     vocab: V1Vocabulary, strict_names: bool = False
 ) -> list[tuple[str, Formula]]:
@@ -157,7 +187,6 @@ def labeled_axioms(
     x = Var("x")
     y = Var("y")
     z = Var("z")
-    ind_x = Atom("ind", (x,))
     ink_x = Atom("ink", (x,))
     box = lambda g: Box(UNIVERSAL_STANDPOINT, g)
 
@@ -167,16 +196,7 @@ def labeled_axioms(
         names = _vars(arity)
         atom = Atom(q, tuple(Var(n) for n in names))
         out.append((f"3:{q}", _forall_all(names, iff(atom, box(atom)))))
-    out.append(
-        (
-            "4",
-            _forall_all(
-                ["x", "y"],
-                implies(Atom("prec", (x, y)), And(ind_x, Atom("ext", (y,)))),
-            ),
-        )
-    )
-    out.append(("5", Forall("x", implies(ind_x, exists("y", Atom("prec", (x, y)))))))
+    out.extend(prec_axioms())
     out.append(
         (
             "6",
@@ -197,7 +217,7 @@ def labeled_axioms(
         out.append((f"7:{a}", _forall_all(names, implies(atom, guards))))
     sortal_disjunction = disjoin([Atom(k, (x,)) for k in sorted(vocab.sortals)])
     out.append(
-        ("8", Forall("x", And(implies(ink_x, ind_x), iff(ink_x, sortal_disjunction))))
+        ("8", Forall("x", And(admitted_are_individuals(), iff(ink_x, sortal_disjunction))))
     )
     if strict_names:
         for n in sorted(vocab.names):

@@ -26,6 +26,7 @@ from splogic import (
     generate_formula,
     is_model,
     is_model_v1,
+    labeled_axioms,
     make_fosl_vocabulary,
     make_v1_structure,
     make_v1_vocabulary,
@@ -96,6 +97,36 @@ class TestFoslSearch:
         tight = Bounds(max_domain=3, max_precisifications=2, timeout=1e-9)
         outcome = find_fosl_model(desert_fosl_vocab, formula_c_rigid, tight)
         assert isinstance(outcome, SearchTimeout)
+
+    def test_no_level_set_up_after_the_deadline(self, monkeypatch):
+        # a fake clock passes the deadline as the second level's search
+        # returns; the search checks the deadline before building each
+        # level's space, so it builds no third one
+        clock = [0.0]
+        monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        built = []
+        depth = [0]  # dfs recurses: the level's search returns at depth 0
+
+        class Counted(_FoslSpace):
+            def __init__(self, vocab, f, n, m, symmetry):
+                built.append((n, m))
+                super().__init__(vocab, f, n, m, symmetry)
+
+            def dfs(self, deadline):
+                depth[0] += 1
+                try:
+                    return super().dfs(deadline)
+                finally:
+                    depth[0] -= 1
+                    if depth[0] == 0 and len(built) == 2:
+                        clock[0] = 10.0
+
+        monkeypatch.setattr(finder, "_FoslSpace", Counted)
+        vocab = make_fosl_vocabulary({"P": 1}, ["a"], [])
+        f = parse_formula("P(a) & !P(a)", vocab)
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=1.0)
+        assert isinstance(find_fosl_model(vocab, f, bounds), SearchTimeout)
+        assert built == [(1, 1), (1, 2)]
 
     def test_requires_sentence(self, desert_fosl_vocab):
         from splogic import EvaluationError
@@ -677,9 +708,48 @@ class TestSortSplit:
         for g in (f, again):
             calls.clear()
             assert isinstance(find_fosl_model(vocab, g, bounds), ExhaustedUnsat)
-            # levels n = 2..4 at m = 1, 2, each split once per r = 0..n
+            # levels n = 2..4 at m = 1, 2, each split once per r = 1..n-1:
+            # the name n denotes an individual, which has a precise version
             assert calls == [(n, m, r) for n in (2, 3, 4) for m in (1, 2)
-                             for r in range(n + 1)]
+                             for r in range(1, n)]
+
+    def test_no_space_at_one_element(self, monkeypatch):
+        # the name n denotes an individual, and every individual has a
+        # precise version, so a one-element level is unsat before any
+        # space is built; the search without symmetry reduction is not
+        # split and builds every level
+        levels = []
+
+        class Counted(_FoslSpace):
+            def __init__(self, vocab, f, n, m, symmetry):
+                levels.append((n, m))
+                super().__init__(vocab, f, n, m, symmetry)
+
+        monkeypatch.setattr(finder, "_FoslSpace", Counted)
+        vocab, f = self.hard_translation()
+        for symmetry, sizes in ((True, (2, 3)), (False, (1, 2, 3))):
+            levels.clear()
+            bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60,
+                            symmetry_reduction=symmetry)
+            assert isinstance(find_fosl_model(vocab, f, bounds), ExhaustedUnsat)
+            assert levels == [(n, m) for n in sizes for m in (1, 2)]
+
+    def test_floors_fall_back_without_their_axioms(self, monkeypatch):
+        # without the name-typing axiom a model may have no individual
+        # (r = 0), without axiom 5 no entity (r = n)
+        calls = self.count_splits(monkeypatch)
+        vocab, f = self.hard_translation()
+        parts = finder._flatten_and(f)
+        axioms = dict(labeled_axioms(corpus_vocab(), strict_names=True))
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        for label, sizes in (("names:n", lambda n: range(n)),
+                             ("5", lambda n: range(1, n + 1))):
+            axiom = Box("*", axioms[label])
+            assert axiom in parts
+            g = conjoin([p for p in parts if p != axiom])
+            calls.clear()
+            assert isinstance(find_fosl_model(vocab, g, bounds), ExhaustedUnsat)
+            assert calls == [(n, m, r) for n in (2, 3) for m in (1, 2) for r in sizes(n)]
 
     def test_no_split_without_axiom_2(self, monkeypatch):
         calls = self.count_splits(monkeypatch)
@@ -786,7 +856,8 @@ class TestSortSplit:
             monkeypatch.setattr(_FoslSpace, name, checked_method)
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
-        # level n=4 is the one the equisat_hard sentences exhaust
-        bounds = Bounds(max_domain=4, max_precisifications=2, timeout=60)
+        # level n=4 is the one the equisat_hard sentences exhaust; n=5
+        # keeps the checks many now that no block is empty
+        bounds = Bounds(max_domain=5, max_precisifications=2, timeout=60)
         find_fosl_model(translated_vocabulary(vocab), f, bounds)
         assert checked.count(2) > 1000

@@ -3,10 +3,12 @@
     python3 tools/compare_searches.py OLD_SRC NEW_SRC
     python3 tools/compare_searches.py --dump SRC > results.json
 
-Each tree runs in its own process and fingerprints four sets of searches:
+Each tree runs in its own process and fingerprints five sets of searches:
 
   corpus   equisat_check on corpus seeds 0-199 at entities 2,
            individuals 2, precisifications 2 (the Tier-1 corpus);
+  nameless the same harness on seeds 0-99 over the corpus vocabulary
+           without its name, so no axiom forces an individual;
   hard     the same harness on the six sentences of
            bench/data/equisat_hard.json;
   pool     find_v1_model on the 400 sentences of bench/data/solve_v1.json
@@ -63,6 +65,7 @@ def dump() -> dict:
         return item
 
     vocab = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+    nameless = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, [], ["s"])
     equisat_bounds = sp.Bounds(max_entities=2, max_individuals=2,
                                max_precisifications=2, timeout=60)
     pool_bounds = sp.Bounds(max_entities=4, max_individuals=3,
@@ -73,8 +76,8 @@ def dump() -> dict:
     pool = [row[0] for row in json.loads((DATA / "solve_v1.json").read_text())["rows"]]
 
     out: dict = {"items": {}, "dfs": {}}
-    for name, seeds in (("corpus", range(200)), ("hard", hard), ("pool", pool),
-                        ("fosl", range(300))):
+    for name, seeds in (("corpus", range(200)), ("nameless", range(100)), ("hard", hard),
+                        ("pool", pool), ("fosl", range(300))):
         counts.clear()
         for seed in seeds:
             if name == "fosl":
@@ -86,8 +89,9 @@ def dump() -> dict:
                 item = outcome_item(sp.find_v1_model(vocab, f, pool_bounds),
                                     sp.v1_structure_to_dict)
             else:
-                f = sp.generate_formula(vocab, seed, 4)
-                item = sp.equisat_check(vocab, f, equisat_bounds).to_dict()
+                harness_vocab = nameless if name == "nameless" else vocab
+                f = sp.generate_formula(harness_vocab, seed, 4)
+                item = sp.equisat_check(harness_vocab, f, equisat_bounds).to_dict()
             out["items"][f"{name}:{seed}"] = _strip_elapsed(item)
         out["dfs"][name] = dict(sorted(counts.items()))
     return out
