@@ -57,10 +57,10 @@ from .syntax import (
     validate_formula,
 )
 from .translate import (
+    _lower,
     admitted_are_individuals,
     full_translation,
     lift_model,
-    lower_model,
     prec_axioms,
     sort_axioms,
     translated_vocabulary,
@@ -522,6 +522,10 @@ def _sigma(standpoints, sigma_bits: dict, precs: list[str]) -> dict[str, list[st
 # Standpoint-logic search space
 # ---------------------------------------------------------------------------
 
+class _DeadlinePassed(Exception):
+    """The deadline passed while a space was being set up."""
+
+
 class _FoslSpace(_Space):
     """Partial standpoint structure over n domain elements and m
     precisifications, restricted to the symbols the formula mentions.
@@ -533,7 +537,8 @@ class _FoslSpace(_Space):
     every model below the node shares (_probe), which keep the models'
     symmetry, so forced cells mention nothing."""
 
-    def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool):
+    def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
+                 deadline: float = float("inf")):
         self.vocab = vocab
         self.formula = f
         self.n = self.base = n
@@ -558,6 +563,8 @@ class _FoslSpace(_Space):
         # them under the constant-domain semantics) are ground into one
         # instance per element tuple, so the probe machinery sees small,
         # nearly-decided constraints instead of one monolithic quantifier.
+        # The deadline is checked before each conjunct is ground
+        # (_DeadlinePassed).
         #
         # Each instance also gets its read set, from the compiler's keys
         # for the rebuilt formula (so it has the box prefix's standpoints):
@@ -569,6 +576,8 @@ class _FoslSpace(_Space):
         self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
         for part in _flatten_and(_level_formula(f, m)):
+            if time.monotonic() > deadline:
+                raise _DeadlinePassed
             boxes, qvars, body = _strip_ground_prefix(part, n)
             rebuilt = body
             for sp in reversed(boxes):
@@ -862,7 +871,8 @@ def _sort_floors(f: Formula) -> tuple[int, int] | None:
 
 def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors):
     """Search one level: n elements, m precisifications.  No space is
-    built once the deadline has passed.
+    built, and no further conjunct of one ground, once the deadline has
+    passed.
 
     floors, when given, are the least numbers of ind and ext elements of
     the models of f, whose top-level conjuncts make ind/ext a rigid
@@ -885,7 +895,10 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors):
         sizes = range(ind_floor, n - ext_floor + 1)
         if not sizes:
             return ("unsat",)
-    space = _FoslSpace(vocab, f, n, m, symmetry)
+    try:
+        space = _FoslSpace(vocab, f, n, m, symmetry, deadline)
+    except _DeadlinePassed:
+        return ("timeout",)
     if sizes is not None and n >= 2 and all(space.preds.get(p) == 1 for p in _SORTS):
         for r in sizes:
             cells = space.split(_SORTS, r)
@@ -1328,6 +1341,11 @@ def equisat_check(
     axioms and axiom 8 none without an individual, so the split skips
     those sizes (see _sort_floors) and, with names, the one-element
     levels altogether.
+
+    A standpoint model is lowered without checking the bridge axioms
+    again: the search has just verified it against the full translation,
+    whose boxed conjuncts are those axioms.  The lowered model is still
+    checked against f.
     """
     validate_formula(f, vocab)
     trans_f = full_translation(f, vocab, strict_names=True)
@@ -1371,7 +1389,7 @@ def equisat_check(
         fosl_dir.model = fosl_structure_to_dict(fosl_result.structure)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lowered = lower_model(fosl_result.structure, vocab)
+            lowered = _lower(fosl_result.structure, vocab)
         fosl_dir.verified = is_model_v1(lowered, f)
     directions.append(fosl_dir)
 

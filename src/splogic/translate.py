@@ -320,18 +320,35 @@ def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
     individual with a warning rather than rejected.  A wildcard (None)
     arity is pinned by the structure's rows before the axioms are built.
     """
+    _check_bridge_axioms(mf, vocab)
+    return _lower(mf, vocab)
+
+
+def _check_bridge_axioms(mf: FoslStructure, vocab: V1Vocabulary) -> None:
+    """Raise AxiomViolationError, with the label of the first bridge axiom
+    mf falsifies, unless mf satisfies them all.  The axioms are checked
+    together first, in one evaluation of their conjunction, and one by one
+    only to name a violated one."""
     pinned = {
         p: len(next(iter(rows)))
         for interp in mf.interpretation.values()
         for p, rows in interp.predicates.items()
         if rows
     }
-    for label, ax in labeled_axioms(_pin_wildcards(vocab, pinned)):
+    axioms = labeled_axioms(_pin_wildcards(vocab, pinned))
+    if is_model(mf, conjoin([ax for _, ax in axioms])):
+        return
+    for label, ax in axioms:
         if not is_model(mf, ax):
             raise AxiomViolationError(
                 f"structure violates bridge axiom {label}", label
             )
 
+
+def _lower(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
+    """lower_model without the bridge-axiom check: mf must satisfy the
+    bridge axioms, for example because it is a model of a full
+    translation."""
     pi0 = mf.precisifications[0]
     base = mf.interpretation[pi0].predicates
     ind_ids = sorted(e for (e,) in base.get("ind", frozenset()))
@@ -390,7 +407,7 @@ def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
                 warnings.warn(
                     f"name {n!r} denotes precise entity {target!r} at {pi!r}; "
                     f"remapped to canonical individual {ind_ids[0]!r}",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 table[n] = ind_ids[0]
         names[pi] = table

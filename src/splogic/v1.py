@@ -247,7 +247,13 @@ def eval_term_v1(m: V1Structure, pi: str, v: Assignment, t: Term) -> str:
         raise EvaluationError(f"unknown name {t.name!r}") from None
 
 
+@nesting_guard
 def satisfies_v1(m: V1Structure, pi: str, v: Assignment, f: Formula) -> bool:
+    """Truth at pi under the assignment v."""
+    return _satisfies_v1(m, pi, v, f)
+
+
+def _satisfies_v1(m: V1Structure, pi: str, v: Assignment, f: Formula) -> bool:
     if pi not in m.names:
         raise EvaluationError(f"unknown precisification {pi!r}")
     if isinstance(f, Atom):
@@ -265,12 +271,12 @@ def satisfies_v1(m: V1Structure, pi: str, v: Assignment, f: Formula) -> bool:
     if isinstance(f, Equal):
         return eval_term_v1(m, pi, v, f.left) == eval_term_v1(m, pi, v, f.right)
     if isinstance(f, Not):
-        return not satisfies_v1(m, pi, v, f.body)
+        return not _satisfies_v1(m, pi, v, f.body)
     if isinstance(f, And):
-        return satisfies_v1(m, pi, v, f.left) and satisfies_v1(m, pi, v, f.right)
+        return _satisfies_v1(m, pi, v, f.left) and _satisfies_v1(m, pi, v, f.right)
     if isinstance(f, Forall):
         return all(
-            satisfies_v1(m, pi, {**v, f.var: i}, f.body)
+            _satisfies_v1(m, pi, {**v, f.var: i}, f.body)
             for i in sorted(individuals_at(m, pi))
         )
     if isinstance(f, Box):
@@ -279,26 +285,31 @@ def satisfies_v1(m: V1Structure, pi: str, v: Assignment, f: Formula) -> bool:
         except KeyError:
             raise EvaluationError(f"unknown standpoint {f.standpoint!r}") from None
         return all(
-            satisfies_v1(m, p2, v, f.body)
+            _satisfies_v1(m, p2, v, f.body)
             for p2 in m.precisifications
             if p2 in admitted
         )
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _holds_v1(m: V1Structure, pis, f: Formula) -> bool:
+    """f true at each precisification of pis under every assignment of its
+    free variables into the registry."""
+    fv = sorted(free_variables(f))
+    assignments = [dict(zip(fv, values))
+                   for values in itertools.product(sorted(m.registry), repeat=len(fv))]
+    return all(_satisfies_v1(m, pi, v, f) for pi in pis for v in assignments)
+
+
+@nesting_guard
 def satisfies_at_v1(m: V1Structure, pi: str, f: Formula) -> bool:
     """Truth at pi under every assignment of free variables into the registry."""
-    fv = sorted(free_variables(f))
-    idents = sorted(m.registry)
-    for values in itertools.product(idents, repeat=len(fv)):
-        if not satisfies_v1(m, pi, dict(zip(fv, values)), f):
-            return False
-    return True
+    return _holds_v1(m, (pi,), f)
 
 
 @nesting_guard
 def is_model_v1(m: V1Structure, f: Formula) -> bool:
-    return all(satisfies_at_v1(m, pi, f) for pi in m.precisifications)
+    return _holds_v1(m, m.precisifications, f)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,21 @@ class TestCheck:
         assert "not a model" not in out
         assert "error: formula nested too deeply" in err
 
+    @pytest.mark.parametrize("flavor, model, atom", [
+        ("fosl", "m0.json", "P(c)"),
+        ("v1", "v0.json", "Desert(a)"),
+    ])
+    def test_deeply_nested_boxes_exit_two(self, capsys, tmp_path, flavor, model, atom):
+        f = tmp_path / "deep.txt"
+        f.write_text("[*] " * 1500 + atom + "\n")
+        code, out, err = run(
+            capsys, "check", "--formula", str(f),
+            "--model", str(FIXTURES / model), "--flavor", flavor,
+        )
+        assert code == 2
+        assert "not a model" not in out
+        assert "error: formula nested too deeply" in err
+
     def test_undeclared_symbol_exits_two(self, capsys, tmp_path):
         f = tmp_path / "f.txt"
         f.write_text("Zap(c)\n")

@@ -50,6 +50,32 @@ class TestEquisatHarness:
         assert report.agreement == "sat"
         assert all(d.outcome == "sat" and d.verified for d in report.directions)
 
+    def test_lowering_skips_the_axiom_checks(self, monkeypatch):
+        # the backward model was revalidated against the full translation,
+        # whose boxed conjuncts are the bridge axioms: lowering it checks
+        # none of them again, and each direction makes one is_model call
+        from splogic import finder, translate
+
+        calls = {"finder": 0, "translate": 0}
+
+        def counting(module):
+            evaluate = module.is_model
+
+            def counted(m, f):
+                calls[module.__name__.rsplit(".", 1)[1]] += 1
+                return evaluate(m, f)
+
+            monkeypatch.setattr(module, "is_model", counted)
+
+        counting(finder)
+        counting(translate)
+        vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+        f = parse_formula("Attr(n) & [s] Shape(n) & exists ?x !Attr(?x)", vocab)
+        report = equisat_check(vocab, f, BOUNDS)
+        assert report.agreement == "sat"
+        assert all(d.verified for d in report.directions)
+        assert calls == {"finder": 2, "translate": 0}
+
     def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
         f = parse_formula("Desert(house)", desert_v1_vocab)
         for _ in range(1500):

@@ -108,9 +108,9 @@ class TestFoslSearch:
         depth = [0]  # dfs recurses: the level's search returns at depth 0
 
         class Counted(_FoslSpace):
-            def __init__(self, vocab, f, n, m, symmetry):
+            def __init__(self, vocab, f, n, m, symmetry, deadline):
                 built.append((n, m))
-                super().__init__(vocab, f, n, m, symmetry)
+                super().__init__(vocab, f, n, m, symmetry, deadline)
 
             def dfs(self, deadline):
                 depth[0] += 1
@@ -127,6 +127,27 @@ class TestFoslSearch:
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=1.0)
         assert isinstance(find_fosl_model(vocab, f, bounds), SearchTimeout)
         assert built == [(1, 1), (1, 2)]
+
+    def test_no_conjunct_ground_after_the_deadline(self, monkeypatch):
+        # a fake clock passes the deadline while the first level's first
+        # conjunct is ground; the space checks the deadline before each
+        # conjunct, so it grounds no second one
+        clock = [0.0]
+        monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        strip = finder._strip_ground_prefix
+        ground = []
+
+        def counted(part, n):
+            ground.append(part)
+            clock[0] = 10.0
+            return strip(part, n)
+
+        monkeypatch.setattr(finder, "_strip_ground_prefix", counted)
+        vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, ["a"], [])
+        f = parse_formula("P(a) & Q(a) & forall ?x (P(?x) -> Q(?x))", vocab)
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=1.0)
+        assert isinstance(find_fosl_model(vocab, f, bounds), SearchTimeout)
+        assert len(ground) == 1
 
     def test_requires_sentence(self, desert_fosl_vocab):
         from splogic import EvaluationError
@@ -721,9 +742,9 @@ class TestSortSplit:
         levels = []
 
         class Counted(_FoslSpace):
-            def __init__(self, vocab, f, n, m, symmetry):
+            def __init__(self, vocab, f, n, m, symmetry, deadline):
                 levels.append((n, m))
-                super().__init__(vocab, f, n, m, symmetry)
+                super().__init__(vocab, f, n, m, symmetry, deadline)
 
         monkeypatch.setattr(finder, "_FoslSpace", Counted)
         vocab, f = self.hard_translation()

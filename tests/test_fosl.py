@@ -1,8 +1,11 @@
+import itertools
 import json
 
 import pytest
 
 from splogic import (
+    And,
+    Atom,
     Bounds,
     Box,
     Const,
@@ -14,15 +17,22 @@ from splogic import (
     eval_term,
     fosl_structure_from_dict,
     fosl_structure_to_dict,
+    free_variables,
+    full_translation,
     generate_formula,
     generate_fosl_structure,
+    generate_v1_structure,
     implies,
     is_model,
+    labeled_axioms,
+    lift_model,
     make_fosl_structure,
     make_fosl_vocabulary,
+    make_v1_vocabulary,
     parse_formula,
     satisfies,
     satisfies_at,
+    translated_vocabulary,
     vocabulary_of_fosl_model,
 )
 
@@ -98,12 +108,17 @@ class TestIsModel:
     def test_diamond_finds_witness(self, m0):
         assert is_model(m0, pf("<*> P(c)")) is True
 
-    def test_deep_nesting_is_an_evaluation_error(self, m0):
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda m, f: is_model(m, f), id="is_model"),
+        pytest.param(lambda m, f: satisfies_at(m, "p1", f), id="satisfies_at"),
+        pytest.param(lambda m, f: satisfies(m, "p1", {}, f), id="satisfies"),
+    ])
+    def test_deep_nesting_is_an_evaluation_error(self, m0, entry):
         f = pf("P(c)")
-        for _ in range(600):
+        for _ in range(1500):
             f = Box("*", f)
         with pytest.raises(EvaluationError, match="nested too deeply"):
-            is_model(m0, f)
+            entry(m0, f)
 
 
 class TestInvariants:
@@ -250,3 +265,99 @@ class TestStructureValidation:
         for text in ["[*] P(c) -> P(c)", "P(c)", "<*> P(c)", "[s] P(c)"]:
             f = pf(text)
             assert is_model(m0, f) == naive_is_model(m0, f)
+
+
+class TestCompiledEvaluator:
+    """The evaluator against tests/naive_eval.py on the cases it treats
+    specially: boxed conjuncts, evaluated at the first precisification
+    only; the bridge axioms, compiled once and reused; free variables;
+    and the lazy errors, which must fire where the recursive definition
+    meets them."""
+
+    V1_VOCAB = make_v1_vocabulary(
+        ["Kind", "Area"], {"Attr": 1, "Near": 2}, {"Shape": 1, "PartOf": 2}, ["n"], ["s"]
+    )
+    # lifted domains of up to 3 entities plus 3 individuals
+    V1_BOUNDS = Bounds(max_entities=3, max_individuals=3, max_precisifications=2,
+                       timeout=60)
+
+    def test_full_translations_on_lifted_models(self):
+        verdicts = set()
+        for seed in range(200):
+            mv = generate_v1_structure(self.V1_VOCAB, seed, self.V1_BOUNDS)
+            f = generate_formula(self.V1_VOCAB, seed + 7000, 4)
+            full = full_translation(f, self.V1_VOCAB, strict_names=seed % 2 == 0)
+            lifted = lift_model(mv)
+            verdict = is_model(lifted, full)
+            assert verdict == naive_is_model(lifted, full)
+            for pi in lifted.precisifications:
+                assert satisfies_at(lifted, pi, full) == naive_at(lifted, pi, full)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_bridge_axioms_on_random_structures(self):
+        # structures over the translated vocabulary that need not satisfy
+        # the axioms, so boxed and unboxed axioms both fail at some
+        vocab = translated_vocabulary(self.V1_VOCAB)
+        bounds = Bounds(max_domain=4, max_precisifications=2, timeout=60)
+        axioms = [ax for _, ax in labeled_axioms(self.V1_VOCAB, strict_names=True)]
+        verdicts = set()
+        for seed in range(100):
+            m = generate_fosl_structure(vocab, seed, bounds)
+            for ax in axioms:
+                for g in (ax, Box("*", ax)):
+                    verdict = is_model(m, g)
+                    assert verdict == naive_is_model(m, g)
+                    verdicts.add(verdict)
+            f = generate_formula(self.V1_VOCAB, seed + 8000, 4)
+            full = full_translation(f, self.V1_VOCAB)
+            assert is_model(m, full) == naive_is_model(m, full)
+        assert verdicts == {True, False}
+
+    def test_open_formulas(self):
+        import random
+
+        rng = random.Random(5)
+        bounds = Bounds(max_domain=3, max_precisifications=3, timeout=60)
+        vocab = make_fosl_vocabulary({"P": 1, "R": 2}, ["c"], ["s"])
+        for seed in range(300):
+            m = generate_fosl_structure(vocab, seed, bounds)
+            f = generate_formula(vocab, seed + 9000, 3, free_vars=("x", "y"))
+            g = And(f, Box("s", generate_formula(vocab, seed + 9500, 2, free_vars=("x",))))
+            for h in (f, g):
+                assert is_model(m, h) == naive_is_model(m, h)
+                for pi in m.precisifications:
+                    assert satisfies_at(m, pi, h) == naive_at(m, pi, h)
+                    v = {"x": rng.choice(m.domain), "y": rng.choice(m.domain)}
+                    assert satisfies(m, pi, v, h) == naive_satisfies(m, pi, v, h)
+
+    def test_false_conjunct_before_an_unknown_symbol(self, m0):
+        # m0: P(c) holds at p1 only, so [*] P(c) is false everywhere
+        unknown_constant = Atom("P", (Const("zzz"),))
+        unknown_standpoint = Box("nope", pf("P(c)"))
+        false = pf("[*] P(c)")
+        for bad in (unknown_constant, unknown_standpoint):
+            assert is_model(m0, And(false, bad)) is False
+            assert satisfies_at(m0, "p1", And(false, bad)) is False
+            assert satisfies(m0, "p1", {}, And(false, bad)) is False
+            with pytest.raises(EvaluationError, match="unknown"):
+                is_model(m0, And(bad, false))
+            # P(c) is true at p1, false only at p2: the unknown symbol is
+            # met at p1 first
+            with pytest.raises(EvaluationError, match="unknown"):
+                is_model(m0, And(pf("P(c)"), bad))
+
+    def test_unbound_variable_is_met_lazily(self, m0):
+        open_atom = pf("P(?x)")
+        with pytest.raises(EvaluationError, match=r"unbound variable \?x"):
+            satisfies(m0, "p1", {}, open_atom)
+        assert satisfies(m0, "p1", {}, And(pf("[*] P(c)"), open_atom)) is False
+        assert satisfies(m0, "p1", {"x": "d1"}, open_atom) is True
+
+
+
+def naive_at(m, pi, f):
+    """The reference evaluator's truth at pi under every assignment."""
+    names = sorted(free_variables(f))
+    return all(naive_satisfies(m, pi, dict(zip(names, values)), f)
+               for values in itertools.product(m.domain, repeat=len(names)))

@@ -90,12 +90,17 @@ class TestSatisfies:
         assert satisfies_v1(v0, "p1", {}, formula_c_v1) is True
         assert is_model_v1(v0, formula_c_v1) is True
 
-    def test_deep_nesting_is_an_evaluation_error(self, v0, desert_v1_vocab):
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda m, f: is_model_v1(m, f), id="is_model_v1"),
+        pytest.param(lambda m, f: satisfies_at_v1(m, "p1", f), id="satisfies_at_v1"),
+        pytest.param(lambda m, f: satisfies_v1(m, "p1", {}, f), id="satisfies_v1"),
+    ])
+    def test_deep_nesting_is_an_evaluation_error(self, v0, desert_v1_vocab, entry):
         f = pf("Desert(a)", desert_v1_vocab)
-        for _ in range(600):
+        for _ in range(1500):
             f = Box("*", f)
         with pytest.raises(EvaluationError, match="nested too deeply"):
-            is_model_v1(v0, f)
+            entry(v0, f)
 
     def test_quantifier_covers_sortal_domain(self, v0, desert_v1_vocab):
         f = pf("forall ?x (Building(?x) | Desert(?x))", desert_v1_vocab)

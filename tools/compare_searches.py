@@ -3,7 +3,8 @@
     python3 tools/compare_searches.py OLD_SRC NEW_SRC
     python3 tools/compare_searches.py --dump SRC > results.json
 
-Each tree runs in its own process and fingerprints five sets of searches:
+Each tree runs in its own process and fingerprints five sets of searches
+and one of evaluations:
 
   corpus   equisat_check on corpus seeds 0-199 at entities 2,
            individuals 2, precisifications 2 (the Tier-1 corpus);
@@ -15,7 +16,14 @@ Each tree runs in its own process and fingerprints five sets of searches:
            at entities 4, precisifications 2, individuals 3;
   fosl     find_fosl_model on generated sentences of depth 3, seeds
            0-299, over predicates P/1, Q/1, constants a, b and
-           standpoint s, at domain 3, precisifications 2.
+           standpoint s, at domain 3, precisifications 2;
+  eval     no search: on each row of bench/data/check_translate.json,
+           the is_model and per-precisification satisfies_at verdicts
+           of its standpoint pair, the same verdicts of its V1 pair
+           (is_model_v1, satisfies_at_v1) and of the full translation on
+           the lifted model, and lower_model on the lifted model and on
+           a generated structure over the translated vocabulary (the
+           lowered model, or the label of the violated axiom).
 
 A fingerprint holds every report and outcome, models included, with the
 elapsed fields removed, and the number of depth-first search calls per
@@ -29,6 +37,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,6 +56,9 @@ def _strip_elapsed(data):
 def dump() -> dict:
     import splogic as sp
     from splogic import finder
+
+    sys.path.insert(0, str(DATA.parent))
+    import workloads
 
     counts: dict[str, int] = {}
     dfs = finder._Space.dfs
@@ -74,13 +86,16 @@ def dump() -> dict:
     fosl_bounds = sp.Bounds(max_domain=3, max_precisifications=2, timeout=60)
     hard = [row[0] for row in json.loads((DATA / "equisat_hard.json").read_text())["rows"]]
     pool = [row[0] for row in json.loads((DATA / "solve_v1.json").read_text())["rows"]]
+    checks = [row[0] for row in json.loads((DATA / "check_translate.json").read_text())["rows"]]
 
     out: dict = {"items": {}, "dfs": {}}
     for name, seeds in (("corpus", range(200)), ("nameless", range(100)), ("hard", hard),
-                        ("pool", pool), ("fosl", range(300))):
+                        ("pool", pool), ("fosl", range(300)), ("eval", checks)):
         counts.clear()
         for seed in seeds:
-            if name == "fosl":
+            if name == "eval":
+                item = _evaluations(sp, workloads, seed)
+            elif name == "fosl":
                 f = sp.generate_formula(fosl_vocab, seed, 3)
                 item = outcome_item(sp.find_fosl_model(fosl_vocab, f, fosl_bounds),
                                     sp.fosl_structure_to_dict)
@@ -95,6 +110,41 @@ def dump() -> dict:
             out["items"][f"{name}:{seed}"] = _strip_elapsed(item)
         out["dfs"][name] = dict(sorted(counts.items()))
     return out
+
+
+def _evaluations(sp, workloads, seed: int) -> dict:
+    """The evaluators' answers on the inputs check_translate builds from
+    one seed (see bench/workloads.py)."""
+    fv, vv = workloads.ct_fosl_vocab(sp), workloads.ct_v1_vocab(sp)
+    f = sp.generate_formula(fv, seed, workloads.CT_DEPTH)
+    m = sp.generate_fosl_structure(fv, seed, workloads.ct_fosl_bounds(sp))
+    h = sp.generate_formula(vv, seed, workloads.CT_DEPTH)
+    mv = sp.generate_v1_structure(vv, seed, workloads.ct_v1_bounds(sp))
+    lifted = sp.lift_model(mv)
+    translation = sp.full_translation(h, vv)
+    junk = sp.generate_fosl_structure(sp.translated_vocabulary(vv), seed,
+                                      workloads.ct_fosl_bounds(sp))
+
+    def verdicts(model, g, at, every):
+        return [every(model, g)] + [at(model, pi, g) for pi in model.precisifications]
+
+    def lowered(model):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return sp.v1_structure_to_dict(sp.lower_model(model, vv))
+        except sp.AxiomViolationError as exc:
+            return exc.axiom_label
+        except sp.ModelFormatError as exc:
+            return str(exc)
+
+    return {
+        "fosl": verdicts(m, f, sp.satisfies_at, sp.is_model),
+        "v1": verdicts(mv, h, sp.satisfies_at_v1, sp.is_model_v1),
+        "lifted": verdicts(lifted, translation, sp.satisfies_at, sp.is_model),
+        "lowered": lowered(lifted),
+        "junk": lowered(junk),
+    }
 
 
 def _run(src: str) -> dict:
