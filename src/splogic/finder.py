@@ -50,6 +50,7 @@ from .syntax import (
     V1Vocabulary,
     Var,
     conjoin,
+    conjuncts,
     falsity,
     formula_size,
     free_variables,
@@ -85,10 +86,13 @@ class Bounds:
 
     def __post_init__(self):
         for name in ("max_domain", "max_precisifications", "max_entities", "max_individuals"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if isinstance(self.timeout, bool) or not self.timeout > 0:  # NaN fails too
+            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -139,12 +143,6 @@ def _check_workers(workers: int | None) -> None:
         raise ValueError(f"SPL_THREADS must be a positive integer, got {env!r}")
 
 
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
-
-
 # ---------------------------------------------------------------------------
 # Per-level preprocessing
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ def _simplify(f: Formula, m: int) -> tuple:
         return Not(s), size + 1, body
     if isinstance(f, And):
         parts: dict[Formula, tuple] = {}  # first occurrences, in order
-        for g in _flatten_and(f):
+        for g in conjuncts(f):
             part = _simplify(g, m)
             s = part[0]
             if s is False:
@@ -575,7 +573,7 @@ class _FoslSpace(_Space):
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
-        for part in _flatten_and(_level_formula(f, m)):
+        for part in conjuncts(_level_formula(f, m)):
             if time.monotonic() > deadline:
                 raise _DeadlinePassed
             boxes, qvars, body = _strip_ground_prefix(part, n)
@@ -852,7 +850,7 @@ def _sort_floors(f: Formula) -> tuple[int, int] | None:
     ind element.  The ext floor is 1 when they include axioms 4 and 5:
     an ind element has a prec partner in ext, and with no ind element
     the domain, never empty, is all ext (axiom 1)."""
-    parts = set(_flatten_and(f))
+    parts = set(conjuncts(f))
     if not _SORT_AXIOMS <= parts:
         return None
     named = axiom_8 = False
@@ -869,7 +867,7 @@ def _sort_floors(f: Formula) -> tuple[int, int] | None:
     return int(named and axiom_8), int(_PREC_AXIOMS <= parts)
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors):
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps):
     """Search one level: n elements, m precisifications.  No space is
     built, and no further conjunct of one ground, once the deadline has
     passed.
@@ -886,13 +884,18 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors):
     when both floors are 1, is unsat without a space, and a one-element
     level is searched unsplit.  Otherwise the level is one search over
     every cell.
+
+    caps, the most ext and ind elements a model may have, also bound r
+    and split the level in both symmetry modes.
     """
     if time.monotonic() > deadline:
         return ("timeout",)
     sizes = None  # the ind block sizes r, when the level is split
-    if floors is not None and symmetry:
-        ind_floor, ext_floor = floors
-        sizes = range(ind_floor, n - ext_floor + 1)
+    if floors is not None and (symmetry or caps is not None):
+        low, high = floors[0], n - floors[1]
+        if caps is not None:
+            low, high = max(low, n - caps[0]), min(high, caps[1])
+        sizes = range(low, high + 1)
         if not sizes:
             return ("unsat",)
     try:
@@ -923,6 +926,21 @@ def _first_outcome(results, bounds: Bounds, start: float) -> SearchOutcome:
     return ExhaustedUnsat(bounds, time.monotonic() - start)
 
 
+def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
+    """The level loop of find_fosl_model over a validated sentence; caps
+    (most ext, most ind elements) bound each level's split (see
+    _search_level_fosl)."""
+    start = time.monotonic()
+    deadline = start + bounds.timeout
+    floors = _sort_floors(f)
+    results = (
+        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floors, caps)
+        for n in range(1, bounds.max_domain + 1)
+        for m in range(1, bounds.max_precisifications + 1)
+    )
+    return _first_outcome(results, bounds, start)
+
+
 @nesting_guard
 def find_fosl_model(
     vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None
@@ -937,15 +955,7 @@ def find_fosl_model(
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
     _check_workers(workers)
-    start = time.monotonic()
-    deadline = start + bounds.timeout
-    floors = _sort_floors(f)
-    results = (
-        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floors)
-        for n in range(1, bounds.max_domain + 1)
-        for m in range(1, bounds.max_precisifications + 1)
-    )
-    return _first_outcome(results, bounds, start)
+    return _search_fosl(vocab, f, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +1002,7 @@ class _V1Space(_Space):
         self.culprit: tuple | None = None
         self.env: list[int] = []
         self.reads: set[tuple] = set()  # unused: this space keeps no memos
-        parts = _flatten_and(_level_formula(f, m))
+        parts = conjuncts(_level_formula(f, m))
         self.pi_indep = [_is_pi_independent(c, domain_varies=True) for c in parts]
         self.conjuncts = [self._compile(c, {}) for c in parts]
         self.status = [[_U] * m for _ in self.conjuncts]
@@ -1267,7 +1277,6 @@ class DirectionOutcome:
     bounds: dict
     model: dict | None = None
     verified: bool | None = None  # cross-verification through lift/lower
-    note: str = ""
 
     def to_dict(self) -> dict:
         out = {
@@ -1280,8 +1289,6 @@ class DirectionOutcome:
             out["model"] = self.model
         if self.verified is not None:
             out["verified"] = self.verified
-        if self.note:
-            out["note"] = self.note
         return out
 
 
@@ -1323,10 +1330,17 @@ def equisat_check(
 
     Forward: a V1 model found within bounds must lift to a standpoint model
     of the full translation.  Backward: a standpoint model of the full
-    translation, searched with the domain bound set to entities plus
-    registry, must lower to a V1 model of the original sentence.  Either
-    verification failing, or one side satisfiable where the other side's
-    search cannot be, is a discrepancy.
+    translation must lower to a V1 model of the original sentence.  A V1
+    structure with E entities and I individuals lifts to one with E ext
+    and I ind elements, so the backward search is the lift of the V1
+    search space: in both symmetry modes each level is split on ind/ext,
+    with at most max_individuals ind and max_entities ext elements (see
+    _search_level_fosl and _sort_floors), and every model found lowers
+    within the V1 bounds.  Either verification failing, or one side
+    satisfiable where the other is not, is a discrepancy, so an "unsat"
+    agreement checks the V1 search's "unsat" independently.  The V1
+    search never gives two individuals one extension map; a sentence
+    that needs that within bounds shows as a discrepancy.
 
     Both directions use one full translation with the name-typing axioms
     (every proper name denotes an admitted individual): the plain axiom
@@ -1334,13 +1348,7 @@ def equisat_check(
     entities fall outside the model correspondence.  Every V1 model the
     search finds has its names denote admitted individuals, so its lift
     satisfies the name-typing axioms, and this restriction keeps the
-    check two-sided and exact.  The translation has bridge axioms 1 and
-    2 as top-level conjuncts, so the backward search splits each level
-    on ind/ext (see _search_level_fosl).  Its axioms 4 and 5 leave no
-    model without an entity, and with a proper name the name-typing
-    axioms and axiom 8 none without an individual, so the split skips
-    those sizes (see _sort_floors) and, with names, the one-element
-    levels altogether.
+    check two-sided and exact.
 
     A standpoint model is lowered without checking the bridge axioms
     again: the search has just verified it against the full translation,
@@ -1361,7 +1369,6 @@ def equisat_check(
         elapsed_ms=int((time.monotonic() - t0) * 1000),
         bounds=bounds.to_dict(),
     )
-    lifted = None
     if isinstance(v1_result, ModelFound):
         v1_dir.model = v1_structure_to_dict(v1_result.structure)
         lifted = lift_model(v1_result.structure)
@@ -1377,14 +1384,14 @@ def equisat_check(
         symmetry_reduction=bounds.symmetry_reduction,
     )
     t1 = time.monotonic()
-    fosl_result = find_fosl_model(trans_vocab, trans_f, fosl_bounds, workers)
+    fosl_result = _search_fosl(trans_vocab, trans_f, fosl_bounds,
+                               (bounds.max_entities, bounds.max_individuals))
     fosl_dir = DirectionOutcome(
         direction="fosl",
         outcome=_outcome_name(fosl_result),
         elapsed_ms=int((time.monotonic() - t1) * 1000),
         bounds=fosl_bounds.to_dict(),
     )
-    lowered = None
     if isinstance(fosl_result, ModelFound):
         fosl_dir.model = fosl_structure_to_dict(fosl_result.structure)
         with warnings.catch_warnings():
@@ -1407,26 +1414,12 @@ def equisat_check(
         # the lift of the found V1 model fits the adjusted bounds, so the
         # standpoint search had to find something
         agreement = "discrepancy"
-        counterexample = fosl_structure_to_dict(lifted) if lifted is not None else None
+        counterexample = fosl_structure_to_dict(lifted)
     else:
-        # standpoint model found where the V1 search was exhausted
-        if fosl_dir.verified and lowered is not None:
-            fits = (
-                len(lowered.entities) <= bounds.max_entities
-                and len(lowered.registry) <= bounds.max_individuals
-            )
-            if fits:
-                agreement = "discrepancy"
-                counterexample = v1_structure_to_dict(lowered)
-            else:
-                agreement = "sat"
-                fosl_dir.note = (
-                    "lowered model exceeds the V1 search bounds; the sentence is "
-                    "satisfiable beyond them"
-                )
-        else:
-            agreement = "discrepancy"
-            counterexample = fosl_dir.model
+        # standpoint model found where the V1 search was exhausted; it
+        # lowers within the V1 bounds
+        agreement = "discrepancy"
+        counterexample = v1_structure_to_dict(lowered) if fosl_dir.verified else fosl_dir.model
 
     return EquisatReport(
         formula=print_formula(f),

@@ -28,6 +28,7 @@ from .syntax import (
     Term,
     UNIVERSAL_STANDPOINT,
     Var,
+    conjuncts,
     make_fosl_vocabulary,
 )
 
@@ -237,18 +238,6 @@ class _Conjunct:
         self.fn, self.free, self.width, self.keys, self.indep = fn, free, width, keys, indep
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The top-level conjuncts of f, left to right."""
-    out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compile(f: Formula) -> _Conjunct:
     c = _Compiler()
@@ -287,7 +276,7 @@ class _Compiler:
         if isinstance(f, Not):
             return self.formula(f.body, slots, depth, not positive)
         if isinstance(f, And):
-            parts = [self.formula(g, slots, depth, positive) for g in _conjuncts(f)]
+            parts = [self.formula(g, slots, depth, positive) for g in conjuncts(f)]
             fns = [fn for fn, _ in parts]
             indep = all(i for _, i in parts)
             def every(pt, env):
@@ -383,7 +372,7 @@ class _Compiler:
 
 
 def _prepare(m: FoslStructure, f: Formula, extra=()):
-    parts = [_compile(g) for g in _conjuncts(f)]
+    parts = [_compile(g) for g in conjuncts(f)]
     pts, ids = _index(m, {key for c in parts for key in c.keys}, extra)
     return parts, pts, ids
 

@@ -134,6 +134,18 @@ def conjoin(parts: Iterable[Formula]) -> Formula:
     return out
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The top-level conjuncts of f, left to right."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
 def disjoin(parts: Iterable[Formula]) -> Formula:
     items = list(parts)
     if not items:

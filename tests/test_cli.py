@@ -256,6 +256,18 @@ class TestSolve:
         assert code == 3
         assert out.startswith("timeout")
 
+    def test_nan_timeout_exits_two(self, capsys):
+        code, _, err = run(
+            capsys, "solve",
+            "--formula", str(FIXTURES / "formula_a.txt"),
+            "--vocab", str(FIXTURES / "desert_fosl_vocab.json"),
+            "--flavor", "fosl",
+            "--bounds", "3,2",
+            "--timeout", "nan",
+        )
+        assert code == 2
+        assert "timeout" in err
+
     def test_flavor_vocab_mismatch(self, capsys):
         code, _, err = run(
             capsys, "solve",

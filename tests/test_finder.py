@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from splogic import (
     is_model,
     is_model_v1,
     labeled_axioms,
+    lower_model,
     make_fosl_vocabulary,
     make_v1_structure,
     make_v1_vocabulary,
@@ -564,6 +566,16 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(timeout=0)
 
+    def test_invalid_settings_rejected(self):
+        # a NaN deadline is never passed; a fractional or boolean bound
+        # would fail later in range() or count as 1
+        for settings in ({"timeout": float("nan")}, {"timeout": True},
+                         {"max_domain": 2.5}, {"max_entities": True},
+                         {"max_precisifications": 2.0}, {"max_individuals": "2"}):
+            with pytest.raises(ValueError):
+                Bounds(**settings)
+        assert Bounds(timeout=float("inf")).timeout == float("inf")
+
 
 class TestMemoInvariant:
     """A memo entry that is still valid (made at or after the last touch
@@ -760,7 +772,7 @@ class TestSortSplit:
         # (r = 0), without axiom 5 no entity (r = n)
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
-        parts = finder._flatten_and(f)
+        parts = finder.conjuncts(f)
         axioms = dict(labeled_axioms(corpus_vocab(), strict_names=True))
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
         for label, sizes in (("names:n", lambda n: range(n)),
@@ -776,7 +788,7 @@ class TestSortSplit:
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
         axiom_2 = Box("*", dict(sort_axioms())["2"])
-        parts = finder._flatten_and(f)
+        parts = finder.conjuncts(f)
         assert axiom_2 in parts
         g = conjoin([p for p in parts if p != axiom_2])
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
@@ -806,8 +818,9 @@ class TestSortSplit:
         assert splitting > 30
 
     @pytest.mark.parametrize("entities, individuals", [(1, 2), (2, 1)])
-    def test_backward_outcome_matches_unsplit_search(self, entities, individuals):
-        # without symmetry reduction the backward search is not split
+    def test_backward_outcome_same_with_and_without_lnh(self, entities, individuals):
+        # the backward search is split and capped at the V1 bounds in both
+        # modes; symmetry reduction only switches the least-number heuristic
         vocab = corpus_vocab()
         on = Bounds(max_entities=entities, max_individuals=individuals,
                     max_precisifications=2, timeout=60)
@@ -821,6 +834,53 @@ class TestSortSplit:
             assert split.outcome == plain.outcome, seed
             seen.add(split.outcome)
         assert seen == {"sat", "unsat"}
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_backward_search_stays_within_the_v1_bounds(self, symmetry):
+        # these sentences have standpoint models only beyond entities 2,
+        # individuals 1 (r = 2 ind elements), which the backward search no
+        # longer searches
+        vocab = corpus_vocab()
+        bounds = Bounds(max_entities=2, max_individuals=1, max_precisifications=2,
+                        timeout=60, symmetry_reduction=symmetry)
+        for seed in (27, 39, 94, 164):
+            report = equisat_check(vocab, generate_formula(vocab, seed, 4), bounds)
+            assert report.agreement == "unsat", seed
+            assert [d.outcome for d in report.directions] == ["unsat", "unsat"], seed
+            assert all("note" not in d for d in report.to_dict()["directions"]), seed
+
+    def test_backward_outcome_matches_the_uncapped_reference(self):
+        # the public search, unsplit without symmetry reduction, at domain
+        # E + I on the same translation: the capped backward search is
+        # unsat where it is, and sat where its first model lowers within
+        # the bounds
+        vocab = corpus_vocab()
+        trans_vocab = translated_vocabulary(vocab)
+        verdicts = {"unsat": 0, "within": 0, "beyond": 0}
+        for entities, individuals in ((1, 2), (2, 1)):
+            bounds = Bounds(max_entities=entities, max_individuals=individuals,
+                            max_precisifications=2, timeout=60)
+            reference = Bounds(max_domain=entities + individuals, max_precisifications=2,
+                               timeout=60, symmetry_reduction=False)
+            for seed in range(60):
+                f = generate_formula(vocab, seed, 4)
+                capped = equisat_check(vocab, f, bounds).directions[1].outcome
+                ref = find_fosl_model(trans_vocab, full_translation(f, vocab, strict_names=True),
+                                      reference)
+                if isinstance(ref, ExhaustedUnsat):
+                    verdicts["unsat"] += 1
+                    assert capped == "unsat", (entities, individuals, seed)
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    lowered = lower_model(ref.structure, vocab)
+                if (len(lowered.entities) <= entities
+                        and len(lowered.registry) <= individuals):
+                    verdicts["within"] += 1
+                    assert capped == "sat", (entities, individuals, seed)
+                else:
+                    verdicts["beyond"] += 1
+        assert min(verdicts.values()) > 0, verdicts
 
     def test_constant_values_per_block(self):
         vocab = corpus_vocab()

@@ -3,7 +3,7 @@
     python3 tools/compare_searches.py OLD_SRC NEW_SRC
     python3 tools/compare_searches.py --dump SRC > results.json
 
-Each tree runs in its own process and fingerprints five sets of searches
+Each tree runs in its own process and fingerprints six sets of searches
 and one of evaluations:
 
   corpus   equisat_check on corpus seeds 0-199 at entities 2,
@@ -12,6 +12,9 @@ and one of evaluations:
            without its name, so no axiom forces an individual;
   hard     the same harness on the six sentences of
            bench/data/equisat_hard.json;
+  asym     the corpus harness on seeds 0-199 at entities 2, individuals
+           1 and at entities 1, individuals 2 (items "asym:E,I:seed"),
+           where the backward search's caps bind;
   pool     find_v1_model on the 400 sentences of bench/data/solve_v1.json
            at entities 4, precisifications 2, individuals 3;
   fosl     find_fosl_model on generated sentences of depth 3, seeds
@@ -87,10 +90,14 @@ def dump() -> dict:
     hard = [row[0] for row in json.loads((DATA / "equisat_hard.json").read_text())["rows"]]
     pool = [row[0] for row in json.loads((DATA / "solve_v1.json").read_text())["rows"]]
     checks = [row[0] for row in json.loads((DATA / "check_translate.json").read_text())["rows"]]
+    asym = {f"{e},{i}:{seed}": (sp.Bounds(max_entities=e, max_individuals=i,
+                                          max_precisifications=2, timeout=60), seed)
+            for e, i in ((2, 1), (1, 2)) for seed in range(200)}
 
     out: dict = {"items": {}, "dfs": {}}
     for name, seeds in (("corpus", range(200)), ("nameless", range(100)), ("hard", hard),
-                        ("pool", pool), ("fosl", range(300)), ("eval", checks)):
+                        ("asym", asym), ("pool", pool), ("fosl", range(300)),
+                        ("eval", checks)):
         counts.clear()
         for seed in seeds:
             if name == "eval":
@@ -105,8 +112,9 @@ def dump() -> dict:
                                     sp.v1_structure_to_dict)
             else:
                 harness_vocab = nameless if name == "nameless" else vocab
-                f = sp.generate_formula(harness_vocab, seed, 4)
-                item = sp.equisat_check(harness_vocab, f, equisat_bounds).to_dict()
+                bounds, number = asym[seed] if name == "asym" else (equisat_bounds, seed)
+                f = sp.generate_formula(harness_vocab, number, 4)
+                item = sp.equisat_check(harness_vocab, f, bounds).to_dict()
             out["items"][f"{name}:{seed}"] = _strip_elapsed(item)
         out["dfs"][name] = dict(sorted(counts.items()))
     return out
