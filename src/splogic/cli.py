@@ -205,6 +205,9 @@ def cmd_monodic(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    for option in ("depth", "count"):
+        if getattr(args, option) < 1:
+            raise SplError(f"--{option} must be at least 1")
     vocab = load_vocabulary(args.vocab)
     for i in range(args.count):
         f = generate_formula(vocab, args.seed + i, args.depth)

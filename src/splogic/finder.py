@@ -268,11 +268,14 @@ class _Space:
     A space keeps its cells in three tables: pred_bits[pred][pi][rank]
     (membership bits, tuple ranks in base self.base), const_val[(name,
     pi)] (an element or None) and sigma_bits[(sp, pi)]; their cells are
-    ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A space
+    ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A split
+    standpoint space may add a fourth, prec_val[pi][i] (individual i's
+    precise version or None), with cells ("f", "prec", pi, i).  A space
     provides _table, propagate, materialize, _quantify (the universal
     over its domain) and self.choices, the values a constant branches
-    over; it may extend assign, decide (the one branching step) and
-    unassign, and add cell kinds to _poke, the one place that writes.
+    over; it may extend assign, branch_values, decide (the one branching
+    step) and unassign, and add cell kinds to _poke, the one place that
+    writes.
 
     The compiler is the one walk over a level's formula.  It creates a
     symbol's cells when it first meets it (a predicate's table through
@@ -289,7 +292,9 @@ class _Space:
     unknown child restores the culprit it found at its entry, so the
     culprit always comes from a subformula an unknown result depends
     on.  An atom whose predicate _table gives no table compiles through
-    the space's _precise_atom (V1's rigid precise predicates).
+    the space's _precise_atom, which adds its own read keys: V1's rigid
+    precise predicates, and prec over value cells in a split standpoint
+    space.
     """
 
     def dfs(self, deadline: float):
@@ -339,6 +344,9 @@ class _Space:
         elif kind == "c":
             _, name, pi = cell
             self.const_val[(name, pi)] = value
+        elif kind == "f":
+            _, _, pi, i = cell
+            self.prec_val[pi][i] = value
         else:
             _, sp, pi = cell
             self.sigma_bits[(sp, pi)] = 0 if value is None else value
@@ -358,13 +366,13 @@ class _Space:
     def _compile(self, f: Formula, slots: dict[str, int]):
         if isinstance(f, Atom):
             resolvers = [self._compile_term(t, slots) for t in f.args]
+            arrays = self._table(f.pred, len(f.args))
+            if arrays is None:
+                return self._precise_atom(f, slots, resolvers)
             if all(isinstance(t, Var) for t in f.args):
                 self.reads.add(("p", f.pred, tuple(slots[t.name] for t in f.args)))
             else:
                 self.reads.add(("p", f.pred))
-            arrays = self._table(f.pred, len(f.args))
-            if arrays is None:
-                return self._precise_atom(f.pred, resolvers)
             pred = f.pred
             base = self.base
 
@@ -533,10 +541,22 @@ class _FoslSpace(_Space):
     the largest one a decision on the path names, plus one fresh one
     (the least-number heuristic, LNH).  Propagation derives only values
     every model below the node shares (_probe), which keep the models'
-    symmetry, so forced cells mention nothing."""
+    symmetry, so forced cells mention nothing.
+
+    With prec_cells, the space is only searched split (see split), and
+    prec is a function: one value cell ("f", "prec", pi, i) per
+    individual i (an element below first_ext) and precisification,
+    ranging over the entities [first_ext, n).  A prec(s, t) atom reads
+    s's cell, and is false when s is an entity or t an individual.  That
+    encoding makes bridge axioms 4-6 hold, so their ground instances are
+    dropped from the level; materialize writes prec from the cells, and
+    the revalidation against the whole sentence still checks the three.
+    A function cell branches over the entity block's LNH values, is
+    probed at every entity like a constant, and a decision on it
+    mentions both its individual and its value."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
-                 deadline: float = float("inf")):
+                 deadline: float = float("inf"), prec_cells: bool = False):
         self.vocab = vocab
         self.formula = f
         self.n = self.base = n
@@ -549,6 +569,9 @@ class _FoslSpace(_Space):
         self.const_val: dict[tuple[str, int], int | None] = {}
         self.sigma_bits: dict[tuple[str, int], int] = {}
         self.env: list[int] = []
+        self.prec_cells = prec_cells
+        self.prec_val: list[list[int | None]] = [[None] * n for _ in range(m)]
+        self.first_ext = n  # set by split
 
         # the LNH state: the largest element of each block a decision
         # mentioned, and self.choices (see set_blocks)
@@ -568,14 +591,19 @@ class _FoslSpace(_Space):
         # for the rebuilt formula (so it has the box prefix's standpoints):
         # an atom over ground variables only (slots below len(qvars)) is
         # keyed by its own cell, ("p", pred, rank), any other atom by its
-        # whole predicate.
+        # whole predicate; a prec atom over value cells reads its first
+        # argument's cell alone, so it is keyed ("f", "prec", i) when that
+        # argument is a ground variable.
         self.conjuncts: list = []  # compiled bodies
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
+        dropped = _prec_level_axioms(m) if prec_cells else ()
         for part in conjuncts(_level_formula(f, m)):
             if time.monotonic() > deadline:
                 raise _DeadlinePassed
+            if part in dropped:
+                continue
             boxes, qvars, body = _strip_ground_prefix(part, n)
             rebuilt = body
             for sp in reversed(boxes):
@@ -586,10 +614,10 @@ class _FoslSpace(_Space):
             self.reads: set[tuple] = set()
             fn = self._compile(rebuilt, slots)
             wide: set[tuple] = set()
-            exact: list[tuple[str, tuple[int, ...]]] = []
+            exact: list[tuple[str, str, tuple[int, ...]]] = []
             for key in self.reads:
                 if len(key) == 3 and all(s < len(qvars) for s in key[2]):
-                    exact.append(key[1:])
+                    exact.append(key)
                 else:
                     wide.add(key[:2])
             indep = _is_pi_independent(rebuilt)
@@ -599,11 +627,11 @@ class _FoslSpace(_Space):
                 self.presets.append(tuple(enumerate(combo)))
                 self.pi_indep.append(indep)
                 keys = set(wide)
-                for pred, arg_slots in exact:
+                for kind, pred, arg_slots in exact:
                     rank = 0
                     for s in arg_slots:
                         rank = rank * n + combo[s]
-                    keys.add(("p", pred, rank))
+                    keys.add((kind, pred, rank))
                 for key in keys:
                     self.watch.setdefault(key, []).append(ci)
         self.scan_order = range(len(self.conjuncts))
@@ -617,11 +645,41 @@ class _FoslSpace(_Space):
         self.u_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
         self.probe_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
 
-    def _table(self, pred: str, arity: int) -> list[bytearray]:
+    def _table(self, pred: str, arity: int) -> list[bytearray] | None:
+        if pred == "prec" and self.prec_cells:
+            return None  # compiled by _precise_atom
         if pred not in self.pred_bits:
             self.preds[pred] = arity
             self.pred_bits[pred] = [bytearray(self.n ** arity) for _ in range(self.m)]
         return self.pred_bits[pred]
+
+    def _precise_atom(self, f: Atom, slots, resolvers):
+        # prec(s, t) over value cells: s must be an individual and t its
+        # precise version, so the atom reads s's cell alone
+        head = f.args[0]
+        self.reads.add(("f", "prec", (slots[head.name],)) if isinstance(head, Var)
+                       else ("f", "prec"))
+        first, second = resolvers
+        vals = self.prec_val
+
+        def fn(pi, env):
+            s = first(pi, env)
+            if s is None:
+                return _U
+            if s >= self.first_ext:
+                return _F
+            t = second(pi, env)
+            if t is None:
+                return _U
+            if t < self.first_ext:
+                return _F
+            v = vals[pi][s]
+            if v is None:
+                self._note(("f", "prec", pi, s))
+                return _U
+            return _T if v == t else _F
+
+        return fn
 
     def _quantify(self, slot: int, child):
         # the universal ranges over all n elements
@@ -719,11 +777,19 @@ class _FoslSpace(_Space):
     def _probe(self, cell, fn, pi, preset) -> tuple[int, int | None]:
         """How many values of cell keep this one instance satisfiable,
         and the last value that did.  A constant is tried at every
-        element, whatever the LNH cap, so one survivor is entailed."""
+        element and a function cell at every entity, whatever the LNH
+        cap, so one survivor is entailed."""
         survivors = 0
         keep = None
         env = self.env
-        for value in range(self.n) if cell[0] == "c" else (2, 1):
+        kind = cell[0]
+        if kind == "c":
+            values = range(self.n)
+        elif kind == "f":
+            values = range(self.first_ext, self.n)
+        else:
+            values = (2, 1)
+        for value in values:
             self._poke(cell, value)
             for slot, elem in preset:
                 env[slot] = elem
@@ -760,9 +826,15 @@ class _FoslSpace(_Space):
         of the rest, at every precisification, with blocks [0, r) and
         [r, n).  The sort cells treat a block's elements alike, so they
         are assigned, not decided.  Returns the cells assigned, for the
-        caller to unassign in reverse order."""
+        caller to unassign in reverse order.  With prec_cells, r is also
+        where the entities start, which every prec atom reads, so every
+        function cell counts as touched."""
         first, second = sorts
         self.set_blocks(((0, r), (r, self.n)))
+        if self.prec_cells:
+            self.first_ext = r
+            for i in range(self.n):
+                self._touch(("f", "prec", 0, i))
         cells = []
         for pi in range(self.m):
             for e in range(self.n):
@@ -792,9 +864,18 @@ class _FoslSpace(_Space):
         _Space.assign(self, cell, value)
         self._touch(cell)
 
+    def branch_values(self, cell: tuple) -> tuple[int, ...]:
+        if cell[0] == "f":
+            first = self.first_ext
+            return tuple(e for e in self.choices if e >= first)
+        return _Space.branch_values(self, cell)
+
     def decide(self, cell: tuple, value: int) -> None:
         self.assign(cell, value)
         if cell[0] == "c":
+            self._mention(value)
+        elif cell[0] == "f":
+            self._mention(cell[3])
             self._mention(value)
         elif cell[0] == "p":
             r = cell[3]
@@ -815,6 +896,12 @@ class _FoslSpace(_Space):
             preds = {
                 p: _rows(self.pred_bits[p][pi], k, domain) for p, k in self.preds.items()
             }
+            if self.prec_cells:
+                first = self.first_ext
+                preds["prec"] = sorted(
+                    (domain[i], domain[first if v is None else v])
+                    for i, v in enumerate(self.prec_val[pi][:first])
+                )
             for p, k in self.vocab.predicates.items():
                 if p not in preds and k is not None:
                     preds[p] = []
@@ -831,26 +918,35 @@ class _FoslSpace(_Space):
 
 
 # bridge axioms under the universal box, as full_translation emits them:
-# 1 and 2 (the rigid ind/ext partition), and 4 and 5 (every individual
-# has a precise version, an ext element)
+# 1 and 2 (the rigid ind/ext partition), and 4, 5 and 6 (prec is a total
+# function from ind to ext)
 _SORT_AXIOMS = frozenset(Box(UNIVERSAL_STANDPOINT, ax) for _, ax in sort_axioms())
-_PREC_AXIOMS = frozenset(Box(UNIVERSAL_STANDPOINT, ax) for _, ax in prec_axioms())
+_PREC_AXIOMS = {label: Box(UNIVERSAL_STANDPOINT, ax) for label, ax in prec_axioms()}
+_PREC_TOTAL = frozenset((_PREC_AXIOMS["4"], _PREC_AXIOMS["5"]))
+_PREC_FUNCTION = frozenset(_PREC_AXIOMS.values())
 _INK_IND = admitted_are_individuals()
 _SORTS = ("ind", "ext")
 
 
-def _sort_floors(f: Formula) -> tuple[int, int] | None:
-    """The least numbers of ind and of ext elements every model of f has,
-    read from its top-level conjuncts, or None unless they include bridge
-    axioms 1 and 2 under the universal box, which make ind/ext a rigid
-    partition of the domain.
+@functools.lru_cache(maxsize=None)
+def _prec_level_axioms(m: int) -> frozenset:
+    """Bridge axioms 4-6 as the level formula for m precisifications
+    holds them (see _simplify), for a space with prec cells to drop."""
+    return frozenset(_simplify(ax, m)[0] for ax in _PREC_FUNCTION)
+
+
+def _sort_floors(parts: set) -> tuple[int, int] | None:
+    """The least numbers of ind and of ext elements every model has,
+    read from the top-level conjuncts of its sentence, or None unless
+    they include bridge axioms 1 and 2 under the universal box, which
+    make ind/ext a rigid partition of the domain.
 
     The ind floor is 1 when they include a name-typing axiom [*] ink(c)
     and axiom 8, [*] forall x((ink(x) -> ind(x)) & ...): c denotes an
     ind element.  The ext floor is 1 when they include axioms 4 and 5:
     an ind element has a prec partner in ext, and with no ind element
-    the domain, never empty, is all ext (axiom 1)."""
-    parts = set(conjuncts(f))
+    the domain, never empty, is all ext (axiom 1).  _search_fosl reads
+    axioms 4-6 from the same conjuncts for the prec cells."""
     if not _SORT_AXIOMS <= parts:
         return None
     named = axiom_8 = False
@@ -864,10 +960,10 @@ def _sort_floors(f: Formula) -> tuple[int, int] | None:
         elif (isinstance(body, Forall) and body.var == "x"
               and isinstance(body.body, And) and body.body.left == _INK_IND):
             axiom_8 = True
-    return int(named and axiom_8), int(_PREC_AXIOMS <= parts)
+    return int(named and axiom_8), int(_PREC_TOTAL <= parts)
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps):
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps, functional):
     """Search one level: n elements, m precisifications.  No space is
     built, and no further conjunct of one ground, once the deadline has
     passed.
@@ -887,6 +983,13 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps):
 
     caps, the most ext and ind elements a model may have, also bound r
     and split the level in both symmetry modes.
+
+    functional says the top-level conjuncts of f include bridge axioms
+    4-6 under the universal box: prec is a total function from ind to
+    ext at each precisification.  A level that is split then holds prec
+    as one value cell per individual and precisification instead of
+    membership bits, and drops the three axioms (see _FoslSpace); the
+    ext floor is 1, so each r leaves the function an entity to take.
     """
     if time.monotonic() > deadline:
         return ("timeout",)
@@ -898,8 +1001,9 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps):
         sizes = range(low, high + 1)
         if not sizes:
             return ("unsat",)
+    prec_cells = functional and sizes is not None and n >= 2
     try:
-        space = _FoslSpace(vocab, f, n, m, symmetry, deadline)
+        space = _FoslSpace(vocab, f, n, m, symmetry, deadline, prec_cells)
     except _DeadlinePassed:
         return ("timeout",)
     if sizes is not None and n >= 2 and all(space.preds.get(p) == 1 for p in _SORTS):
@@ -929,12 +1033,16 @@ def _first_outcome(results, bounds: Bounds, start: float) -> SearchOutcome:
 def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
     """The level loop of find_fosl_model over a validated sentence; caps
     (most ext, most ind elements) bound each level's split (see
-    _search_level_fosl)."""
+    _search_level_fosl).  The top-level conjuncts of f are read once,
+    here, for every level."""
     start = time.monotonic()
     deadline = start + bounds.timeout
-    floors = _sort_floors(f)
+    parts = set(conjuncts(f))
+    floors = _sort_floors(parts)
+    functional = _PREC_FUNCTION <= parts
     results = (
-        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floors, caps)
+        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floors, caps,
+                           functional)
         for n in range(1, bounds.max_domain + 1)
         for m in range(1, bounds.max_precisifications + 1)
     )
@@ -949,7 +1057,8 @@ def find_fosl_model(
     the domain and precisification count from 1 up to the bounds.  When
     f has bridge axioms 1 and 2 among its top-level conjuncts, as a full
     translation does, each level is split on ind/ext, starting each sort
-    at the least size the other bridge axioms among them force (see
+    at the least size the other bridge axioms among them force, and with
+    axioms 4-6 among them prec is searched as a function (see
     _sort_floors and _search_level_fosl)."""
     validate_formula(f, vocab)
     if free_variables(f):
@@ -1059,9 +1168,10 @@ class _V1Space(_Space):
 
         return fn
 
-    def _precise_atom(self, pred: str, resolvers):
+    def _precise_atom(self, f: Atom, slots, resolvers):
         # each argument is dereferenced to its individual's precise
-        # version at pi
+        # version at pi; this space keeps no read sets
+        pred = f.pred
         bits = self.precise_bits[pred]
         maps = self.maps
         ne = self.ne

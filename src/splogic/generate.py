@@ -77,8 +77,11 @@ def generate_formula(
     """A random sentence over vocab (a formula when free_vars are supplied).
 
     The root is always a connective, quantifier or modality, so generated
-    formulas have at least two AST nodes.
+    formulas have at least two AST nodes.  max_depth must be an int of
+    at least 1 (ValueError otherwise).
     """
+    if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
+        raise ValueError(f"max_depth must be an integer of at least 1, got {max_depth!r}")
     rng = random.Random(seed)
     preds = _predicate_pool(vocab)
     grounds = _ground_terms(vocab)
@@ -136,7 +139,7 @@ def generate_formula(
         body = gen(depth - 1, scope, False)
         return Box(sp, body) if kind == "box" else diamond(sp, body)
 
-    f = gen(max(1, max_depth), list(free_vars), True)
+    f = gen(max_depth, list(free_vars), True)
     validate_formula(f, vocab)
     return f
 

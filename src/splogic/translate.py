@@ -141,13 +141,15 @@ def sort_axioms() -> list[tuple[str, Formula]]:
 
 
 def prec_axioms() -> list[tuple[str, Formula]]:
-    """Bridge axioms 4 and 5 with their labels: prec relates individuals
-    to entities, and every individual has a precise version.  With axiom
-    1 they leave no model without an ext element, and the model finder
-    reads that from a sentence with both, boxed, among its top-level
-    conjuncts."""
+    """Bridge axioms 4, 5 and 6 with their labels: prec relates
+    individuals to entities, every individual has a precise version, and
+    at most one.  With axiom 1, axioms 4 and 5 leave no model without an
+    ext element; all three make prec a total function from ind to ext at
+    each precisification.  The model finder reads both facts from a
+    sentence with the axioms, boxed, among its top-level conjuncts."""
     x = Var("x")
     y = Var("y")
+    z = Var("z")
     ind_x = Atom("ind", (x,))
     return [
         (
@@ -158,6 +160,16 @@ def prec_axioms() -> list[tuple[str, Formula]]:
             ),
         ),
         ("5", Forall("x", implies(ind_x, exists("y", Atom("prec", (x, y)))))),
+        (
+            "6",
+            _forall_all(
+                ["x", "y", "z"],
+                implies(
+                    And(Atom("prec", (x, y)), Atom("prec", (x, z))),
+                    Equal(y, z),
+                ),
+            ),
+        ),
     ]
 
 
@@ -185,8 +197,6 @@ def labeled_axioms(
     if not vocab.sortals:
         raise ModelFormatError("translation requires at least one sortal")
     x = Var("x")
-    y = Var("y")
-    z = Var("z")
     ink_x = Atom("ink", (x,))
     box = lambda g: Box(UNIVERSAL_STANDPOINT, g)
 
@@ -197,18 +207,6 @@ def labeled_axioms(
         atom = Atom(q, tuple(Var(n) for n in names))
         out.append((f"3:{q}", _forall_all(names, iff(atom, box(atom)))))
     out.extend(prec_axioms())
-    out.append(
-        (
-            "6",
-            _forall_all(
-                ["x", "y", "z"],
-                implies(
-                    And(Atom("prec", (x, y)), Atom("prec", (x, z))),
-                    Equal(y, z),
-                ),
-            ),
-        )
-    )
     for a in sorted(vocab.indefinite):
         arity = vocab.indefinite[a] or 1
         names = _vars(arity)

@@ -371,3 +371,16 @@ class TestGenerate:
             "--seed", "7", "--count", "3",
         )
         assert out == out2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--depth", "-3"), ("--depth", "0"), ("--count", "-2"), ("--count", "0"),
+    ])
+    def test_settings_below_one_exit_two(self, capsys, option, value):
+        code, out, err = run(
+            capsys, "generate",
+            "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
+            option, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert option in err

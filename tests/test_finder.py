@@ -110,9 +110,9 @@ class TestFoslSearch:
         depth = [0]  # dfs recurses: the level's search returns at depth 0
 
         class Counted(_FoslSpace):
-            def __init__(self, vocab, f, n, m, symmetry, deadline):
+            def __init__(self, vocab, f, n, m, symmetry, deadline, prec_cells):
                 built.append((n, m))
-                super().__init__(vocab, f, n, m, symmetry, deadline)
+                super().__init__(vocab, f, n, m, symmetry, deadline, prec_cells)
 
             def dfs(self, deadline):
                 depth[0] += 1
@@ -754,9 +754,9 @@ class TestSortSplit:
         levels = []
 
         class Counted(_FoslSpace):
-            def __init__(self, vocab, f, n, m, symmetry, deadline):
+            def __init__(self, vocab, f, n, m, symmetry, deadline, prec_cells):
                 levels.append((n, m))
-                super().__init__(vocab, f, n, m, symmetry, deadline)
+                super().__init__(vocab, f, n, m, symmetry, deadline, prec_cells)
 
         monkeypatch.setattr(finder, "_FoslSpace", Counted)
         vocab, f = self.hard_translation()
@@ -795,27 +795,46 @@ class TestSortSplit:
         find_fosl_model(vocab, g, bounds)
         assert calls == []
 
-    def test_split_outcomes_match_unsplit_search(self, monkeypatch):
+    # the corpus at domain 3, and the six equisat_hard sentences
+    # (bench/data/equisat_hard.json) at domain 4, the level they exhaust
+    @pytest.mark.parametrize("seeds, domain, outcomes", [
+        (range(60), 3, {ModelFound, ExhaustedUnsat}),
+        ((1272, 1878, 333, 2746, 672, 167), 4, {ExhaustedUnsat}),
+    ], ids=["corpus", "hard"])
+    def test_split_outcomes_match_unsplit_search(self, seeds, domain, outcomes, monkeypatch):
+        # the split search holds prec as value cells and drops axioms 4-6;
+        # the unsplit one, without symmetry reduction, keeps the bits
         calls = self.count_splits(monkeypatch)
+        flat = []
+        init = _FoslSpace.__init__
+
+        def recorded(space, *args, **kwargs):
+            init(space, *args, **kwargs)
+            flat.append(space.prec_cells)
+
+        monkeypatch.setattr(_FoslSpace, "__init__", recorded)
         vocab = corpus_vocab()
         trans_vocab = translated_vocabulary(vocab)
-        on = Bounds(max_domain=3, max_precisifications=2, timeout=60)
-        off = Bounds(max_domain=3, max_precisifications=2, timeout=60,
+        on = Bounds(max_domain=domain, max_precisifications=2, timeout=60)
+        off = Bounds(max_domain=domain, max_precisifications=2, timeout=60,
                      symmetry_reduction=False)
         seen = set()
         splitting = 0
-        for seed in range(40):
+        for seed in seeds:
             f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
             calls.clear()
+            flat.clear()
             split = find_fosl_model(trans_vocab, f, on)
             splitting += bool(calls)
+            assert all(flat), seed
             calls.clear()
+            flat.clear()
             plain = find_fosl_model(trans_vocab, f, off)
-            assert not calls, seed
+            assert not calls and not any(flat), seed
             assert type(split) == type(plain), seed
             seen.add(type(split))
-        assert seen == {ModelFound, ExhaustedUnsat}
-        assert splitting > 30
+        assert seen == outcomes
+        assert splitting > 0.75 * len(seeds)
 
     @pytest.mark.parametrize("entities, individuals", [(1, 2), (2, 1)])
     def test_backward_outcome_same_with_and_without_lnh(self, entities, individuals):
@@ -882,6 +901,84 @@ class TestSortSplit:
                     verdicts["beyond"] += 1
         assert min(verdicts.values()) > 0, verdicts
 
+    def test_flattened_prec_is_a_total_function(self, monkeypatch):
+        # every model has two individuals whose precise versions swap
+        # between two precisifications: a is a Shape at one and b at the
+        # other, so prec is decided per individual and precisification
+        vocab = make_v1_vocabulary(["K"], {}, {"Shape": 1}, ["a", "b"], [])
+        f = parse_formula("<*>(Shape(a) & !Shape(b)) & <*>(!Shape(a) & Shape(b))", vocab)
+        found = []  # (prec_cells, model) per materialized model
+        materialize = _FoslSpace.materialize
+
+        def recorded(space):
+            model = materialize(space)
+            found.append((space.prec_cells, model))
+            return model
+
+        monkeypatch.setattr(_FoslSpace, "materialize", recorded)
+        report = equisat_check(vocab, f, CORPUS_BOUNDS)
+        assert report.agreement == "sat"
+        assert [flat for flat, _ in found] == [True]
+        model = found[0][1]
+        assert report.directions[1].model == fosl_structure_to_dict(model)
+        assert naive_is_model(model, full_translation(f, vocab, strict_names=True))
+        images = {}
+        for pi in model.precisifications:
+            table = model.interpretation[pi].predicates
+            ind = {row[0] for row in table["ind"]}
+            ext = {row[0] for row in table["ext"]}
+            pairs = table["prec"]
+            assert {x for x, _ in pairs} == ind and len(pairs) == len(ind)
+            assert all(y in ext for _, y in pairs)
+            images[pi] = dict(pairs)
+        moved = [x for x in ind if len({images[pi][x] for pi in images}) > 1]
+        assert len(moved) >= 2
+
+    @pytest.mark.parametrize("seed", [167, 1044, 42])
+    def test_valid_memos_with_prec_cells(self, seed):
+        # TestMemoInvariant's random walk on a space with prec's value
+        # cells, in short rounds at a random split each: a new split moves
+        # where the entities start, which every prec atom reads
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
+        checked = []
+        scan = space._scan
+
+        def checked_scan():
+            result = scan()
+            checked.append(TestMemoInvariant.check_memos(space))
+            return result
+
+        space._scan = checked_scan
+        rng = random.Random(seed)
+        function_cells = 0  # assigned or forced
+        for _ in range(40):
+            r = rng.randint(1, 3)
+            sorts = space.split(("ind", "ext"), r)
+            steps: list[list[tuple]] = []
+            for _ in range(rng.randint(1, 8)):
+                open_cells = list(TestMemoInvariant.cells(space))
+                open_cells += [("f", "prec", pi, i) for pi in range(space.m) for i in range(r)
+                               if space.prec_val[pi][i] is None]
+                if not open_cells:
+                    break
+                cell = rng.choice(open_cells)
+                space.assign(cell, rng.choice(space.branch_values(cell)))
+                assigned = [cell]
+                v, _ = space.propagate(assigned)
+                steps.append(assigned)
+                function_cells += sum(c[0] == "f" for c in assigned)
+                if v == _F:
+                    break
+            for step in reversed(steps):
+                for cell in reversed(step):
+                    space.unassign(cell)
+            for cell in reversed(sorts):
+                space.unassign(cell)
+        assert len(checked) > 100 and sum(checked) > 1000
+        assert function_cells > 0
+
     def test_constant_values_per_block(self):
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
@@ -899,6 +996,24 @@ class TestSortSplit:
         space.unassign(("p", "Kind", 1, 3))
         assert space.branch_values(cell) == (0, 2)
 
+    def test_function_cell_values_per_block(self):
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
+        space = _FoslSpace(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
+        assert "prec" not in space.pred_bits
+        space.split(("ind", "ext"), 3)
+        constant, function = ("c", "n", 0), ("f", "prec", 1, 0)
+        # a function cell takes the entity block's values only
+        assert space.branch_values(constant) == (0, 3)
+        assert space.branch_values(function) == (3,)
+        # a decision names both the individual and its precise version
+        space.decide(("f", "prec", 0, 1), 4)
+        assert space.branch_values(constant) == (0, 1, 2, 3, 4)
+        assert space.branch_values(function) == (3, 4)
+        space.unassign(("f", "prec", 0, 1))
+        assert space.branch_values(constant) == (0, 3)
+        assert space.prec_val[0][1] is None
+
     @staticmethod
     def expected_choices(space, decisions):
         # from scratch: every element a decision on the current path
@@ -907,6 +1022,10 @@ class TestSortSplit:
         for cell in decisions:
             if cell[0] == "c":
                 mentioned.add(space.const_val[cell[1:]])
+            elif cell[0] == "f":
+                # a function cell names its individual and its value
+                mentioned.add(cell[3])
+                mentioned.add(space.prec_val[cell[2]][cell[3]])
             elif cell[0] == "p":
                 rank = cell[3]
                 for _ in range(space.preds[cell[1]]):
@@ -918,17 +1037,25 @@ class TestSortSplit:
             out.extend(range(lo, min(top + 1, hi - 1) + 1))
         return tuple(out)
 
-    @pytest.mark.parametrize("seed", [167, 42])
-    def test_search_keeps_block_values_in_step(self, seed, monkeypatch):
+    # seed 167 decides prec's function cells (78 decisions at domain 5);
+    # every one seed 42 meets is forced, and it needs domain 6 for the
+    # checks to stay many now that prec's bits and axioms 4-6 are gone
+    @pytest.mark.parametrize("seed, domain, decides_functions",
+                             [(167, 5, True), (42, 6, False)], ids=["167", "42"])
+    def test_search_keeps_block_values_in_step(self, seed, domain, decides_functions,
+                                               monkeypatch):
         checked = []
         decisions = []  # the decided cells on the current path
+        function_decisions = 0
         for name in ("assign", "decide", "unassign"):
             method = getattr(_FoslSpace, name)
 
             def checked_method(space, cell, *args, _name=name, _method=method):
+                nonlocal function_decisions
                 _method(space, cell, *args)
                 if _name == "decide":
                     decisions.append(cell)
+                    function_decisions += cell[0] == "f"
                 elif _name == "unassign" and decisions and decisions[-1] == cell:
                     decisions.pop()
                 assert space.choices == self.expected_choices(space, decisions)
@@ -937,8 +1064,8 @@ class TestSortSplit:
             monkeypatch.setattr(_FoslSpace, name, checked_method)
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
-        # level n=4 is the one the equisat_hard sentences exhaust; n=5
-        # keeps the checks many now that no block is empty
-        bounds = Bounds(max_domain=5, max_precisifications=2, timeout=60)
+        # level n=4 is the one the equisat_hard sentences exhaust
+        bounds = Bounds(max_domain=domain, max_precisifications=2, timeout=60)
         find_fosl_model(translated_vocabulary(vocab), f, bounds)
         assert checked.count(2) > 1000
+        assert (function_decisions > 0) == decides_functions

@@ -1,3 +1,5 @@
+import pytest
+
 from splogic import (
     And,
     Atom,
@@ -83,6 +85,15 @@ class TestFormulaGenerator:
     def test_free_variable_request(self):
         f = generate_formula(FOSL_VOCAB, 3, 3, free_vars=("x",))
         validate_formula(f, FOSL_VOCAB)
+
+    @pytest.mark.parametrize("depth", [0, -3, True, 2.0, "4", None])
+    def test_invalid_depth_rejected(self, depth):
+        with pytest.raises(ValueError):
+            generate_formula(FOSL_VOCAB, 0, depth)
+
+    def test_depth_one_has_a_compound_root(self):
+        for seed in range(50):
+            assert not isinstance(generate_formula(FOSL_VOCAB, seed, 1), (Atom, Equal))
 
 
 class TestStructureGenerators:
