@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import SplError
+from .errors import SplError, VocabularyError, check_shape
 from .finder import (
     Bounds,
     ExhaustedUnsat,
@@ -59,9 +59,15 @@ def read_formula_file(path: str) -> str:
     return " ".join(line.strip() for line in lines).strip()
 
 
+# symbol lists and arity tables; make_*_vocabulary checks the arities
+_VOCAB_SHAPE = {**dict.fromkeys(("constants", "sortals", "names", "standpoints"), [str]),
+                **dict.fromkeys(("predicates", "indefinite", "precise"), {str: None})}
+
+
 def load_vocabulary(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    check_shape(data, _VOCAB_SHAPE, VocabularyError, "vocabulary")
     logic = data.get("logic")
     if logic == "fosl":
         return make_fosl_vocabulary(
@@ -148,12 +154,12 @@ def cmd_solve(args) -> int:
     if args.flavor == "fosl":
         if not isinstance(vocab, FoslVocabulary):
             raise SplError("--flavor fosl requires a fosl vocabulary")
-        outcome = find_fosl_model(vocab, f, bounds, workers=args.workers)
+        outcome = find_fosl_model(vocab, f, bounds)
         to_dict = fosl_structure_to_dict
     else:
         if not isinstance(vocab, V1Vocabulary):
             raise SplError("--flavor v1 requires a v1 vocabulary")
-        outcome = find_v1_model(vocab, f, bounds, workers=args.workers)
+        outcome = find_v1_model(vocab, f, bounds)
         to_dict = v1_structure_to_dict
     if isinstance(outcome, ModelFound):
         print(f"sat ({outcome.elapsed:.2f}s)")
@@ -175,7 +181,7 @@ def cmd_equisat(args) -> int:
         raise SplError("equisat requires a v1 vocabulary")
     f = parse_formula(read_formula_file(args.formula), vocab)
     bounds = parse_bounds(args.bounds, args.timeout, args.no_symmetry)
-    report = equisat_check(vocab, f, bounds, workers=args.workers)
+    report = equisat_check(vocab, f, bounds)
     data = report.to_dict()
     if args.out:
         # found models go to sidecar files; the report references them
@@ -232,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--timeout", type=float, default=60.0,
                            help="seconds per search")
             p.add_argument("--no-symmetry", action="store_true",
-                           help="disable symmetry reduction")
-            p.add_argument("--workers", type=int, default=None,
-                           help="worker count, must be positive; every search runs "
-                                "serially in one thread (default: SPL_THREADS or 1)")
+                           help="disable symmetry reduction; the v1 search does not read it")
 
     p = sub.add_parser("check", help="evaluate a formula against a model file")
     p.add_argument("--formula", required=True)
@@ -281,10 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SplError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (SplError, OSError, ValueError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RecursionError:

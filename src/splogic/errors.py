@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 
 
 class SplError(Exception):
@@ -52,6 +53,29 @@ class AxiomViolationError(SplError):
     def __init__(self, message: str, axiom_label: str):
         super().__init__(message)
         self.axiom_label = axiom_label
+
+
+def check_shape(value, shape, error: type[SplError], where: str) -> None:
+    """Raise error unless a value read from JSON has the given shape.
+    None takes anything, str a string, [item] a list of items, and {str:
+    item} an object of items under any keys; any other dict is an object
+    whose listed keys, where present, have their own shapes."""
+    if shape is None:
+        return
+    if shape is str:
+        if not isinstance(value, str):
+            raise error(f"{where} must be a string, not {type(value).__name__}")
+    elif isinstance(shape, list):
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{where} must be a list, not {type(value).__name__}")
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], error, f"{where}[{i}]")
+    elif not isinstance(value, Mapping):
+        raise error(f"{where} must be an object, not {type(value).__name__}")
+    else:
+        for key, item in value.items():
+            check_shape(item, shape[str] if str in shape else shape.get(key), error,
+                        f"{where}.{key}")
 
 
 def nesting_guard(fn):

@@ -17,17 +17,13 @@ _Space); each supplies its universal quantifier and tables, V1 also its
 atoms over precise entities.  An unknown result names as its blocking
 cell the first unset cell read by a subformula it depends on: a
 subformula that turns out decided leaves no trace.  Every search runs
-serially in the calling thread: the worker count (argument or
-SPL_THREADS) is validated and otherwise ignored, since CPU-bound search
-gains nothing from threads under the GIL, so outcomes are the same
-whatever its value.
+serially in the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -75,7 +71,9 @@ _F, _T, _U = 0, 1, 2  # three-valued: false / true / unknown
 @dataclass(frozen=True)
 class Bounds:
     """Search limits.  Domain/entity/individual maxima and the
-    precisification maximum are inclusive; the timeout is per search."""
+    precisification maximum are inclusive; the timeout is per search.
+    find_v1_model does not read symmetry_reduction: its registries are
+    already distinct extension maps in lexicographic order."""
 
     max_domain: int = 3
     max_precisifications: int = 2
@@ -123,24 +121,6 @@ class SearchTimeout:
 
 
 SearchOutcome = Union[ModelFound, ExhaustedUnsat, SearchTimeout]
-
-
-def _check_workers(workers: int | None) -> None:
-    """Reject a worker count (argument, else SPL_THREADS) below 1; the
-    search is serial whatever the count."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {workers!r}")
-        return
-    env = os.environ.get("SPL_THREADS")
-    if not env:
-        return
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"SPL_THREADS must be a positive integer, got {env!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +263,10 @@ class _Space:
     to self.reads: ("p", pred, env slots) for an atom over variables
     only, ("p", pred) for any other, ("c", name) and ("s", sp).  A bound
     variable takes an env slot above every slot in scope (_bind), so a
-    rebound variable never overwrites the one it shadows.
+    rebound variable never overwrites the one it shadows.  The walk also
+    sets self.varies when the value may depend on the precisification:
+    outside every box, an atom, a constant or a universal over a domain
+    that varies with it (V1's _quantify) reads the evaluation point.
 
     Compiled closures fn(pi, env) return a three-valued int.  An unset
     cell read is reported through _note: if no cell is recorded yet, it
@@ -365,6 +348,7 @@ class _Space:
 
     def _compile(self, f: Formula, slots: dict[str, int]):
         if isinstance(f, Atom):
+            self.varies = True
             resolvers = [self._compile_term(t, slots) for t in f.args]
             arrays = self._table(f.pred, len(f.args))
             if arrays is None:
@@ -434,7 +418,9 @@ class _Space:
             inner = self._bind(slots, f.var)
             return self._quantify(inner[f.var], self._compile(f.body, inner))
         if isinstance(f, Box):
+            varies = self.varies
             child = self._compile(f.body, slots)
+            self.varies = varies  # the box requantifies the precisification
             sp = f.standpoint
             m = self.m
             if sp == UNIVERSAL_STANDPOINT:
@@ -483,6 +469,7 @@ class _Space:
         if isinstance(t, Var):
             slot = slots[t.name]
             return lambda pi, env: env[slot]
+        self.varies = True
         name = t.name
         self.reads.add(("c", name))
         vals = self.const_val
@@ -612,6 +599,7 @@ class _FoslSpace(_Space):
             for v in qvars:
                 slots = self._bind(slots, v)
             self.reads: set[tuple] = set()
+            self.varies = False
             fn = self._compile(rebuilt, slots)
             wide: set[tuple] = set()
             exact: list[tuple[str, str, tuple[int, ...]]] = []
@@ -620,7 +608,7 @@ class _FoslSpace(_Space):
                     exact.append(key)
                 else:
                     wide.add(key[:2])
-            indep = _is_pi_independent(rebuilt)
+            indep = not self.varies
             for combo in itertools.product(range(n), repeat=len(qvars)):
                 ci = len(self.conjuncts)
                 self.conjuncts.append(fn)
@@ -977,9 +965,8 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps, functio
     so fixed (split), each block [0, r), [r, n) with its own least-number
     heuristic, instead of branching on the sort cells through every
     permutation of the same split; a level that no r fits, such as n = 1
-    when both floors are 1, is unsat without a space, and a one-element
-    level is searched unsplit.  Otherwise the level is one search over
-    every cell.
+    when both floors are 1, is unsat without a space.  Otherwise the
+    level is one search over every cell.
 
     caps, the most ext and ind elements a model may have, also bound r
     and split the level in both symmetry modes.
@@ -1001,12 +988,12 @@ def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps, functio
         sizes = range(low, high + 1)
         if not sizes:
             return ("unsat",)
-    prec_cells = functional and sizes is not None and n >= 2
+    prec_cells = functional and sizes is not None
     try:
         space = _FoslSpace(vocab, f, n, m, symmetry, deadline, prec_cells)
     except _DeadlinePassed:
         return ("timeout",)
-    if sizes is not None and n >= 2 and all(space.preds.get(p) == 1 for p in _SORTS):
+    if sizes is not None and all(space.preds.get(p) == 1 for p in _SORTS):
         for r in sizes:
             cells = space.split(_SORTS, r)
             result = space.dfs(deadline)
@@ -1050,9 +1037,7 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
 
 
 @nesting_guard
-def find_fosl_model(
-    vocab: FoslVocabulary, f: Formula, bounds: Bounds, workers: int | None = None
-) -> SearchOutcome:
+def find_fosl_model(vocab: FoslVocabulary, f: Formula, bounds: Bounds) -> SearchOutcome:
     """Search for a standpoint structure making f globally true, growing
     the domain and precisification count from 1 up to the bounds.  When
     f has bridge axioms 1 and 2 among its top-level conjuncts, as a full
@@ -1063,7 +1048,6 @@ def find_fosl_model(
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
-    _check_workers(workers)
     return _search_fosl(vocab, f, bounds)
 
 
@@ -1111,9 +1095,12 @@ class _V1Space(_Space):
         self.culprit: tuple | None = None
         self.env: list[int] = []
         self.reads: set[tuple] = set()  # unused: this space keeps no memos
-        parts = conjuncts(_level_formula(f, m))
-        self.pi_indep = [_is_pi_independent(c, domain_varies=True) for c in parts]
-        self.conjuncts = [self._compile(c, {}) for c in parts]
+        self.conjuncts: list = []
+        self.pi_indep: list[bool] = []
+        for part in conjuncts(_level_formula(f, m)):
+            self.varies = False
+            self.conjuncts.append(self._compile(part, {}))
+            self.pi_indep.append(not self.varies)
         self.status = [[_U] * m for _ in self.conjuncts]
         self.trail: list[list[tuple[int, int]]] = [[]]
 
@@ -1144,6 +1131,7 @@ class _V1Space(_Space):
     def _quantify(self, slot: int, child):
         # the universal ranges over the individuals some sortal admits at
         # pi; a false body counts only once its individual is admitted
+        self.varies = True
         r = self.r
         member3 = self.member3
 
@@ -1325,9 +1313,7 @@ def _registry_combos(ne: int, m: int, r: int):
 
 
 @nesting_guard
-def find_v1_model(
-    vocab: V1Vocabulary, f: Formula, bounds: Bounds, workers: int | None = None
-) -> SearchOutcome:
+def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutcome:
     """Search for a variable reference structure making f globally true.
 
     Entity counts, precisification counts and registry sizes grow from the
@@ -1338,7 +1324,6 @@ def find_v1_model(
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
-    _check_workers(workers)
     start = time.monotonic()
     deadline = start + bounds.timeout
     min_r = 1 if vocab.names else 0
@@ -1350,29 +1335,6 @@ def find_v1_model(
         for result in _search_level_v1(vocab, f, ne, m, r, deadline)
     )
     return _first_outcome(results, bounds, start)
-
-
-def _is_pi_independent(f: Formula, domain_varies: bool = False) -> bool:
-    """True when f's value cannot depend on the evaluation point: boxes
-    requantify the precisification, variables are rigid, and only atoms
-    and constants read the current interpretation.  With domain_varies
-    (the V1 case) quantifier ranges follow the precisification, so a
-    universal counts as dependent."""
-    if isinstance(f, Box):
-        return True
-    if isinstance(f, Atom):
-        return False
-    if isinstance(f, Equal):
-        return isinstance(f.left, Var) and isinstance(f.right, Var)
-    if isinstance(f, Not):
-        return _is_pi_independent(f.body, domain_varies)
-    if isinstance(f, And):
-        return _is_pi_independent(f.left, domain_varies) and _is_pi_independent(
-            f.right, domain_varies
-        )
-    if isinstance(f, Forall):
-        return not domain_varies and _is_pi_independent(f.body, domain_varies)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1429,12 +1391,7 @@ def _outcome_name(result: SearchOutcome) -> str:
 
 
 @nesting_guard
-def equisat_check(
-    vocab: V1Vocabulary,
-    f: Formula,
-    bounds: Bounds,
-    workers: int | None = None,
-) -> EquisatReport:
+def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatReport:
     """Test a sentence and its translation on both sides of the
     correspondence.
 
@@ -1472,7 +1429,7 @@ def equisat_check(
     counterexample = None
 
     t0 = time.monotonic()
-    v1_result = find_v1_model(vocab, f, bounds, workers)
+    v1_result = find_v1_model(vocab, f, bounds)
     v1_dir = DirectionOutcome(
         direction="v1",
         outcome=_outcome_name(v1_result),

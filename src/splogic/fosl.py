@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EvaluationError, ModelFormatError, nesting_guard
+from .errors import EvaluationError, ModelFormatError, check_shape, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -439,16 +439,20 @@ def is_model(m: FoslStructure, f: Formula) -> bool:
 # JSON model files
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"domain", "precisifications", "sigma", "interpretation"}
+_SHAPE = {
+    "domain": [str],
+    "precisifications": [str],
+    "sigma": {str: [str]},
+    "interpretation": {str: {"predicates": {str: [[str]]}, "constants": {str: str}}},
+}
 
 
 def fosl_structure_from_dict(data: Mapping) -> FoslStructure:
-    if not isinstance(data, Mapping):
-        raise ModelFormatError("model file must contain a JSON object")
-    unknown = set(data) - _TOP_KEYS
+    check_shape(data, _SHAPE, ModelFormatError, "model")
+    unknown = set(data) - _SHAPE.keys()
     if unknown:
         raise ModelFormatError(f"unknown top-level key(s) {sorted(unknown)}")
-    missing = _TOP_KEYS - {"sigma"} - set(data)
+    missing = _SHAPE.keys() - {"sigma"} - set(data)
     if missing:
         raise ModelFormatError(f"missing required key(s) {sorted(missing)}")
     return make_fosl_structure(

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EvaluationError, ModelFormatError, nesting_guard
+from .errors import EvaluationError, ModelFormatError, check_shape, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -72,9 +72,10 @@ def make_v1_structure(
 ) -> V1Structure:
     """Normalize and validate a variable reference structure.
 
-    With strict_names (the loader default) every name must denote a member
-    of the quantifier domain at each precisification; lowered structures
-    relax this, since the bridge axioms do not constrain constants.
+    With strict_names (the JSON loader always sets it) every name must
+    denote a member of the quantifier domain at each precisification;
+    lowered structures relax this, since the bridge axioms do not
+    constrain constants.
     """
     ents = tuple(entities)
     precs = tuple(precisifications)
@@ -316,22 +317,21 @@ def is_model_v1(m: V1Structure, f: Formula) -> bool:
 # JSON model files
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "entities",
-    "precisifications",
-    "sigma",
-    "individuals",
-    "sortals",
-    "indefinite",
-    "precise",
-    "names",
+_SHAPE = {
+    "entities": [str],
+    "precisifications": [str],
+    "sigma": {str: [str]},
+    "individuals": {str: {str: str}},
+    "sortals": {str: {str: [str]}},
+    "indefinite": {str: {str: [[str]]}},
+    "precise": {str: [[str]]},
+    "names": {str: {str: str}},
 }
 
 
-def v1_structure_from_dict(data: Mapping, strict_names: bool = True) -> V1Structure:
-    if not isinstance(data, Mapping):
-        raise ModelFormatError("model file must contain a JSON object")
-    unknown = set(data) - _TOP_KEYS
+def v1_structure_from_dict(data: Mapping) -> V1Structure:
+    check_shape(data, _SHAPE, ModelFormatError, "model")
+    unknown = set(data) - _SHAPE.keys()
     if unknown:
         raise ModelFormatError(f"unknown top-level key(s) {sorted(unknown)}")
     required = {"entities", "precisifications", "individuals", "sortals"}
@@ -347,7 +347,6 @@ def v1_structure_from_dict(data: Mapping, strict_names: bool = True) -> V1Struct
         data.get("indefinite", {}),
         data.get("precise", {}),
         data.get("names", {}),
-        strict_names=strict_names,
     )
 
 

@@ -1,9 +1,11 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from splogic.cli import main
+from splogic.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -197,33 +199,17 @@ class TestSolve:
         assert code == 1
         assert out.startswith("unsat within bounds")
 
-    def test_bad_thread_setting_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPL_THREADS", "abc")
-        code, _, err = run(
-            capsys, "solve",
-            "--formula", str(FIXTURES / "formula_a.txt"),
-            "--vocab", str(FIXTURES / "desert_fosl_vocab.json"),
-            "--flavor", "fosl",
-            "--bounds", "3,2",
-        )
-        assert code == 2
-        assert "SPL_THREADS" in err
-
-    def test_non_positive_workers_exit_two(self, capsys):
-        for flavor, formula, vocab in (
-            ("fosl", "formula_a.txt", "desert_fosl_vocab.json"),
-            ("v1", "formula_c.txt", "desert_v1_vocab.json"),
-        ):
-            code, _, err = run(
-                capsys, "solve",
-                "--formula", str(FIXTURES / formula),
-                "--vocab", str(FIXTURES / vocab),
-                "--flavor", flavor,
-                "--bounds", "3,2",
-                "--workers", "-3",
-            )
-            assert code == 2
-            assert "workers" in err
+    def test_workers_option_is_gone(self, capsys):
+        # every search runs serially in one thread; there is no worker
+        # count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["solve",
+                  "--formula", str(FIXTURES / "formula_a.txt"),
+                  "--vocab", str(FIXTURES / "desert_fosl_vocab.json"),
+                  "--flavor", "fosl",
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_v1_solve(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
@@ -384,3 +370,58 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert option in err
+
+
+class TestJsonTypes:
+    """A model or vocabulary file with a value of the wrong JSON type is
+    invalid input (exit 2), never "not a model" (exit 1)."""
+
+    @pytest.mark.parametrize("flavor, fixture, formula, path, value", [
+        ("fosl", "m0.json", "P(c)", ("interpretation", "p1"), []),
+        ("fosl", "m0.json", "P(c)", ("interpretation", "p1", "constants", "c"), ["d1"]),
+        ("fosl", "m0.json", "P(c)", ("domain",), "d1d2"),
+        ("v1", "v0.json", "Desert(a)", ("sortals", "p1"), ["Building"]),
+    ], ids=["interpretation-list", "constant-list", "domain-string", "sortals-list"])
+    def test_model_exits_two(self, capsys, tmp_path, flavor, fixture, formula, path, value):
+        data = json.loads((FIXTURES / fixture).read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        f = tmp_path / "f.txt"
+        f.write_text(formula + "\n")
+        code, _, err = run(capsys, "check", "--formula", str(f), "--model", str(model),
+                           "--flavor", flavor)
+        assert code == 2
+        assert "must be a" in err
+
+    @pytest.mark.parametrize("vocab", [[], {"logic": "v1", "sortals": "Kind"}],
+                             ids=["list", "sortals-string"])
+    def test_vocabulary_exits_two(self, capsys, tmp_path, vocab):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(vocab))
+        code, _, err = run(capsys, "monodic", "--formula", str(FIXTURES / "formula_c.txt"),
+                           "--vocab", str(path))
+        assert code == 2
+        assert "must be a" in err
+
+
+class TestReadme:
+    def test_synopsis_matches_parser(self):
+        # each command line of the README's "Command line" block lists
+        # exactly the options build_parser gives that subcommand
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        listed = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            listed[line.split()[1]] = set(re.findall(r"--[a-z-]+", line))
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        actual = {
+            name: {option for action in sub._actions for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert listed == actual

@@ -212,24 +212,22 @@ class TestV1Search:
     def test_timeout_holds(self):
         # tens of thousands of registries per level: the deadline must stop
         # the enumeration, not only the search inside one registry.  The
-        # two timeouts end in different levels; workers=2 must not change
-        # that, since the search is serial whatever the worker count.
+        # two timeouts end in different levels.
         vocab = corpus_vocab()
         f = parse_formula("Attr(n) & !Attr(n)", vocab)
-        for timeout, workers in ((1.0, 1), (2.0, 1), (1.0, 2)):
+        for timeout in (1.0, 2.0):
             bounds = Bounds(max_entities=5, max_precisifications=3,
                             max_individuals=5, timeout=timeout)
             start = time.monotonic()
-            outcome = find_v1_model(vocab, f, bounds, workers=workers)
+            outcome = find_v1_model(vocab, f, bounds)
             assert isinstance(outcome, SearchTimeout)
             assert outcome.elapsed < timeout + 0.5
             assert time.monotonic() - start < timeout + 0.5
 
     def test_pool_stops_drawing_tasks_at_the_deadline(self, monkeypatch):
         # a fake clock passes the deadline while the fifth registry is
-        # drawn; the search checks the deadline before building each
-        # registry's space, so it draws no more (the bound allows up to
-        # `workers` more)
+        # drawn; the search checks the deadline before searching each
+        # registry, so it draws no more
         clock = [0.0]
         monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         draws = []
@@ -247,9 +245,9 @@ class TestV1Search:
         f = parse_formula("Attr(n) & !Attr(n)", vocab)
         bounds = Bounds(max_entities=5, max_precisifications=3, max_individuals=5,
                         timeout=1.0)
-        outcome = find_v1_model(vocab, f, bounds, workers=2)
+        outcome = find_v1_model(vocab, f, bounds)
         assert isinstance(outcome, SearchTimeout)
-        assert 5 <= len(draws) <= 5 + 2
+        assert len(draws) == 5
 
     def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
         f = parse_formula("Desert(house)", desert_v1_vocab)
@@ -415,44 +413,28 @@ class TestMicroCompleteness:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fosl_outcome_independent_of_worker_count(
-        self, desert_fosl_vocab, formula_a, workers
-    ):
-        outcome = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS,
-                                  workers=workers)
-        assert isinstance(outcome, ModelFound)
-        baseline = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS,
-                                   workers=1)
-        assert fosl_structure_to_dict(outcome.structure) == fosl_structure_to_dict(
-            baseline.structure
-        )
+    @staticmethod
+    def fingerprint(outcome, to_dict):
+        if isinstance(outcome, ModelFound):
+            return to_dict(outcome.structure)
+        return type(outcome).__name__
 
-    def test_random_batch_identical_across_worker_counts(self, desert_fosl_vocab):
-        for seed in range(12):
-            f = generate_formula(desert_fosl_vocab, seed, 3)
-            results = []
-            for workers in (1, 2, 4):
-                outcome = find_fosl_model(desert_fosl_vocab, f, DESERT_BOUNDS,
-                                          workers=workers)
-                if isinstance(outcome, ModelFound):
-                    results.append(("sat", fosl_structure_to_dict(outcome.structure)))
-                else:
-                    results.append((type(outcome).__name__,))
-            assert results[0] == results[1] == results[2]
+    def test_fosl_runs_repeat(self, desert_fosl_vocab, formula_a):
+        formulas = [formula_a] + [generate_formula(desert_fosl_vocab, seed, 3)
+                                  for seed in range(12)]
+        runs = [[self.fingerprint(find_fosl_model(desert_fosl_vocab, f, DESERT_BOUNDS),
+                                  fosl_structure_to_dict) for f in formulas]
+                for _ in range(2)]
+        assert isinstance(runs[0][0], dict)
+        assert runs[0] == runs[1]
 
-    def test_v1_batch_identical_across_worker_counts(self, desert_v1_vocab):
+    def test_v1_runs_repeat(self, desert_v1_vocab):
         bounds = Bounds(max_entities=2, max_individuals=2, timeout=120)
-        for seed in range(8):
-            f = generate_formula(desert_v1_vocab, seed, 3)
-            results = []
-            for workers in (1, 2, 4):
-                outcome = find_v1_model(desert_v1_vocab, f, bounds, workers=workers)
-                if isinstance(outcome, ModelFound):
-                    results.append(v1_structure_to_dict(outcome.structure))
-                else:
-                    results.append(type(outcome).__name__)
-            assert results[0] == results[1] == results[2]
+        formulas = [generate_formula(desert_v1_vocab, seed, 3) for seed in range(8)]
+        runs = [[self.fingerprint(find_v1_model(desert_v1_vocab, f, bounds),
+                                  v1_structure_to_dict) for f in formulas]
+                for _ in range(2)]
+        assert runs[0] == runs[1]
 
     # equisat reports on corpus sentences (seed 167 is a hard unsat one)
     # and V1 searches, printed without their elapsed fields
@@ -501,36 +483,14 @@ for seed in range(20, 25):
 
             monkeypatch.setattr(cls, "dfs", counted)
         before = threading.active_count()
-        fosl = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS, workers=4)
+        fosl = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS)
         searched = len(counts)
         f = generate_formula(desert_v1_vocab, 0, 3)
         find_v1_model(desert_v1_vocab, f, Bounds(max_entities=2, max_individuals=2,
-                                                 timeout=120), workers=4)
+                                                 timeout=120))
         assert isinstance(fosl, ModelFound)
         assert 0 < searched < len(counts)
         assert set(counts) == {before}
-
-    def test_env_variable_caps_workers(self, desert_fosl_vocab, formula_a, monkeypatch):
-        monkeypatch.setenv("SPL_THREADS", "3")
-        outcome = find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS)
-        assert isinstance(outcome, ModelFound)
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_non_positive_workers_rejected(self, desert_fosl_vocab, formula_a, workers):
-        with pytest.raises(ValueError, match="workers"):
-            find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS, workers=workers)
-        vocab = corpus_vocab()
-        with pytest.raises(ValueError, match="workers"):
-            find_v1_model(vocab, parse_formula("Attr(n)", vocab), CORPUS_BOUNDS,
-                          workers=workers)
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_env_variable_rejects_bad_value(
-        self, desert_fosl_vocab, formula_a, value, monkeypatch
-    ):
-        monkeypatch.setenv("SPL_THREADS", value)
-        with pytest.raises(ValueError, match="SPL_THREADS"):
-            find_fosl_model(desert_fosl_vocab, formula_a, DESERT_BOUNDS)
 
 
 class TestMonotonicity:
@@ -769,7 +729,8 @@ class TestSortSplit:
 
     def test_floors_fall_back_without_their_axioms(self, monkeypatch):
         # without the name-typing axiom a model may have no individual
-        # (r = 0), without axiom 5 no entity (r = n)
+        # (r = 0), without axiom 5 no entity (r = n); either way the
+        # one-element level is split like the others
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
         parts = finder.conjuncts(f)
@@ -782,7 +743,35 @@ class TestSortSplit:
             g = conjoin([p for p in parts if p != axiom])
             calls.clear()
             assert isinstance(find_fosl_model(vocab, g, bounds), ExhaustedUnsat)
-            assert calls == [(n, m, r) for n in (2, 3) for m in (1, 2) for r in sizes(n)]
+            assert calls == [(n, m, r) for n in (1, 2, 3) for m in (1, 2) for r in sizes(n)]
+
+    def test_nameless_one_element_level_is_split_with_prec_cells(self, monkeypatch):
+        # without names the ind floor is 0, so the one-element level is
+        # split at r = 0, all entities, and holds prec as value cells.
+        # Seed 3 needs an individual, so it is unsat there at m = 1 and
+        # m = 2; seed 5, forall ?x Shape(?x), holds vacuously there.
+        calls = self.count_splits(monkeypatch)
+        flat = []
+        init = _FoslSpace.__init__
+
+        def recorded(space, *args, **kwargs):
+            init(space, *args, **kwargs)
+            flat.append((space.n, space.prec_cells))
+
+        monkeypatch.setattr(_FoslSpace, "__init__", recorded)
+        vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, [], ["s"])
+        trans_vocab = translated_vocabulary(vocab)
+        bounds = Bounds(max_domain=2, max_precisifications=2, timeout=60)
+        for seed, levels, domain in ((3, 2, 2), (5, 1, 1)):
+            f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+            calls.clear()
+            flat.clear()
+            outcome = find_fosl_model(trans_vocab, f, bounds)
+            assert calls[:levels] == [(1, m, 0) for m in range(1, levels + 1)]
+            assert flat[:levels] == [(1, True)] * levels
+            assert isinstance(outcome, ModelFound)
+            assert naive_is_model(outcome.structure, f)
+            assert len(outcome.structure.domain) == domain
 
     def test_no_split_without_axiom_2(self, monkeypatch):
         calls = self.count_splits(monkeypatch)
