@@ -59,31 +59,36 @@ def read_formula_file(path: str) -> str:
     return " ".join(line.strip() for line in lines).strip()
 
 
-# symbol lists and arity tables; make_*_vocabulary checks the arities
-_VOCAB_SHAPE = {**dict.fromkeys(("constants", "sortals", "names", "standpoints"), [str]),
-                **dict.fromkeys(("predicates", "indefinite", "precise"), {str: None})}
+# the keys of each logic's vocabulary file: symbol lists and arity
+# tables; make_*_vocabulary checks the arities
+_VOCAB_SHAPES = {
+    "fosl": {"logic": str, "predicates": {str: None}, "constants": [str], "standpoints": [str]},
+    "v1": {"logic": str, "sortals": [str], "indefinite": {str: None},
+           "precise": {str: None}, "names": [str], "standpoints": [str]},
+}
 
 
 def load_vocabulary(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    check_shape(data, _VOCAB_SHAPE, VocabularyError, "vocabulary")
+    check_shape(data, {str: None}, VocabularyError, "vocabulary")
     logic = data.get("logic")
+    if logic not in ("fosl", "v1"):  # compared, not hashed: any JSON value
+        raise SplError(f"vocabulary file must declare \"logic\": \"fosl\" or \"v1\", got {logic!r}")
+    check_shape(data, _VOCAB_SHAPES[logic], VocabularyError, "vocabulary")
     if logic == "fosl":
         return make_fosl_vocabulary(
             data.get("predicates", {}),
             data.get("constants", []),
             data.get("standpoints", []),
         )
-    if logic == "v1":
-        return make_v1_vocabulary(
-            data.get("sortals", []),
-            data.get("indefinite", {}),
-            data.get("precise", {}),
-            data.get("names", []),
-            data.get("standpoints", []),
-        )
-    raise SplError(f"vocabulary file must declare \"logic\": \"fosl\" or \"v1\", got {logic!r}")
+    return make_v1_vocabulary(
+        data.get("sortals", []),
+        data.get("indefinite", {}),
+        data.get("precise", {}),
+        data.get("names", []),
+        data.get("standpoints", []),
+    )
 
 
 def parse_bounds(text: str, timeout: float, no_symmetry: bool) -> Bounds:

@@ -59,7 +59,7 @@ def check_shape(value, shape, error: type[SplError], where: str) -> None:
     """Raise error unless a value read from JSON has the given shape.
     None takes anything, str a string, [item] a list of items, and {str:
     item} an object of items under any keys; any other dict is an object
-    whose listed keys, where present, have their own shapes."""
+    whose keys must be among those it lists, each with its own shape."""
     if shape is None:
         return
     if shape is str:
@@ -72,10 +72,14 @@ def check_shape(value, shape, error: type[SplError], where: str) -> None:
             check_shape(item, shape[0], error, f"{where}[{i}]")
     elif not isinstance(value, Mapping):
         raise error(f"{where} must be an object, not {type(value).__name__}")
+    elif str in shape:
+        for key, item in value.items():
+            check_shape(item, shape[str], error, f"{where}.{key}")
     else:
         for key, item in value.items():
-            check_shape(item, shape[str] if str in shape else shape.get(key), error,
-                        f"{where}.{key}")
+            if key not in shape:
+                raise error(f"unknown key {where}.{key}; expected one of {sorted(shape)}")
+            check_shape(item, shape[key], error, f"{where}.{key}")
 
 
 def nesting_guard(fn):

@@ -54,12 +54,12 @@ from .syntax import (
     validate_formula,
 )
 from .translate import (
+    _FIXED_BOXED,
+    _SHARED_AXIOMS,
     _lower,
     admitted_are_individuals,
     full_translation,
     lift_model,
-    prec_axioms,
-    sort_axioms,
     translated_vocabulary,
 )
 from .v1 import V1Structure, is_model_v1, make_v1_structure, v1_structure_to_dict
@@ -134,6 +134,8 @@ def _simplify(f: Formula, m: int) -> tuple:
     with a false body stays a universal over falsity, since a V1
     quantifier range may be empty.  Conjunction members are flattened,
     deduplicated and stably sorted by size, cheap decisive parts first.
+    A subformula that comes out unchanged is the same object, which
+    keeps its hash, not a copy.
 
     One pass: the result comes as a triple (formula or bool, its node
     count, inner), where inner holds the member triples of a
@@ -152,28 +154,9 @@ def _simplify(f: Formula, m: int) -> tuple:
             return not s, 0, None
         if isinstance(s, Not):
             return inner
-        return Not(s), size + 1, body
+        return (f if s is f.body else Not(s)), size + 1, body
     if isinstance(f, And):
-        parts: dict[Formula, tuple] = {}  # first occurrences, in order
-        for g in conjuncts(f):
-            part = _simplify(g, m)
-            s = part[0]
-            if s is False:
-                return False, 0, None
-            if s is True:
-                continue
-            for member in part[2] if isinstance(s, And) else (part,):
-                parts.setdefault(member[0], member)
-        if not parts:
-            return True, 0, None
-        for g in parts:
-            if isinstance(g, Not) and g.body in parts:
-                return False, 0, None
-        if len(parts) == 1:
-            return next(iter(parts.values()))
-        members = sorted(parts.values(), key=lambda part: part[1])  # stable
-        size = len(members) - 1 + sum(part[1] for part in members)
-        return conjoin([part[0] for part in members]), size, members
+        return _conjunction(f, (_simplify(g, m) for g in conjuncts(f)))
     if isinstance(f, Forall):
         s, size, _ = _simplify(f.body, m)
         if s is True:
@@ -181,7 +164,7 @@ def _simplify(f: Formula, m: int) -> tuple:
         if s is False:
             out = Forall(f.var, falsity())
             return out, formula_size(out), None
-        return Forall(f.var, s), size + 1, None
+        return (f if s is f.body else Forall(f.var, s)), size + 1, None
     if isinstance(f, Box):
         body = _simplify(f.body, m)
         s, size, _ = body
@@ -195,15 +178,66 @@ def _simplify(f: Formula, m: int) -> tuple:
         if s is False:
             out = Box(f.standpoint, falsity())  # true iff the standpoint is empty
             return out, formula_size(out), None
-        return Box(f.standpoint, s), size + 1, None
+        return (f if s is f.body else Box(f.standpoint, s)), size + 1, None
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _conjunction(f: And, parts) -> tuple:
+    """The triple (see _simplify) of the conjunction f with its members
+    simplified, given lazily as triples: members flattened, deduplicated
+    and stably sorted by size, and no part simplified after a false one."""
+    members: dict[Formula, tuple] = {}  # first occurrences, in order
+    for part in parts:
+        s = part[0]
+        if s is False:
+            return False, 0, None
+        if s is True:
+            continue
+        for member in part[2] if isinstance(s, And) else (part,):
+            members.setdefault(member[0], member)
+    if not members:
+        return True, 0, None
+    for g in members:
+        if isinstance(g, Not) and g.body in members:
+            return False, 0, None
+    if len(members) == 1:
+        return next(iter(members.values()))
+    ordered = sorted(members.values(), key=lambda part: part[1])  # stable
+    size = len(ordered) - 1 + sum(part[1] for part in ordered)
+    formulas = [part[0] for part in ordered]
+    return (f if _is_chain(f, formulas) else conjoin(formulas)), size, ordered
+
+
+def _is_chain(f: Formula, parts: list) -> bool:
+    """Whether f is conjoin(parts) already, built of these very objects."""
+    for part in parts[:-1]:
+        if f.__class__ is not And or f.left is not part:
+            return False
+        f = f.right
+    return f is parts[-1]
+
+
+# bridge axioms simplified for a precisification count: a full translation
+# shares its axioms with every other of its vocabulary (see
+# translate._bridge_axioms), so each is simplified once per m; room for
+# the axioms of a few vocabularies at m = 1, 2
+_simplify_shared = functools.lru_cache(maxsize=64)(_simplify)
 
 
 @functools.lru_cache(maxsize=8)
 def _level_formula(f: Formula, m: int) -> Formula:
     """The formula specialized to a level with m precisifications; the
-    levels of one search share it for each m."""
-    s = _simplify(f, m)[0]
+    levels of one search share it for each m.  It is _simplify(f, m),
+    except that a conjunct of f that is a shared bridge axiom is
+    simplified through _simplify_shared."""
+    if isinstance(f, And):
+        s = _conjunction(f, (
+            _simplify_shared(g, m) if g.__class__ is Box and g in _SHARED_AXIOMS
+            else _simplify(g, m)
+            for g in conjuncts(f)
+        ))[0]
+    else:
+        s = _simplify(f, m)[0]
     if s is True:
         return truth()
     if s is False:
@@ -905,22 +939,21 @@ class _FoslSpace(_Space):
         return structure
 
 
-# bridge axioms under the universal box, as full_translation emits them:
-# 1 and 2 (the rigid ind/ext partition), and 4, 5 and 6 (prec is a total
-# function from ind to ext)
-_SORT_AXIOMS = frozenset(Box(UNIVERSAL_STANDPOINT, ax) for _, ax in sort_axioms())
-_PREC_AXIOMS = {label: Box(UNIVERSAL_STANDPOINT, ax) for label, ax in prec_axioms()}
-_PREC_TOTAL = frozenset((_PREC_AXIOMS["4"], _PREC_AXIOMS["5"]))
-_PREC_FUNCTION = frozenset(_PREC_AXIOMS.values())
+# bridge axioms under the universal box, the objects full_translation
+# conjoins: 1 and 2 (the rigid ind/ext partition), and 4, 5 and 6 (prec
+# is a total function from ind to ext)
+_SORT_AXIOMS = frozenset((_FIXED_BOXED["1"], _FIXED_BOXED["2"]))
+_PREC_TOTAL = frozenset((_FIXED_BOXED["4"], _FIXED_BOXED["5"]))
+_PREC_FUNCTION = _PREC_TOTAL | {_FIXED_BOXED["6"]}
 _INK_IND = admitted_are_individuals()
 _SORTS = ("ind", "ext")
 
 
-@functools.lru_cache(maxsize=None)
 def _prec_level_axioms(m: int) -> frozenset:
     """Bridge axioms 4-6 as the level formula for m precisifications
-    holds them (see _simplify), for a space with prec cells to drop."""
-    return frozenset(_simplify(ax, m)[0] for ax in _PREC_FUNCTION)
+    holds them (see _level_formula), for a space with prec cells to
+    drop."""
+    return frozenset(_simplify_shared(ax, m)[0] for ax in _PREC_FUNCTION)
 
 
 def _sort_floors(parts: set) -> tuple[int, int] | None:

@@ -100,8 +100,15 @@ def make_fosl_structure(
     raw: dict[str, tuple[dict[str, frozenset[tuple[str, ...]]], dict[str, str]]] = {}
     for pi in precs:
         entry = interpretation[pi]
-        preds_in = entry.get("predicates", {}) if isinstance(entry, Mapping) else entry.predicates
-        consts_in = entry.get("constants", {}) if isinstance(entry, Mapping) else entry.constants
+        if isinstance(entry, Mapping):
+            unknown = entry.keys() - {"predicates", "constants"}
+            if unknown:
+                raise ModelFormatError(
+                    f"interpretation[{pi!r}] has unknown key(s) {sorted(unknown)}"
+                )
+            preds_in, consts_in = entry.get("predicates", {}), entry.get("constants", {})
+        else:
+            preds_in, consts_in = entry.predicates, entry.constants
         preds: dict[str, frozenset[tuple[str, ...]]] = {}
         for p, tuples in preds_in.items():
             rows = frozenset(tuple(row) for row in tuples)
@@ -167,7 +174,9 @@ def eval_term(m: FoslStructure, pi: str, v: Assignment, t: Term) -> str:
 # formula is compiled once into a closure fn(pt, env) -> bool over a
 # _Prec and a list of element ints, one slot per variable (_Conjunct).
 # Compiled conjuncts stay in a small LRU cache keyed by the conjunct, so
-# recurring ones, such as the bridge axioms, compile once.
+# recurring ones, such as the bridge axioms, compile once; a node keeps
+# its hash, and equal vocabularies share their axioms' nodes, so a hit on
+# one costs O(1).
 #
 # Evaluation keeps the order of the recursive definition: precisification,
 # then assignment, then conjunct, each left to right with its short
@@ -177,9 +186,11 @@ def eval_term(m: FoslStructure, pi: str, v: Assignment, t: Term) -> str:
 
 _UNBOUND = -1  # an env value no element has
 _NO_ROWS: frozenset[int] = frozenset()
-# compiled conjuncts kept: room for the bridge axioms of a translation
-# and its lowering; a larger cache keeps more one-off conjuncts, and the
-# formulas that key them, alive
+# compiled conjuncts kept: room for the boxed bridge axioms of a full
+# translation and the plain ones lower_model checks (about 10 each for a
+# small vocabulary), with the top-level conjuncts of a few sentences; a
+# larger cache keeps more one-off conjuncts, and the formulas that key
+# them, alive
 _CACHE_SIZE = 32
 
 
@@ -449,9 +460,6 @@ _SHAPE = {
 
 def fosl_structure_from_dict(data: Mapping) -> FoslStructure:
     check_shape(data, _SHAPE, ModelFormatError, "model")
-    unknown = set(data) - _SHAPE.keys()
-    if unknown:
-        raise ModelFormatError(f"unknown top-level key(s) {sorted(unknown)}")
     missing = _SHAPE.keys() - {"sigma"} - set(data)
     if missing:
         raise ModelFormatError(f"missing required key(s) {sorted(missing)}")

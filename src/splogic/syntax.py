@@ -10,7 +10,7 @@ represented by their classical definitions in terms of the six cores.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -34,24 +34,63 @@ _IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Base of the term and formula nodes, which are slotted frozen
+    dataclasses.  Each node hashes its fields, after a small int that
+    tells the classes apart, once, at first use, and keeps the value in
+    its _hash field (each class's __hash__); equality stays the
+    dataclasses' structural one, which skips _hash.  Nodes are weakly
+    referable.  str hashes differ between processes (PYTHONHASHSEED), so
+    pickling rebuilds a node from its fields and leaves the kept hash
+    behind."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+_store = object.__setattr__  # writes the kept hash of a frozen node
+
+
+def _hash_field():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class Var(_Node):
     """A variable; written ``?name`` in concrete syntax."""
 
     name: str
+    _hash: int | None = _hash_field()
 
     def __str__(self) -> str:
         return f"?{self.name}"
 
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((0, self.name))
+            _store(self, "_hash", h)
+        return h
 
-@dataclass(frozen=True)
-class Const:
+
+@dataclass(frozen=True, slots=True)
+class Const(_Node):
     """A constant symbol (a proper name in the V1 reading)."""
 
     name: str
+    _hash: int | None = _hash_field()
 
     def __str__(self) -> str:
         return self.name
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((1, self.name))
+            _store(self, "_hash", h)
+        return h
 
 
 Term = Union[Var, Const]
@@ -61,39 +100,87 @@ Term = Union[Var, Const]
 # Formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, slots=True)
+class Atom(_Node):
     pred: str
     args: tuple[Term, ...] = ()
+    _hash: int | None = _hash_field()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((2, self.pred, self.args))
+            _store(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class Equal:
+@dataclass(frozen=True, slots=True)
+class Equal(_Node):
     left: Term
     right: Term
+    _hash: int | None = _hash_field()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((3, self.left, self.right))
+            _store(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, slots=True)
+class Not(_Node):
     body: "Formula"
+    _hash: int | None = _hash_field()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((4, self.body))
+            _store(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, slots=True)
+class And(_Node):
     left: "Formula"
     right: "Formula"
+    _hash: int | None = _hash_field()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((5, self.left, self.right))
+            _store(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, slots=True)
+class Forall(_Node):
     var: str
     body: "Formula"
+    _hash: int | None = _hash_field()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((6, self.var, self.body))
+            _store(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, slots=True)
+class Box(_Node):
     standpoint: str
     body: "Formula"
+    _hash: int | None = _hash_field()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((7, self.standpoint, self.body))
+            _store(self, "_hash", h)
+        return h
 
 
 Formula = Union[Atom, Equal, Not, And, Forall, Box]
@@ -238,7 +325,7 @@ def is_sentence(f: Formula) -> bool:
 # Vocabularies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FoslVocabulary:
     """Predicate symbols with arities, constant symbols, standpoint symbols.
 
@@ -264,7 +351,7 @@ class FoslVocabulary:
         return sp in self.standpoints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class V1Vocabulary:
     """Sortals (all unary), indefinite predicates, precise-entity predicates,
     proper names and standpoints."""

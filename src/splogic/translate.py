@@ -11,7 +11,9 @@ version there.
 
 from __future__ import annotations
 
+import functools
 import warnings
+import weakref
 from dataclasses import replace
 
 from .errors import AxiomViolationError, ModelFormatError, nesting_guard
@@ -125,33 +127,24 @@ def _forall_all(names: list[str], body: Formula) -> Formula:
     return body
 
 
-def sort_axioms() -> list[tuple[str, Formula]]:
-    """Bridge axioms 1 and 2 with their labels: ind/ext partition the
-    domain, and both are rigid.  The model finder splits the domain on
-    ind/ext when a sentence has both, boxed, among its top-level
-    conjuncts, as full_translation emits them."""
-    x = Var("x")
-    ind_x = Atom("ind", (x,))
-    ext_x = Atom("ext", (x,))
-    box = lambda g: Box(UNIVERSAL_STANDPOINT, g)
-    return [
-        ("1", Forall("x", iff(ind_x, Not(ext_x)))),
-        ("2", Forall("x", And(iff(ind_x, box(ind_x)), iff(ext_x, box(ext_x))))),
-    ]
+def _box(f: Formula) -> Formula:
+    return Box(UNIVERSAL_STANDPOINT, f)
 
 
-def prec_axioms() -> list[tuple[str, Formula]]:
-    """Bridge axioms 4, 5 and 6 with their labels: prec relates
-    individuals to entities, every individual has a precise version, and
-    at most one.  With axiom 1, axioms 4 and 5 leave no model without an
-    ext element; all three make prec a total function from ind to ext at
-    each precisification.  The model finder reads both facts from a
-    sentence with the axioms, boxed, among its top-level conjuncts."""
+def _fixed_axioms():
+    """Bridge axioms 1, 2 and 4-6 with their labels, and the first
+    conjunct of axiom 8's body: no vocabulary changes them, so they are
+    built once, and every translation shares these node objects."""
     x = Var("x")
     y = Var("y")
     z = Var("z")
     ind_x = Atom("ind", (x,))
-    return [
+    ext_x = Atom("ext", (x,))
+    sort = (
+        ("1", Forall("x", iff(ind_x, Not(ext_x)))),
+        ("2", Forall("x", And(iff(ind_x, _box(ind_x)), iff(ext_x, _box(ext_x))))),
+    )
+    prec = (
         (
             "4",
             _forall_all(
@@ -170,7 +163,36 @@ def prec_axioms() -> list[tuple[str, Formula]]:
                 ),
             ),
         ),
-    ]
+    )
+    return sort, prec, implies(Atom("ink", (x,)), ind_x)
+
+
+_SORT_AXIOMS, _PREC_AXIOMS, _INK_IND = _fixed_axioms()
+# the fixed axioms under the universal box, as full_translation conjoins
+# them; the model finder reads these objects among a sentence's conjuncts
+_FIXED_BOXED = {label: _box(ax) for label, ax in _SORT_AXIOMS + _PREC_AXIOMS}
+# every boxed bridge axiom that something still holds (structurally, so a
+# sentence with an equal conjunct matches too): the model finder
+# simplifies these once per precisification count for all translations
+_SHARED_AXIOMS: weakref.WeakSet = weakref.WeakSet(_FIXED_BOXED.values())
+
+
+def sort_axioms() -> list[tuple[str, Formula]]:
+    """Bridge axioms 1 and 2 with their labels: ind/ext partition the
+    domain, and both are rigid.  The model finder splits the domain on
+    ind/ext when a sentence has both, boxed, among its top-level
+    conjuncts, as full_translation emits them."""
+    return list(_SORT_AXIOMS)
+
+
+def prec_axioms() -> list[tuple[str, Formula]]:
+    """Bridge axioms 4, 5 and 6 with their labels: prec relates
+    individuals to entities, every individual has a precise version, and
+    at most one.  With axiom 1, axioms 4 and 5 leave no model without an
+    ext element; all three make prec a total function from ind to ext at
+    each precisification.  The model finder reads both facts from a
+    sentence with the axioms, boxed, among its top-level conjuncts."""
+    return list(_PREC_AXIOMS)
 
 
 def admitted_are_individuals() -> Formula:
@@ -178,8 +200,7 @@ def admitted_are_individuals() -> Formula:
     a name-typing axiom ink(c) it leaves no model without an ind element,
     and the model finder reads that from a sentence with both, boxed,
     among its top-level conjuncts."""
-    x = Var("x")
-    return implies(Atom("ink", (x,)), Atom("ind", (x,)))
+    return _INK_IND
 
 
 def labeled_axioms(
@@ -193,38 +214,63 @@ def labeled_axioms(
     predicates apply only to admitted individuals;  8. admitted individuals
     are individuals of some sort.  With strict_names, every proper name is
     additionally forced to denote an admitted individual.
-    """
-    if not vocab.sortals:
-        raise ModelFormatError("translation requires at least one sortal")
-    x = Var("x")
-    ink_x = Atom("ink", (x,))
-    box = lambda g: Box(UNIVERSAL_STANDPOINT, g)
 
-    out = sort_axioms()
-    for q in sorted(vocab.precise):
-        arity = vocab.precise[q] or 1
-        names = _vars(arity)
-        atom = Atom(q, tuple(Var(n) for n in names))
-        out.append((f"3:{q}", _forall_all(names, iff(atom, box(atom)))))
-    out.extend(prec_axioms())
-    for a in sorted(vocab.indefinite):
-        arity = vocab.indefinite[a] or 1
-        names = _vars(arity)
-        atom = Atom(a, tuple(Var(n) for n in names))
-        guards = conjoin([Atom("ink", (Var(n),)) for n in names])
-        out.append((f"7:{a}", _forall_all(names, implies(atom, guards))))
-    sortal_disjunction = disjoin([Atom(k, (x,)) for k in sorted(vocab.sortals)])
-    out.append(
-        ("8", Forall("x", And(admitted_are_individuals(), iff(ink_x, sortal_disjunction))))
-    )
-    if strict_names:
-        for n in sorted(vocab.names):
-            out.append((f"names:{n}", Atom("ink", (Const(n),))))
-    return out
+    Equal vocabularies get the same node objects (see _bridge_axioms), in
+    a new list on each call.
+    """
+    return list(_bridge_axioms(_vocabulary_key(vocab, strict_names))[0])
 
 
 def axiom_set(vocab: V1Vocabulary, strict_names: bool = False) -> list[Formula]:
     return [f for _, f in labeled_axioms(vocab, strict_names)]
+
+
+def _vocabulary_key(vocab: V1Vocabulary, strict_names: bool) -> tuple:
+    return (
+        frozenset(vocab.sortals),
+        tuple(sorted(vocab.indefinite.items())),
+        tuple(sorted(vocab.precise.items())),
+        frozenset(vocab.names),
+        frozenset(vocab.standpoints),
+        strict_names,
+    )
+
+
+# vocabularies whose bridge axioms are kept: a run over one vocabulary
+# builds them once, and a few more cost little
+_AXIOM_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_AXIOM_CACHE_SIZE)
+def _bridge_axioms(key: tuple) -> tuple[tuple[tuple[str, Formula], ...], Formula]:
+    """The labelled bridge axioms of a vocabulary key (_vocabulary_key),
+    and the conjunction of them under the universal box, as
+    full_translation conjoins it."""
+    sortals, indefinite, precise, names, _, strict_names = key
+    if not sortals:
+        raise ModelFormatError("translation requires at least one sortal")
+    x = Var("x")
+    ink_x = Atom("ink", (x,))
+
+    out = list(_SORT_AXIOMS)
+    for q, arity in precise:
+        vs = _vars(arity or 1)
+        atom = Atom(q, tuple(Var(n) for n in vs))
+        out.append((f"3:{q}", _forall_all(vs, iff(atom, _box(atom)))))
+    out.extend(_PREC_AXIOMS)
+    for a, arity in indefinite:
+        vs = _vars(arity or 1)
+        atom = Atom(a, tuple(Var(n) for n in vs))
+        guards = conjoin([Atom("ink", (Var(n),)) for n in vs])
+        out.append((f"7:{a}", _forall_all(vs, implies(atom, guards))))
+    sortal_disjunction = disjoin([Atom(k, (x,)) for k in sorted(sortals)])
+    out.append(("8", Forall("x", And(_INK_IND, iff(ink_x, sortal_disjunction)))))
+    if strict_names:
+        for n in sorted(names):
+            out.append((f"names:{n}", Atom("ink", (Const(n),))))
+    boxed = [_FIXED_BOXED.get(label) or _box(ax) for label, ax in out]
+    _SHARED_AXIOMS.update(boxed)
+    return tuple(out), conjoin(boxed)
 
 
 def _pin_wildcards(vocab: V1Vocabulary, pinned: dict[str, int]) -> V1Vocabulary:
@@ -252,8 +298,7 @@ def full_translation(
     _validate(f, vocab, pinned)
     core = _translate(f, vocab, _FreshVars(all_variables(f)))
     vocab = _pin_wildcards(vocab, pinned)
-    boxed = [Box(UNIVERSAL_STANDPOINT, ax) for ax in axiom_set(vocab, strict_names)]
-    return conjoin([core, *boxed])
+    return And(core, _bridge_axioms(_vocabulary_key(vocab, strict_names))[1])
 
 
 def translation_report(f: Formula, vocab: V1Vocabulary, strict_names: bool = False) -> dict:

@@ -331,9 +331,6 @@ _SHAPE = {
 
 def v1_structure_from_dict(data: Mapping) -> V1Structure:
     check_shape(data, _SHAPE, ModelFormatError, "model")
-    unknown = set(data) - _SHAPE.keys()
-    if unknown:
-        raise ModelFormatError(f"unknown top-level key(s) {sorted(unknown)}")
     required = {"entities", "precisifications", "individuals", "sortals"}
     missing = required - set(data)
     if missing:

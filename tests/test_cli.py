@@ -408,6 +408,40 @@ class TestJsonTypes:
         assert "must be a" in err
 
 
+
+class TestUnknownKeys:
+    """A key that the file format does not list is invalid input (exit 2),
+    named with its path, never silently ignored."""
+
+    def test_misspelled_model_key_exits_two(self, capsys, tmp_path):
+        # with "predicates" misspelled, p1 would load with P empty and c
+        # would fail there (exit 1), although the file puts c's image in P
+        data = json.loads((FIXTURES / "m0.json").read_text())
+        data["interpretation"]["p1"]["predicate"] = data["interpretation"]["p1"].pop("predicates")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        f = tmp_path / "f.txt"
+        f.write_text("P(c)\n")
+        code, out, err = run(capsys, "check", "--formula", str(f), "--model", str(model),
+                             "--flavor", "fosl")
+        assert code == 2
+        assert out == ""
+        assert "model.interpretation.p1.predicate" in err
+
+    @pytest.mark.parametrize("fixture, key, renamed", [
+        ("desert_v1_vocab.json", "sortals", "sortal"),
+        ("desert_fosl_vocab.json", "constants", "names"),
+    ], ids=["misspelled", "other-logic"])
+    def test_unknown_vocabulary_key_exits_two(self, capsys, tmp_path, fixture, key, renamed):
+        data = json.loads((FIXTURES / fixture).read_text())
+        data[renamed] = data.pop(key)
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "monodic", "--formula", str(FIXTURES / "formula_c.txt"),
+                           "--vocab", str(path))
+        assert code == 2
+        assert f"vocabulary.{renamed}" in err
+
 class TestReadme:
     def test_synopsis_matches_parser(self):
         # each command line of the README's "Command line" block lists

@@ -39,6 +39,7 @@ from splogic import (
 )
 from splogic import finder
 from splogic.finder import _F, _U, _FoslSpace, _V1Space
+from splogic.syntax import falsity, truth
 from splogic.translate import sort_axioms
 
 from naive_eval import naive_is_model, naive_is_model_v1
@@ -1072,3 +1073,36 @@ class TestSortSplit:
         find_fosl_model(translated_vocabulary(vocab), f, bounds)
         assert checked.count(2) > 1000
         assert (function_decisions > 0) == decides_functions
+
+
+class TestLevelFormula:
+    """The level formula simplifies each top-level conjunct on its own,
+    the shared bridge axioms through their cache, and merges the results
+    as _simplify merges a conjunction."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_equals_the_whole_simplification(self, m):
+        vocab = corpus_vocab()
+        for seed in range(40):
+            sentence = generate_formula(vocab, seed, 4)
+            for f in (sentence, full_translation(sentence, vocab, strict_names=True)):
+                s = finder._simplify(f, m)[0]
+                expected = truth() if s is True else falsity() if s is False else s
+                assert finder._level_formula(f, m) == expected
+
+    def test_shared_axioms_are_simplified_once_per_m(self):
+        vocab = corpus_vocab()
+        one, two = (full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+                    for seed in (1, 2))
+        finder._level_formula(one, 2)
+        before = finder._simplify_shared.cache_info()
+        finder._level_formula(two, 2)
+        after = finder._simplify_shared.cache_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == len(labeled_axioms(vocab, strict_names=True))
+
+    def test_unchanged_formula_is_returned_as_is(self):
+        vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, [], ["s"])
+        f = parse_formula("forall ?x (P(?x) -> [s] Q(?x))", vocab)
+        assert finder._level_formula(f, 2) is f
+        assert finder._level_formula(f, 1) is f

@@ -238,6 +238,12 @@ class TestStructureValidation:
                 {"p1": {"predicates": {"P": [["d1"], ["d1", "d1"]]}, "constants": {}}},
             )
 
+    def test_unknown_interpretation_key_rejected(self):
+        # a misspelled "predicates" would otherwise leave p1 empty
+        with pytest.raises(ModelFormatError, match="predicate"):
+            make_fosl_structure(["d1"], ["p1"], {},
+                                {"p1": {"predicate": {"P": [["d1"]]}, "constants": {}}})
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ModelFormatError):
             fosl_structure_from_dict({"domain": ["d1"], "precisifications": ["p1"],

@@ -1,5 +1,13 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import splogic as sp
 from splogic import (
     And,
     ArityMismatchError,
@@ -279,3 +287,126 @@ class TestVocabularies:
     def test_v1_indefinite_arity_positive(self):
         with pytest.raises(VocabularyError):
             make_v1_vocabulary(["Kind"], {"Bad": 0}, {}, [], [])
+
+
+def _nodes(f):
+    """Every term and formula node of f, with repeats."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        if isinstance(g, Atom):
+            stack += g.args
+        elif isinstance(g, Equal):
+            stack += (g.left, g.right)
+        elif isinstance(g, (Not, Forall, Box)):
+            stack.append(g.body)
+        elif isinstance(g, And):
+            stack += (g.left, g.right)
+    return out
+
+
+HASH_TEXT = "forall ?x ([*] (P(?x) -> exists ?y R(?x, ?y)) & <s> ?x = c & !Q)"
+
+
+class TestHashing:
+    """Each node keeps its hash after the first use; equality stays
+    structural."""
+
+    def test_equal_nodes_built_apart_hash_equal(self):
+        f, g = parse_formula(HASH_TEXT, VOCAB), parse_formula(HASH_TEXT, VOCAB)
+        hash(f)  # f's nodes keep their hashes, g's are computed afresh
+        for a, b in zip(_nodes(f), _nodes(g)):
+            assert a is not b or isinstance(a, (Var, Const))
+            assert a == b and hash(a) == hash(b)
+        assert f in {g} and g in {f}
+
+    def test_distinct_constructors_with_equal_fields_differ(self):
+        body = Atom("P", (Var("x"),))
+        assert Forall("x", body) != Box("x", body)
+        assert Var("c") != Const("c")
+        assert len({Forall("x", body), Box("x", body), Var("c"), Const("c")}) == 4
+
+    def test_replace_gives_a_fresh_hash(self):
+        f = parse_formula("[s] (P(c) & Q)", VOCAB)
+        hash(f)
+        g = dataclasses.replace(f, standpoint="*")
+        assert g == Box("*", f.body)
+        assert hash(g) == hash(Box("*", And(Atom("P", (Const("c"),)), Atom("Q"))))
+        h = dataclasses.replace(f.body, right=Atom("P", (Const("house"),)))
+        assert h in {parse_formula("P(c) & P(house)", VOCAB)}
+
+    def test_pickle_leaves_the_hash_behind(self):
+        f = parse_formula(HASH_TEXT, VOCAB)
+        hash(f)
+        again = pickle.loads(pickle.dumps(f))
+        assert again == f and again._hash is None
+        assert hash(again) == hash(f)
+
+    LOAD_SCRIPT = """
+import pickle, sys
+import splogic as sp
+vocab = sp.make_fosl_vocabulary({"P": 1, "Q": 0, "R": 2}, ["c"], ["s"])
+if sys.argv[1] == "dump":
+    f = sp.parse_formula(sys.argv[2], vocab)
+    hash(f)
+    sys.stdout.buffer.write(pickle.dumps(f))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    fresh = sp.parse_formula(sys.argv[2], vocab)
+    print(loaded in {fresh}, fresh in {loaded}, hash(loaded) == hash(fresh))
+"""
+
+    def test_pickled_node_found_under_another_hash_seed(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def run(seed, mode, data=None):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+            return subprocess.run([sys.executable, "-c", self.LOAD_SCRIPT, mode, HASH_TEXT],
+                                  input=data, env=env, capture_output=True, check=True).stdout
+
+        dumped = run("1", "dump")
+        assert run("2", "load", dumped).decode().split() == ["True", "True", "True"]
+
+
+class TestDeepNestingAtEveryEntryPoint:
+    """A formula nested past Python's recursion limit is an
+    EvaluationError at every library entry point that takes a formula,
+    whether or not its nodes already hold their hashes."""
+
+    BOUNDS = sp.Bounds(max_domain=2, max_precisifications=2, max_entities=1,
+                       max_individuals=1, timeout=10)
+
+    ENTRIES = {
+        "validate_formula": lambda c: validate_formula(c["fosl"], c["fosl_vocab"]),
+        "print_formula": lambda c: print_formula(c["fosl"]),
+        "is_model": lambda c: sp.is_model(c["m0"], c["fosl"]),
+        "satisfies": lambda c: sp.satisfies(c["m0"], "p1", {}, c["fosl"]),
+        "satisfies_at": lambda c: sp.satisfies_at(c["m0"], "p1", c["fosl"]),
+        "find_fosl_model": lambda c: sp.find_fosl_model(
+            c["fosl_vocab"], c["fosl"], TestDeepNestingAtEveryEntryPoint.BOUNDS),
+        "is_model_v1": lambda c: sp.is_model_v1(c["v0"], c["v1"]),
+        "satisfies_v1": lambda c: sp.satisfies_v1(c["v0"], "p1", {}, c["v1"]),
+        "satisfies_at_v1": lambda c: sp.satisfies_at_v1(c["v0"], "p1", c["v1"]),
+        "translate_formula": lambda c: sp.translate_formula(c["v1"], c["v1_vocab"]),
+        "full_translation": lambda c: sp.full_translation(c["v1"], c["v1_vocab"]),
+        "translation_report": lambda c: sp.translation_report(c["v1"], c["v1_vocab"]),
+        "find_v1_model": lambda c: sp.find_v1_model(
+            c["v1_vocab"], c["v1"], TestDeepNestingAtEveryEntryPoint.BOUNDS),
+        "equisat_check": lambda c: sp.equisat_check(
+            c["v1_vocab"], c["v1"], TestDeepNestingAtEveryEntryPoint.BOUNDS),
+    }
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["fresh", "hashed"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_evaluation_error(self, entry, hashed, m0, m0_vocab, v0, desert_v1_vocab):
+        fosl, v1 = Atom("P", (Const("c"),)), Atom("Desert", (Const("a"),))
+        for _ in range(1500):
+            fosl, v1 = Box("*", fosl), Box("*", v1)
+            if hashed:  # one level at a time, so no hash recurses
+                hash(fosl), hash(v1)
+        context = {"fosl": fosl, "v1": v1, "m0": m0, "v0": v0,
+                   "fosl_vocab": m0_vocab, "v1_vocab": desert_v1_vocab}
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            self.ENTRIES[entry](context)

@@ -9,6 +9,7 @@ from splogic import (
     EvaluationError,
     ModelFormatError,
     axiom_set,
+    equisat_check,
     find_v1_model,
     formula_size,
     fosl_structure_to_dict,
@@ -30,7 +31,9 @@ from splogic import (
     translated_vocabulary,
     translation_report,
 )
+from splogic import translate
 from splogic.parser import parse_raw
+from splogic.syntax import conjuncts
 
 
 def pr(text):
@@ -129,6 +132,87 @@ class TestAxiomSet:
         for _, ax in labeled_axioms(desert_v1_vocab, strict_names=True):
             assert free_variables(ax) == frozenset()
 
+
+
+def _desert(indefinite=None, precise=None, names=("house", "a"), standpoints=()):
+    """The desert vocabulary, built anew, with the given changes."""
+    return make_v1_vocabulary(
+        ["Building", "Desert"],
+        {"AridArea": 1} if indefinite is None else indefinite,
+        {"PartOf": 2} if precise is None else precise,
+        names,
+        standpoints,
+    )
+
+
+class TestAxiomCache:
+    """Equal vocabularies share their bridge axioms' node objects, built
+    once (translate._bridge_axioms)."""
+
+    def test_equal_vocabularies_share_axiom_objects(self):
+        one = labeled_axioms(_desert(names=("house", "a")), strict_names=True)
+        two = labeled_axioms(_desert(names=("a", "house")), strict_names=True)
+        assert one == two
+        assert all(a is b for (_, a), (_, b) in zip(one, two))
+        boxed_one = conjuncts(full_translation(pr("Desert(a)"), _desert()))[1:]
+        boxed_two = conjuncts(full_translation(pr("Building(house)"), _desert()))[1:]
+        assert len(boxed_one) == 8
+        assert all(a is b for a, b in zip(boxed_one, boxed_two))
+
+    def test_cached_axioms_equal_a_fresh_build(self):
+        vocab = _desert(indefinite={"AridArea": 1, "Near": 2}, precise={"PartOf": 3})
+        cached = labeled_axioms(vocab, strict_names=True)
+        translate._bridge_axioms.cache_clear()
+        fresh = labeled_axioms(vocab, strict_names=True)
+        assert fresh == cached
+        assert all(a is not b for (lab, a), (_, b) in zip(fresh, cached)
+                   if lab not in ("1", "2", "4", "5", "6"))
+
+    def test_a_different_arity_gets_its_own_axioms(self):
+        base = dict(labeled_axioms(_desert()))
+        wider = dict(labeled_axioms(_desert(precise={"PartOf": 3})))
+        assert wider["3:PartOf"] == pr(
+            "forall ?x forall ?y forall ?z (PartOf(?x,?y,?z) <-> [*] PartOf(?x,?y,?z))")
+        assert base["3:PartOf"] == pr(
+            "forall ?x forall ?y (PartOf(?x,?y) <-> [*] PartOf(?x,?y))")
+        assert {k for k in base if base[k] != wider[k]} == {"3:PartOf"}
+
+    def test_a_different_name_gets_its_own_axioms(self):
+        base = [lab for lab, _ in labeled_axioms(_desert(), strict_names=True)]
+        other = labeled_axioms(_desert(names=("house", "b")), strict_names=True)
+        assert base[-2:] == ["names:a", "names:house"]
+        assert other[-2:] == [("names:b", pr("ink(b)")), ("names:house", pr("ink(house)"))]
+
+    def test_strict_names_gets_its_own_axioms(self):
+        plain = labeled_axioms(_desert())
+        strict = labeled_axioms(_desert(), strict_names=True)
+        assert strict[:-2] == plain and len(strict) == len(plain) + 2
+        assert labeled_axioms(_desert()) == plain
+
+    def test_mutating_a_returned_list_does_not_leak(self):
+        vocab = _desert()
+        first = labeled_axioms(vocab)
+        expected = list(first)
+        first.clear()
+        axioms = axiom_set(vocab)
+        axioms.append(pr("Desert(a)"))
+        assert labeled_axioms(vocab) == expected
+        assert axiom_set(vocab) == [ax for _, ax in expected]
+        assert len(conjuncts(full_translation(pr("Desert(a)"), vocab))) == 1 + len(expected)
+
+    def test_equisat_reports_identical_under_equal_vocabularies(self):
+        bounds = Bounds(max_entities=2, max_individuals=2, max_precisifications=2)
+        one = _desert(indefinite={"AridArea": 1, "Near": 2}, names=("house", "a"))
+        two = _desert(indefinite={"Near": 2, "AridArea": 1}, names=("a", "house"))
+        for seed in range(6):
+            f = generate_formula(one, seed, 3)
+            reports = []
+            for vocab in (one, two):
+                data = equisat_check(vocab, f, bounds).to_dict()
+                for d in data["directions"]:
+                    del d["elapsed_ms"]
+                reports.append(data)
+            assert reports[0] == reports[1]
 
 class TestFullTranslation:
     def test_vacuous_schemata_drop_out(self):
