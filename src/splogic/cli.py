@@ -23,7 +23,6 @@ from .finder import (
 )
 from .fosl import (
     fosl_structure_to_dict,
-    is_model,
     load_fosl_model,
     satisfies_at,
     vocabulary_of_fosl_model,
@@ -39,7 +38,6 @@ from .syntax import (
 )
 from .translate import full_translation, translation_report
 from .v1 import (
-    is_model_v1,
     load_v1_model,
     satisfies_at_v1,
     v1_structure_to_dict,
@@ -124,13 +122,13 @@ def cmd_check(args) -> int:
         vocab = vocabulary_of_fosl_model(model)
         f = parse_formula(read_formula_file(args.formula), vocab)
         verdicts = {pi: satisfies_at(model, pi, f) for pi in model.precisifications}
-        global_verdict = is_model(model, f)
     else:
         model = load_v1_model(args.model)
         vocab = vocabulary_of_v1_model(model)
         f = parse_formula(read_formula_file(args.formula), vocab)
         verdicts = {pi: satisfies_at_v1(model, pi, f) for pi in model.precisifications}
-        global_verdict = is_model_v1(model, f)
+    # a model is one that satisfies the sentence at every precisification
+    global_verdict = all(verdicts.values())
     for pi, ok in verdicts.items():
         print(f"{pi}: {'satisfied' if ok else 'not satisfied'}")
     print(f"global: {'model' if global_verdict else 'not a model'}")

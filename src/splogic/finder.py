@@ -283,7 +283,7 @@ class _Space:
     (membership bits, tuple ranks in base self.base), const_val[(name,
     pi)] (an element or None) and sigma_bits[(sp, pi)]; their cells are
     ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A split
-    standpoint space may add a fourth, prec_val[pi][i] (individual i's
+    standpoint space adds a fourth, prec_val[pi][i] (individual i's
     precise version or None), with cells ("f", "prec", pi, i).  A space
     provides _table, propagate, materialize, _quantify (the universal
     over its domain) and self.choices, the values a constant branches
@@ -310,7 +310,7 @@ class _Space:
     culprit always comes from a subformula an unknown result depends
     on.  An atom whose predicate _table gives no table compiles through
     the space's _precise_atom, which adds its own read keys: V1's rigid
-    precise predicates, and prec over value cells in a split standpoint
+    precise predicates, and ind, ext and prec in a split standpoint
     space.
     """
 
@@ -348,9 +348,14 @@ class _Space:
         self._poke(cell, value)
 
     def unassign(self, cell: tuple) -> None:
+        self.pop_frame()
+        self._poke(cell, None)
+
+    def pop_frame(self) -> None:
+        # close the newest trail frame: the instances found true since it
+        # opened are undecided again
         for ci, pi in self.trail.pop():
             self.status[ci][pi] = _U
-        self._poke(cell, None)
 
     def _poke(self, cell: tuple, value) -> None:
         # the one cell write; None unsets
@@ -564,17 +569,16 @@ class _FoslSpace(_Space):
     every model below the node shares (_probe), which keep the models'
     symmetry, so forced cells mention nothing.
 
-    With prec_cells, the space is only searched split (see split), and
-    prec is a function: one value cell ("f", "prec", pi, i) per
-    individual i (an element below first_ext) and precisification,
-    ranging over the entities [first_ext, n).  A prec(s, t) atom reads
-    s's cell, and is false when s is an entity or t an individual.  That
-    encoding makes bridge axioms 4-6 hold, so their ground instances are
-    dropped from the level; materialize writes prec from the cells, and
-    the revalidation against the whole sentence still checks the three.
-    A function cell branches over the entity block's LNH values, is
-    probed at every entity like a constant, and a decision on it
-    mentions both its individual and its value."""
+    With prec_cells, the space is split (see split): it has no ind, ext
+    or prec table.  ind(s) is s < first_ext and ext(s) is s >= first_ext,
+    and prec is a function: one value cell ("f", "prec", pi, i) per
+    individual i and precisification, ranging over the entities; an atom
+    prec(s, t) reads s's cell, and is false when s is an entity or t an
+    individual.  So bridge axioms 1, 2 and 4-6 hold and are not ground;
+    materialize writes the three predicates, and the revalidation against
+    the whole sentence still checks the five.  A function cell branches
+    over the entity block's LNH values, is probed at every entity like a
+    constant, and a decision on it mentions its individual and value."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
                  deadline: float = float("inf"), prec_cells: bool = False):
@@ -592,7 +596,7 @@ class _FoslSpace(_Space):
         self.env: list[int] = []
         self.prec_cells = prec_cells
         self.prec_val: list[list[int | None]] = [[None] * n for _ in range(m)]
-        self.first_ext = n  # set by split
+        self.first_ext = n  # the split point, set by split
 
         # the LNH state: the largest element of each block a decision
         # mentioned, and self.choices (see set_blocks)
@@ -612,14 +616,15 @@ class _FoslSpace(_Space):
         # for the rebuilt formula (so it has the box prefix's standpoints):
         # an atom over ground variables only (slots below len(qvars)) is
         # keyed by its own cell, ("p", pred, rank), any other atom by its
-        # whole predicate; a prec atom over value cells reads its first
-        # argument's cell alone, so it is keyed ("f", "prec", i) when that
-        # argument is a ground variable.
+        # whole predicate.  In a split space every ind, ext and prec atom
+        # reads the split point, ("x", "split"), and a prec atom also its
+        # first argument's cell, keyed ("f", "prec", i) when that argument
+        # is a ground variable.
         self.conjuncts: list = []  # compiled bodies
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
-        dropped = _prec_level_axioms(m) if prec_cells else ()
+        dropped = _split_level_axioms(m) if prec_cells else ()
         for part in conjuncts(_level_formula(f, m)):
             if time.monotonic() > deadline:
                 raise _DeadlinePassed
@@ -668,7 +673,7 @@ class _FoslSpace(_Space):
         self.probe_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
-        if pred == "prec" and self.prec_cells:
+        if self.prec_cells and pred in _SPLIT_PREDS:
             return None  # compiled by _precise_atom
         if pred not in self.pred_bits:
             self.preds[pred] = arity
@@ -676,8 +681,21 @@ class _FoslSpace(_Space):
         return self.pred_bits[pred]
 
     def _precise_atom(self, f: Atom, slots, resolvers):
+        # ind, ext and prec in a split space, read off the split point
+        self.reads.add(("x", "split"))
+        if f.pred != "prec":
+            (arg,) = resolvers
+            ind = f.pred == "ind"  # else ext
+
+            def fn(pi, env):
+                s = arg(pi, env)
+                if s is None:
+                    return _U
+                return _T if (s < self.first_ext) == ind else _F
+
+            return fn
         # prec(s, t) over value cells: s must be an individual and t its
-        # precise version, so the atom reads s's cell alone
+        # precise version, so of the cells the atom reads s's alone
         head = f.args[0]
         self.reads.add(("f", "prec", (slots[head.name],)) if isinstance(head, Var)
                        else ("f", "prec"))
@@ -843,28 +861,15 @@ class _FoslSpace(_Space):
         self.maxima = tuple(lo - 1 for lo, _ in blocks)
         self.choices = self._choices()
 
-    def split(self, sorts: tuple[str, str], r: int) -> list[tuple]:
-        """Make the first sort hold of the elements below r and the second
-        of the rest, at every precisification, with blocks [0, r) and
-        [r, n).  The sort cells treat a block's elements alike, so they
-        are assigned, not decided.  Returns the cells assigned, for the
-        caller to unassign in reverse order.  With prec_cells, r is also
-        where the entities start, which every prec atom reads, so every
-        function cell counts as touched."""
-        first, second = sorts
+    def split(self, r: int) -> None:
+        """Make the elements below r the individuals and the rest the
+        entities, with blocks [0, r) and [r, n), while no cell is
+        assigned; no cell is written.  Opens a trail frame for the
+        caller to close (pop_frame) before the next split."""
         self.set_blocks(((0, r), (r, self.n)))
-        if self.prec_cells:
-            self.first_ext = r
-            for i in range(self.n):
-                self._touch(("f", "prec", 0, i))
-        cells = []
-        for pi in range(self.m):
-            for e in range(self.n):
-                for pred, value in ((first, 1 if e < r else 2), (second, 2 if e < r else 1)):
-                    cell = ("p", pred, pi, e)
-                    self.assign(cell, value)
-                    cells.append(cell)
-        return cells
+        self.first_ext = r
+        self._touch(("x", "split"))
+        self.trail.append([])
 
     def _choices(self) -> tuple[int, ...]:
         # per block: the elements up to its largest mentioned one, plus
@@ -920,6 +925,8 @@ class _FoslSpace(_Space):
             }
             if self.prec_cells:
                 first = self.first_ext
+                preds["ind"] = [(domain[i],) for i in range(first)]
+                preds["ext"] = [(domain[i],) for i in range(first, self.n)]
                 preds["prec"] = sorted(
                     (domain[i], domain[first if v is None else v])
                     for i, v in enumerate(self.prec_val[pi][:first])
@@ -939,36 +946,35 @@ class _FoslSpace(_Space):
         return structure
 
 
-# bridge axioms under the universal box, the objects full_translation
-# conjoins: 1 and 2 (the rigid ind/ext partition), and 4, 5 and 6 (prec
-# is a total function from ind to ext)
-_SORT_AXIOMS = frozenset((_FIXED_BOXED["1"], _FIXED_BOXED["2"]))
-_PREC_TOTAL = frozenset((_FIXED_BOXED["4"], _FIXED_BOXED["5"]))
-_PREC_FUNCTION = _PREC_TOTAL | {_FIXED_BOXED["6"]}
+# bridge axioms 1, 2 and 4-6 under the universal box, the objects
+# full_translation conjoins: ind/ext is a rigid partition of the domain,
+# and prec a total function from ind to ext
+_SPLIT_AXIOMS = frozenset(_FIXED_BOXED.values())
+_SPLIT_PREDS = frozenset(("ind", "ext", "prec"))
 _INK_IND = admitted_are_individuals()
-_SORTS = ("ind", "ext")
+_FALSITY = falsity()
 
 
-def _prec_level_axioms(m: int) -> frozenset:
-    """Bridge axioms 4-6 as the level formula for m precisifications
-    holds them (see _level_formula), for a space with prec cells to
-    drop."""
-    return frozenset(_simplify_shared(ax, m)[0] for ax in _PREC_FUNCTION)
+def _split_level_axioms(m: int) -> frozenset:
+    """Bridge axioms 1, 2 and 4-6 as the level formula for m
+    precisifications holds them (see _level_formula), for a split space
+    to drop."""
+    return frozenset(_simplify_shared(ax, m)[0] for ax in _SPLIT_AXIOMS)
 
 
-def _sort_floors(parts: set) -> tuple[int, int] | None:
-    """The least numbers of ind and of ext elements every model has,
-    read from the top-level conjuncts of its sentence, or None unless
-    they include bridge axioms 1 and 2 under the universal box, which
-    make ind/ext a rigid partition of the domain.
+def _sort_floors(parts: set) -> int | None:
+    """The least number of ind elements every model has, read from the
+    top-level conjuncts of its sentence, or None unless they include
+    bridge axioms 1, 2 and 4-6 under the universal box, which make
+    ind/ext a rigid partition of the domain and prec a total function
+    from ind to ext.  Those axioms also fix the least number of ext
+    elements at 1: an ind element has a prec partner in ext, and with no
+    ind element the domain, never empty, is all ext.
 
     The ind floor is 1 when they include a name-typing axiom [*] ink(c)
     and axiom 8, [*] forall x((ink(x) -> ind(x)) & ...): c denotes an
-    ind element.  The ext floor is 1 when they include axioms 4 and 5:
-    an ind element has a prec partner in ext, and with no ind element
-    the domain, never empty, is all ext (axiom 1).  _search_fosl reads
-    axioms 4-6 from the same conjuncts for the prec cells."""
-    if not _SORT_AXIOMS <= parts:
+    ind element."""
+    if not _SPLIT_AXIOMS <= parts:
         return None
     named = axiom_8 = False
     for part in parts:
@@ -981,61 +987,54 @@ def _sort_floors(parts: set) -> tuple[int, int] | None:
         elif (isinstance(body, Forall) and body.var == "x"
               and isinstance(body.body, And) and body.body.left == _INK_IND):
             axiom_8 = True
-    return int(named and axiom_8), int(_PREC_TOTAL <= parts)
+    return int(named and axiom_8)
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floors, caps, functional):
+def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floor, caps):
     """Search one level: n elements, m precisifications.  No space is
     built, and no further conjunct of one ground, once the deadline has
     passed.
 
-    floors, when given, are the least numbers of ind and ext elements of
-    the models of f, whose top-level conjuncts make ind/ext a rigid
-    partition of the domain (see _sort_floors).  Any model with r
-    elements in ind can be renumbered so that those are the elements
-    0..r-1.  So with symmetry reduction on, the level is searched once
-    per r from the ind floor to n less the ext floor, with the sort cells
-    so fixed (split), each block [0, r), [r, n) with its own least-number
-    heuristic, instead of branching on the sort cells through every
-    permutation of the same split; a level that no r fits, such as n = 1
-    when both floors are 1, is unsat without a space.  Otherwise the
-    level is one search over every cell.
+    floor, when given, is the least number of ind elements of the models
+    of f, whose top-level conjuncts make ind/ext a rigid partition of the
+    domain and prec a total function from ind to ext (see _sort_floors).
+    Any model with r elements in ind can be renumbered so that those are
+    the elements 0..r-1.  So with symmetry reduction on, the level is
+    searched on one split space (see _FoslSpace) once per r from the ind
+    floor to n - 1, which leaves prec an entity to take, each block
+    [0, r), [r, n) with its own least-number heuristic, instead of
+    branching on the sorts through every permutation of the same split;
+    a level that no r fits, such as n = 1 when the floor is 1, is unsat
+    without a space, and one whose formula simplifies to false is
+    searched once, unsplit.  Otherwise the level is one search over
+    every cell.
 
     caps, the most ext and ind elements a model may have, also bound r
     and split the level in both symmetry modes.
-
-    functional says the top-level conjuncts of f include bridge axioms
-    4-6 under the universal box: prec is a total function from ind to
-    ext at each precisification.  A level that is split then holds prec
-    as one value cell per individual and precisification instead of
-    membership bits, and drops the three axioms (see _FoslSpace); the
-    ext floor is 1, so each r leaves the function an entity to take.
     """
     if time.monotonic() > deadline:
         return ("timeout",)
     sizes = None  # the ind block sizes r, when the level is split
-    if floors is not None and (symmetry or caps is not None):
-        low, high = floors[0], n - floors[1]
+    if floor is not None and (symmetry or caps is not None):
+        low, high = floor, n - 1
         if caps is not None:
             low, high = max(low, n - caps[0]), min(high, caps[1])
         sizes = range(low, high + 1)
         if not sizes:
             return ("unsat",)
-    prec_cells = functional and sizes is not None
     try:
-        space = _FoslSpace(vocab, f, n, m, symmetry, deadline, prec_cells)
+        space = _FoslSpace(vocab, f, n, m, symmetry, deadline, sizes is not None)
     except _DeadlinePassed:
         return ("timeout",)
-    if sizes is not None and all(space.preds.get(p) == 1 for p in _SORTS):
-        for r in sizes:
-            cells = space.split(_SORTS, r)
-            result = space.dfs(deadline)
-            for cell in reversed(cells):
-                space.unassign(cell)
-            if result[0] != "unsat":
-                return result
-        return ("unsat",)
-    return space.dfs(deadline)
+    if sizes is None or _level_formula(f, m) == _FALSITY:
+        return space.dfs(deadline)
+    for r in sizes:
+        space.split(r)
+        result = space.dfs(deadline)
+        space.pop_frame()
+        if result[0] != "unsat":
+            return result
+    return ("unsat",)
 
 
 def _first_outcome(results, bounds: Bounds, start: float) -> SearchOutcome:
@@ -1057,12 +1056,9 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
     here, for every level."""
     start = time.monotonic()
     deadline = start + bounds.timeout
-    parts = set(conjuncts(f))
-    floors = _sort_floors(parts)
-    functional = _PREC_FUNCTION <= parts
+    floor = _sort_floors(set(conjuncts(f)))
     results = (
-        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floors, caps,
-                           functional)
+        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floor, caps)
         for n in range(1, bounds.max_domain + 1)
         for m in range(1, bounds.max_precisifications + 1)
     )
@@ -1073,11 +1069,11 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
 def find_fosl_model(vocab: FoslVocabulary, f: Formula, bounds: Bounds) -> SearchOutcome:
     """Search for a standpoint structure making f globally true, growing
     the domain and precisification count from 1 up to the bounds.  When
-    f has bridge axioms 1 and 2 among its top-level conjuncts, as a full
-    translation does, each level is split on ind/ext, starting each sort
-    at the least size the other bridge axioms among them force, and with
-    axioms 4-6 among them prec is searched as a function (see
-    _sort_floors and _search_level_fosl)."""
+    f has bridge axioms 1, 2 and 4-6 among its top-level conjuncts, as a
+    full translation does, each level is split on ind/ext, starting each
+    sort at the least size the bridge axioms among them force, and prec
+    is searched as a function (see _sort_floors and _search_level_fosl);
+    a sentence that lacks any of the five is searched unsplit."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
@@ -1336,8 +1332,7 @@ def _search_level_v1(vocab, f, ne, m, r, deadline):
             space.maps[:] = maps
         space.trail.append([])
         yield space.dfs(deadline)
-        for ci, pi in space.trail.pop():
-            space.status[ci][pi] = _U
+        space.pop_frame()
 
 
 def _registry_combos(ne: int, m: int, r: int):

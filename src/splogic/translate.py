@@ -177,24 +177,6 @@ _FIXED_BOXED = {label: _box(ax) for label, ax in _SORT_AXIOMS + _PREC_AXIOMS}
 _SHARED_AXIOMS: weakref.WeakSet = weakref.WeakSet(_FIXED_BOXED.values())
 
 
-def sort_axioms() -> list[tuple[str, Formula]]:
-    """Bridge axioms 1 and 2 with their labels: ind/ext partition the
-    domain, and both are rigid.  The model finder splits the domain on
-    ind/ext when a sentence has both, boxed, among its top-level
-    conjuncts, as full_translation emits them."""
-    return list(_SORT_AXIOMS)
-
-
-def prec_axioms() -> list[tuple[str, Formula]]:
-    """Bridge axioms 4, 5 and 6 with their labels: prec relates
-    individuals to entities, every individual has a precise version, and
-    at most one.  With axiom 1, axioms 4 and 5 leave no model without an
-    ext element; all three make prec a total function from ind to ext at
-    each precisification.  The model finder reads both facts from a
-    sentence with the axioms, boxed, among its top-level conjuncts."""
-    return list(_PREC_AXIOMS)
-
-
 def admitted_are_individuals() -> Formula:
     """ink(x) -> ind(x), the first conjunct of bridge axiom 8's body.  With
     a name-typing axiom ink(c) it leaves no model without an ind element,

@@ -40,7 +40,6 @@ from splogic import (
 from splogic import finder
 from splogic.finder import _F, _U, _FoslSpace, _V1Space
 from splogic.syntax import falsity, truth
-from splogic.translate import sort_axioms
 
 from naive_eval import naive_is_model, naive_is_model_v1
 from naive_enum import naive_fosl_sat, naive_v1_sat
@@ -685,8 +684,9 @@ class TestProbing:
 
 
 class TestSortSplit:
-    """A sentence with bridge axioms 1 and 2 among its top-level conjuncts
-    makes ind/ext a rigid partition, and the standpoint search fixes it,
+    """A sentence with bridge axioms 1, 2 and 4-6 among its top-level
+    conjuncts makes ind/ext a rigid partition and prec a total function
+    from ind to ext, and the standpoint search fixes the partition,
     individuals first, instead of branching on it element by element."""
 
     @staticmethod
@@ -694,9 +694,9 @@ class TestSortSplit:
         calls = []
         split = _FoslSpace.split
 
-        def counted(space, sorts, r):
+        def counted(space, r):
             calls.append((space.n, space.m, r))
-            return split(space, sorts, r)
+            return split(space, r)
 
         monkeypatch.setattr(_FoslSpace, "split", counted)
         return calls
@@ -744,21 +744,17 @@ class TestSortSplit:
 
     def test_floors_fall_back_without_their_axioms(self, monkeypatch):
         # without the name-typing axiom a model may have no individual
-        # (r = 0), without axiom 5 no entity (r = n); either way the
-        # one-element level is split like the others
+        # (r = 0), so the one-element level is split like the others
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
         parts = finder.conjuncts(f)
         axioms = dict(labeled_axioms(corpus_vocab(), strict_names=True))
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
-        for label, sizes in (("names:n", lambda n: range(n)),
-                             ("5", lambda n: range(1, n + 1))):
-            axiom = Box("*", axioms[label])
-            assert axiom in parts
-            g = conjoin([p for p in parts if p != axiom])
-            calls.clear()
-            assert isinstance(find_fosl_model(vocab, g, bounds), ExhaustedUnsat)
-            assert calls == [(n, m, r) for n in (1, 2, 3) for m in (1, 2) for r in sizes(n)]
+        axiom = Box("*", axioms["names:n"])
+        assert axiom in parts
+        g = conjoin([p for p in parts if p != axiom])
+        assert isinstance(find_fosl_model(vocab, g, bounds), ExhaustedUnsat)
+        assert calls == [(n, m, r) for n in (1, 2, 3) for m in (1, 2) for r in range(n)]
 
     def test_nameless_one_element_level_is_split_with_prec_cells(self, monkeypatch):
         # without names the ind floor is 0, so the one-element level is
@@ -788,16 +784,56 @@ class TestSortSplit:
             assert naive_is_model(outcome.structure, f)
             assert len(outcome.structure.domain) == domain
 
-    def test_no_split_without_axiom_2(self, monkeypatch):
+    @pytest.mark.parametrize("label", ["1", "2", "4", "5", "6"])
+    def test_no_split_without_axiom(self, label, monkeypatch):
+        # a split reads ind, ext and prec off its split point, which only
+        # all five axioms together allow
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
-        axiom_2 = Box("*", dict(sort_axioms())["2"])
+        axiom = Box("*", dict(labeled_axioms(corpus_vocab(), strict_names=True))[label])
         parts = finder.conjuncts(f)
-        assert axiom_2 in parts
-        g = conjoin([p for p in parts if p != axiom_2])
+        assert axiom in parts
+        g = conjoin([p for p in parts if p != axiom])
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
         find_fosl_model(vocab, g, bounds)
         assert calls == []
+
+    def test_split_space_reads_the_split_point(self, monkeypatch):
+        # a split space holds no ind, ext or prec table; split(r) opens
+        # one trail frame and assigns no cell, and the individuals of a
+        # model are the first r elements at every precisification
+        vocab, f = self.hard_translation()
+        space = _FoslSpace(vocab, f, 4, 2, True, prec_cells=True)
+        assert not {"ind", "ext", "prec"} & set(space.pred_bits)
+        assigned = []
+        monkeypatch.setattr(space, "assign", lambda *args: assigned.append(args))
+        frames = len(space.trail)
+        assert space.split(2) is None
+        assert len(space.trail) == frames + 1 and space.trail[-1] == []
+        assert assigned == []
+        assert space.first_ext == 2 and space.blocks == ((0, 2), (2, 4))
+        monkeypatch.undo()
+
+        models = []
+        materialize = _FoslSpace.materialize
+
+        def recorded(space):
+            model = materialize(space)
+            models.append((space.first_ext, model))
+            return model
+
+        monkeypatch.setattr(_FoslSpace, "materialize", recorded)
+        source = corpus_vocab()
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        for seed in range(40):
+            f = full_translation(generate_formula(source, seed, 4), source, strict_names=True)
+            find_fosl_model(vocab, f, bounds)
+        assert len(models) > 20
+        for r, model in models:
+            for pi in model.precisifications:
+                table = model.interpretation[pi].predicates
+                assert sorted(table["ind"]) == [(f"d{i}",) for i in range(r)]
+                assert sorted(table["ext"]) == [(e,) for e in model.domain[r:]]
 
     # the corpus at domain 3, and the six equisat_hard sentences
     # (bench/data/equisat_hard.json) at domain 4, the level they exhaust
@@ -959,7 +995,7 @@ class TestSortSplit:
         function_cells = 0  # assigned or forced
         for _ in range(40):
             r = rng.randint(1, 3)
-            sorts = space.split(("ind", "ext"), r)
+            space.split(r)
             steps: list[list[tuple]] = []
             for _ in range(rng.randint(1, 8)):
                 open_cells = list(TestMemoInvariant.cells(space))
@@ -978,19 +1014,17 @@ class TestSortSplit:
             for step in reversed(steps):
                 for cell in reversed(step):
                     space.unassign(cell)
-            for cell in reversed(sorts):
-                space.unassign(cell)
+            space.pop_frame()
         assert len(checked) > 100 and sum(checked) > 1000
         assert function_cells > 0
 
     def test_constant_values_per_block(self):
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
-        space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True)
+        space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
         cell = ("c", "n", 0)
         assert space.branch_values(cell) == (0,)
-        space.split(("ind", "ext"), 2)
-        # the sort cells mention no element: one fresh element per block
+        space.split(2)
         assert space.branch_values(cell) == (0, 2)
         space.decide(("p", "Kind", 1, 3), 1)
         assert space.branch_values(cell) == (0, 2, 3)
@@ -1005,7 +1039,7 @@ class TestSortSplit:
         f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
         space = _FoslSpace(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
         assert "prec" not in space.pred_bits
-        space.split(("ind", "ext"), 3)
+        space.split(3)
         constant, function = ("c", "n", 0), ("f", "prec", 1, 0)
         # a function cell takes the entity block's values only
         assert space.branch_values(constant) == (0, 3)
@@ -1042,10 +1076,11 @@ class TestSortSplit:
         return tuple(out)
 
     # seed 167 decides prec's function cells (78 decisions at domain 5);
-    # every one seed 42 meets is forced, and it needs domain 6 for the
-    # checks to stay many now that prec's bits and axioms 4-6 are gone
+    # every one seed 42 meets is forced, and it needs domain 7 for the
+    # checks to stay many now that prec's bits, axioms 1, 2 and 4-6 and
+    # the sort cells are gone
     @pytest.mark.parametrize("seed, domain, decides_functions",
-                             [(167, 5, True), (42, 6, False)], ids=["167", "42"])
+                             [(167, 5, True), (42, 7, False)], ids=["167", "42"])
     def test_search_keeps_block_values_in_step(self, seed, domain, decides_functions,
                                                monkeypatch):
         checked = []
