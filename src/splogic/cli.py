@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import SplError, VocabularyError, check_shape
+from .errors import SplError, VocabularyError, check_shape, load_json
 from .finder import (
     Bounds,
     ExhaustedUnsat,
@@ -67,8 +67,7 @@ _VOCAB_SHAPES = {
 
 
 def load_vocabulary(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json(path, VocabularyError)
     check_shape(data, {str: None}, VocabularyError, "vocabulary")
     logic = data.get("logic")
     if logic not in ("fosl", "v1"):  # compared, not hashed: any JSON value
@@ -287,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SplError, OSError, ValueError) as exc:  # ValueError covers bad JSON
+    except (SplError, OSError, ValueError) as exc:  # ValueError covers bad settings
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RecursionError:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 from collections.abc import Mapping
 
 
@@ -80,6 +81,16 @@ def check_shape(value, shape, error: type[SplError], where: str) -> None:
             if key not in shape:
                 raise error(f"unknown key {where}.{key}; expected one of {sorted(shape)}")
             check_shape(item, shape[key], error, f"{where}.{key}")
+
+
+def load_json(path: str, error: type[SplError]):
+    """The JSON value in the file at path; a malformed file raises error,
+    which names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON in {path}: {exc}") from None
 
 
 def nesting_guard(fn):

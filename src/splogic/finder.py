@@ -11,10 +11,12 @@ grow from size 1, false comes before true, and smaller elements come
 first, so the first model found is canonical for the enumeration order.
 
 The standpoint space and the V1 space (one per level, shared by its
-registries of extension maps) share one depth-first search and one
-three-valued compiler, which also creates their cells and read sets (see
-_Space); each supplies its universal quantifier and tables, V1 also its
-atoms over precise entities.  An unknown result names as its blocking
+registries of extension maps) share one depth-first search, one cell
+write and one three-valued compiler, which also creates their cells and
+read sets (see _Space); each supplies its universal quantifier and
+tables, V1 also its indefinite atoms and its atoms over precise
+entities.  Every constraint of a level is a compiled instance, V1's
+typing of names included.  An unknown result names as its blocking
 cell the first unset cell read by a subformula it depends on: a
 subformula that turns out decided leaves no trace.  Every search runs
 serially in the calling thread.
@@ -47,6 +49,7 @@ from .syntax import (
     Var,
     conjoin,
     conjuncts,
+    disjoin,
     falsity,
     formula_size,
     free_variables,
@@ -89,8 +92,11 @@ class Bounds:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if isinstance(self.timeout, bool) or not self.timeout > 0:  # NaN fails too
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        timeout = self.timeout  # a number, not a bool; NaN fails the comparison
+        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or not timeout > 0:
+            raise ValueError(f"timeout must be a positive number, got {timeout!r}")
+        if not isinstance(self.symmetry_reduction, bool):
+            raise ValueError(f"symmetry_reduction must be a bool, got {self.symmetry_reduction!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -288,8 +294,7 @@ class _Space:
     provides _table, propagate, materialize, _quantify (the universal
     over its domain) and self.choices, the values a constant branches
     over; it may extend assign, branch_values, decide (the one branching
-    step) and unassign, and add cell kinds to _poke, the one place that
-    writes.
+    step) and unassign.  Both spaces write every cell through _poke.
 
     The compiler is the one walk over a level's formula.  It creates a
     symbol's cells when it first meets it (a predicate's table through
@@ -309,9 +314,9 @@ class _Space:
     unknown child restores the culprit it found at its entry, so the
     culprit always comes from a subformula an unknown result depends
     on.  An atom whose predicate _table gives no table compiles through
-    the space's _precise_atom, which adds its own read keys: V1's rigid
-    precise predicates, and ind, ext and prec in a split standpoint
-    space.
+    the space's _precise_atom, which adds its own read keys: V1's
+    indefinite and rigid precise predicates, and ind, ext and prec in a
+    split standpoint space.
     """
 
     def dfs(self, deadline: float):
@@ -358,7 +363,7 @@ class _Space:
             self.status[ci][pi] = _U
 
     def _poke(self, cell: tuple, value) -> None:
-        # the one cell write; None unsets
+        # the one cell write, for both spaces; None unsets
         kind = cell[0]
         if kind == "p":
             _, pred, pi, rank = cell
@@ -1092,9 +1097,12 @@ class _V1Space(_Space):
     (all strictly increasing combinations of distinct maps, so duplicate
     registries never occur) and searched in one space, each writing its
     maps into the maps list.  pred_bits holds the sortal and indefinite
-    tables over individuals (base r), const_val the proper names; the
-    rigid precise tables over entities are precise_bits, with cells
-    ("q", pred, rank).
+    tables over individuals (base r) and the rigid precise tables over
+    entities (base ne) as one row, with cells ("p", pred, 0, rank);
+    const_val holds the proper names.  Every constraint is an instance:
+    one per name n, K1(n) | ... | Kk(n) over the sorted sortals (false
+    without sortals), comes first, and an indefinite atom is true only of
+    individuals admitted at its precisification (see _precise_atom).
     """
 
     def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int,
@@ -1107,26 +1115,21 @@ class _V1Space(_Space):
         self.r = self.base = len(maps)
         self.choices = tuple(range(self.r))  # a name may denote any individual
 
-        # structural3 constrains every sortal and name, so they have cells
-        # whether or not f mentions them; the compiler creates the
-        # indefinite and precise tables and the standpoint cells (_table)
+        # member3 reads every sortal, so each has a table whether or not f
+        # mentions it; the compiler creates the indefinite and precise
+        # tables, the name and the standpoint cells (_table)
         self.preds: dict[str, int] = {}  # indefinite and precise arities
         self.sortal_list = sorted(vocab.sortals)
-        self.indefinite: set[str] = set()
         self.pred_bits = {k: [bytearray(self.r) for _ in range(m)] for k in self.sortal_list}
-        self.precise_bits: dict[str, bytearray] = {}
-        self.const_val: dict[tuple[str, int], int | None] = {
-            (nm, pi): None for nm in sorted(vocab.names) for pi in range(m)
-        }
+        self.const_val: dict[tuple[str, int], int | None] = {}
         self.sigma_bits: dict[tuple[str, int], int] = {}
-        self.true_indef: list[tuple[str, int, int]] = []  # (A, pi, rank) set true
 
         self.culprit: tuple | None = None
         self.env: list[int] = []
         self.reads: set[tuple] = set()  # unused: this space keeps no memos
         self.conjuncts: list = []
         self.pi_indep: list[bool] = []
-        for part in conjuncts(_level_formula(f, m)):
+        for part in _name_typing(vocab.sortals, vocab.names) + conjuncts(_level_formula(f, m)):
             self.varies = False
             self.conjuncts.append(self._compile(part, {}))
             self.pi_indep.append(not self.varies)
@@ -1134,16 +1137,13 @@ class _V1Space(_Space):
         self.trail: list[list[tuple[int, int]]] = [[]]
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
-        if pred in self.vocab.precise:
-            if pred not in self.precise_bits:
-                self.preds[pred] = arity
-                self.precise_bits[pred] = bytearray(self.ne ** arity)
-            return None  # compiled by _precise_atom
-        if pred not in self.pred_bits:  # an indefinite predicate
+        if pred not in self.pred_bits:  # an indefinite or a precise predicate
             self.preds[pred] = arity
-            self.indefinite.add(pred)
-            self.pred_bits[pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
-        return self.pred_bits[pred]
+            if pred in self.vocab.precise:
+                self.pred_bits[pred] = [bytearray(self.ne ** arity)]  # rigid
+            else:
+                self.pred_bits[pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
+        return None if pred in self.preds else self.pred_bits[pred]  # see _precise_atom
 
     def member3(self, i: int, pi: int) -> tuple[int, tuple | None]:
         """Is individual i admitted by some sortal at pi?  An unknown
@@ -1186,10 +1186,44 @@ class _V1Space(_Space):
         return fn
 
     def _precise_atom(self, f: Atom, slots, resolvers):
-        # each argument is dereferenced to its individual's precise
-        # version at pi; this space keeps no read sets
+        # this space keeps no read sets
         pred = f.pred
-        bits = self.precise_bits[pred]
+        bits = self.pred_bits[pred]
+        if pred not in self.vocab.precise:
+            # an indefinite atom reads its bit first; a true tuple holds only
+            # of individuals admitted at pi, checked last argument first
+            base = self.r
+            member3 = self.member3
+
+            def fn(pi, env):
+                rank = 0
+                for resolve in resolvers:
+                    i = resolve(pi, env)
+                    if i is None:
+                        return _U
+                    rank = rank * base + i
+                b = bits[pi][rank]
+                if b == 0:
+                    self._note(("p", pred, pi, rank))
+                    return _U
+                if b == 2:
+                    return _F
+                culprit = None
+                for _ in resolvers:
+                    mv, mc = member3(rank % base, pi)
+                    if mv == _F:
+                        return _F
+                    culprit = culprit or mc
+                    rank //= base
+                if culprit is None:
+                    return _T
+                self._note(culprit)
+                return _U
+
+            return fn
+        # a precise atom dereferences each argument to its individual's
+        # precise version at pi
+        row = bits[0]
         maps = self.maps
         ne = self.ne
 
@@ -1200,46 +1234,18 @@ class _V1Space(_Space):
                 if i is None:
                     return _U
                 rank = rank * ne + maps[i][pi]
-            b = bits[rank]
+            b = row[rank]
             if b == 0:
-                self._note(("q", pred, rank))
+                self._note(("p", pred, 0, rank))
                 return _U
             return _T if b == 1 else _F
 
         return fn
 
-    def structural3(self) -> tuple[int, tuple | None]:
-        """Well-formedness constraints the search must respect: every name
-        denotes an admitted individual, and true indefinite tuples only
-        mention admitted individuals."""
-        culprit = None
-        for (nm, pi), v in self.const_val.items():
-            if v is None:
-                if culprit is None:
-                    culprit = ("c", nm, pi)
-                continue
-            mv, mc = self.member3(v, pi)
-            if mv == _F:
-                return _F, None
-            if mv == _U and culprit is None:
-                culprit = mc
-        r = self.r
-        for a, pi, rank in self.true_indef:
-            for _ in range(self.preds[a]):
-                mv, mc = self.member3(rank % r, pi)
-                if mv == _F:
-                    return _F, None
-                if mv == _U and culprit is None:
-                    culprit = mc
-                rank //= r
-        return (_U, culprit) if culprit is not None else (_T, None)
-
     def propagate(self, assigned: list) -> tuple[int, tuple | None]:
-        """One evaluation pass; this space entails no assignments, so
-        `assigned` is left as it is."""
-        sv, culprit = self.structural3()
-        if sv == _F:
-            return _F, None
+        """One evaluation pass over the instances; this space entails no
+        assignments, so `assigned` is left as it is."""
+        culprit = None
         frame = self.trail[-1]
         for ci, fn in enumerate(self.conjuncts):
             row = self.status[ci]
@@ -1256,21 +1262,7 @@ class _V1Space(_Space):
                     frame.append((ci, pi))
                 elif culprit is None:
                     culprit = self.culprit
-        if culprit is None:
-            return _T, None
-        return _U, culprit
-
-    def _poke(self, cell: tuple, value) -> None:
-        if cell[0] == "q":
-            _, q, rank = cell
-            self.precise_bits[q][rank] = 0 if value is None else value
-            return
-        if cell[0] == "p" and cell[1] in self.indefinite:
-            if value == 1:
-                self.true_indef.append(cell[1:])
-            elif self.pred_bits[cell[1]][cell[2]][cell[3]] == 1:
-                self.true_indef.pop()  # unsetting the latest true tuple
-        _Space._poke(self, cell, value)  # not super(): it costs on this hot path
+        return (_U, culprit) if culprit is not None else (_T, None)
 
     def materialize(self) -> V1Structure:
         entities = [f"e{i}" for i in range(self.ne)]
@@ -1287,17 +1279,18 @@ class _V1Space(_Space):
             }
             for pi in range(self.m)
         }
-        indefinite = {
-            precs[pi]: {
-                a: _rows(self.pred_bits[a][pi], self.preds[a], idents)
-                if a in self.indefinite else []
+        indefinite = {}
+        for pi, p in enumerate(precs):
+            admitted = set().union(*sortals[p].values())
+            indefinite[p] = {
+                a: [row for row in _rows(self.pred_bits[a][pi], self.preds[a], idents)
+                    if admitted.issuperset(row)]
+                if a in self.preds else []
                 for a in sorted(self.vocab.indefinite)
             }
-            for pi in range(self.m)
-        }
         precise = {
-            q: _rows(self.precise_bits[q], self.preds[q], entities)
-            if q in self.precise_bits else []
+            q: _rows(self.pred_bits[q][0], self.preds[q], entities)
+            if q in self.preds else []
             for q in sorted(self.vocab.precise)
         }
         names = {
@@ -1313,6 +1306,13 @@ class _V1Space(_Space):
         if not is_model_v1(structure, self.formula):
             raise SplError("internal error: candidate failed revalidation")
         return structure
+
+
+@functools.lru_cache(maxsize=8)
+def _name_typing(sortals: frozenset, names: frozenset) -> list[Formula]:
+    # the name-typing instances of _V1Space, shared by the spaces of all levels
+    return [disjoin(Atom(k, (Const(nm),)) for k in sorted(sortals)) if sortals else _FALSITY
+            for nm in sorted(names)]
 
 
 def _search_level_v1(vocab, f, ne, m, r, deadline):

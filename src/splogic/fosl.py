@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EvaluationError, ModelFormatError, check_shape, nesting_guard
+from .errors import EvaluationError, ModelFormatError, check_shape, load_json, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -26,10 +25,10 @@ from .syntax import (
     FoslVocabulary,
     Not,
     Term,
-    UNIVERSAL_STANDPOINT,
     Var,
     conjuncts,
     make_fosl_vocabulary,
+    structure_sigma,
 )
 
 Assignment = Mapping[str, str]
@@ -73,21 +72,9 @@ def make_fosl_structure(
         raise ModelFormatError("domain contains duplicate elements")
     if len(set(precs)) != len(precs):
         raise ModelFormatError("duplicate precisification identifiers")
-    prec_set = frozenset(precs)
     dom_set = frozenset(dom)
 
-    sig: dict[str, frozenset[str]] = {}
-    for sp, members in sigma.items():
-        mset = frozenset(members)
-        unknown = mset - prec_set
-        if unknown:
-            raise ModelFormatError(
-                f"sigma[{sp!r}] mentions unknown precisification(s) {sorted(unknown)}"
-            )
-        sig[sp] = mset
-    if UNIVERSAL_STANDPOINT in sig and sig[UNIVERSAL_STANDPOINT] != prec_set:
-        raise ModelFormatError("sigma['*'] must admit every precisification")
-    sig[UNIVERSAL_STANDPOINT] = prec_set
+    sig = structure_sigma(sigma, precs)
 
     if set(interpretation) != set(precs):
         raise ModelFormatError(
@@ -472,12 +459,7 @@ def fosl_structure_from_dict(data: Mapping) -> FoslStructure:
 
 
 def load_fosl_model(path: str) -> FoslStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON in {path}: {exc}") from None
-    return fosl_structure_from_dict(data)
+    return fosl_structure_from_dict(load_json(path, ModelFormatError))
 
 
 def fosl_structure_to_dict(m: FoslStructure) -> dict:

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import (
     ArityMismatchError,
+    ModelFormatError,
     UndeclaredSymbolError,
     VocabularyError,
     nesting_guard,
@@ -388,6 +389,27 @@ def _check_standpoints(standpoints: Iterable[str]) -> frozenset[str]:
         if sp != UNIVERSAL_STANDPOINT and not _IDENT_RE.match(sp):
             raise VocabularyError(f"standpoint symbol {sp!r} must be a lowercase identifier or '*'")
     return sps
+
+
+def structure_sigma(sigma: Mapping[str, Iterable[str]],
+                    precs: tuple[str, ...]) -> dict[str, frozenset[str]]:
+    """The standpoint map of a structure of either logic over the
+    precisifications precs: each standpoint's precisifications, all among
+    precs, with '*' admitting every one (sigma may omit it)."""
+    prec_set = frozenset(precs)
+    sig: dict[str, frozenset[str]] = {}
+    for sp, members in sigma.items():
+        mset = frozenset(members)
+        unknown = mset - prec_set
+        if unknown:
+            raise ModelFormatError(
+                f"sigma[{sp!r}] mentions unknown precisification(s) {sorted(unknown)}"
+            )
+        sig[sp] = mset
+    if UNIVERSAL_STANDPOINT in sig and sig[UNIVERSAL_STANDPOINT] != prec_set:
+        raise ModelFormatError("sigma['*'] must admit every precisification")
+    sig[UNIVERSAL_STANDPOINT] = prec_set
+    return sig
 
 
 def make_fosl_vocabulary(

@@ -11,12 +11,11 @@ map at the current precisification.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EvaluationError, ModelFormatError, check_shape, nesting_guard
+from .errors import EvaluationError, ModelFormatError, check_shape, load_json, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -26,11 +25,11 @@ from .syntax import (
     Formula,
     Not,
     Term,
-    UNIVERSAL_STANDPOINT,
     V1Vocabulary,
     Var,
     free_variables,
     make_v1_vocabulary,
+    structure_sigma,
 )
 
 Assignment = Mapping[str, str]
@@ -90,18 +89,7 @@ def make_v1_structure(
     ent_set = frozenset(ents)
     prec_set = frozenset(precs)
 
-    sig: dict[str, frozenset[str]] = {}
-    for sp, members in sigma.items():
-        mset = frozenset(members)
-        unknown = mset - prec_set
-        if unknown:
-            raise ModelFormatError(
-                f"sigma[{sp!r}] mentions unknown precisification(s) {sorted(unknown)}"
-            )
-        sig[sp] = mset
-    if UNIVERSAL_STANDPOINT in sig and sig[UNIVERSAL_STANDPOINT] != prec_set:
-        raise ModelFormatError("sigma['*'] must admit every precisification")
-    sig[UNIVERSAL_STANDPOINT] = prec_set
+    sig = structure_sigma(sigma, precs)
 
     registry: dict[str, IndefiniteIndividual] = {}
     for ident, extent in individuals.items():
@@ -348,12 +336,7 @@ def v1_structure_from_dict(data: Mapping) -> V1Structure:
 
 
 def load_v1_model(path: str) -> V1Structure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON in {path}: {exc}") from None
-    return v1_structure_from_dict(data)
+    return v1_structure_from_dict(load_json(path, ModelFormatError))
 
 
 def v1_structure_to_dict(m: V1Structure) -> dict:

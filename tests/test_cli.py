@@ -407,6 +407,19 @@ class TestJsonTypes:
         assert code == 2
         assert "must be a" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("monodic", "--vocab"),
+        ("check", "--flavor", "fosl", "--model"),
+        ("check", "--flavor", "v1", "--model"),
+    ], ids=["vocabulary", "fosl-model", "v1-model"])
+    def test_malformed_json_names_its_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "broken.json"
+        path.write_text("{")
+        code, _, err = run(capsys, *argv[:-1], "--formula", str(FIXTURES / "formula_c.txt"),
+                           argv[-1], str(path))
+        assert code == 2
+        assert f"invalid JSON in {path}" in err
+
 
 
 class TestUnknownKeys:

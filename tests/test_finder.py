@@ -282,6 +282,27 @@ class TestV1Search:
         assert isinstance(outcome, ModelFound)
         assert naive_is_model_v1(outcome.structure, f)
 
+    # An indefinite predicate holds only of individuals some sortal admits
+    # at the same precisification: at a precisification where ?x is not a
+    # K, A(?x) is false.  The first two sentences make the search set such
+    # a tuple true, which the generated micro-completeness sentences never
+    # do.
+    @pytest.mark.parametrize("text, sat", [
+        ("exists ?x ([*] A(?x) & <*> !K(?x))", False),
+        ("exists ?x ([s] A(?x) & <s> !K(?x))", False),
+        ("exists ?x (A(?x) & <*> !K(?x))", True),
+    ])
+    def test_indefinite_atoms_hold_only_of_admitted_individuals(self, text, sat):
+        vocab = make_v1_vocabulary(["K"], {"A": 1}, {"Q": 1}, ["c"], ["s"])
+        f = parse_formula(text, vocab)
+        bounds = Bounds(max_entities=2, max_precisifications=2, max_individuals=2,
+                        timeout=60)
+        outcome = find_v1_model(vocab, f, bounds)
+        assert isinstance(outcome, ModelFound if sat else ExhaustedUnsat)
+        assert naive_v1_sat(vocab, f, 2, 2, 2) == sat
+        if sat:
+            assert naive_is_model_v1(outcome.structure, f)
+
     # Two individuals may share an extension map (they stay distinct
     # individuals), but registries are drawn as combinations of distinct
     # maps, so at one entity and one precisification a registry holds a
@@ -542,8 +563,12 @@ class TestBounds:
 
     def test_invalid_settings_rejected(self):
         # a NaN deadline is never passed; a fractional or boolean bound
-        # would fail later in range() or count as 1
+        # would fail later in range() or count as 1; a timeout that is not
+        # a number would fail in the comparison, and a non-bool symmetry
+        # setting would read as on
         for settings in ({"timeout": float("nan")}, {"timeout": True},
+                         {"timeout": "5"}, {"timeout": None},
+                         {"symmetry_reduction": "no"}, {"symmetry_reduction": 0},
                          {"max_domain": 2.5}, {"max_entities": True},
                          {"max_precisifications": 2.0}, {"max_individuals": "2"}):
             with pytest.raises(ValueError):
