@@ -28,7 +28,7 @@ import functools
 import itertools
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import EvaluationError, SplError, nesting_guard
@@ -73,10 +73,12 @@ _F, _T, _U = 0, 1, 2  # three-valued: false / true / unknown
 
 @dataclass(frozen=True)
 class Bounds:
-    """Search limits.  Domain/entity/individual maxima and the
-    precisification maximum are inclusive; the timeout is per search.
-    find_v1_model does not read symmetry_reduction: its registries are
-    already distinct extension maps in lexicographic order."""
+    """Search limits, each maximum inclusive; the timeout is per search.
+    find_fosl_model reads max_domain, not max_entities or max_individuals;
+    find_v1_model reads those two, not max_domain or symmetry_reduction
+    (its registries are already distinct extension maps in lexicographic
+    order); equisat_check searches the translation up to max_entities +
+    max_individuals elements in place of max_domain."""
 
     max_domain: int = 3
     max_precisifications: int = 2
@@ -99,31 +101,27 @@ class Bounds:
             raise ValueError(f"symmetry_reduction must be a bool, got {self.symmetry_reduction!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "max_domain": self.max_domain,
-            "max_precisifications": self.max_precisifications,
-            "max_entities": self.max_entities,
-            "max_individuals": self.max_individuals,
-            "timeout": self.timeout,
-            "symmetry_reduction": self.symmetry_reduction,
-        }
+        return dict(vars(self))  # no field is None
 
 
 @dataclass(frozen=True)
 class ModelFound:
     structure: Union[FoslStructure, V1Structure]
     elapsed: float
+    verdict = "sat"  # the outcome's name in an equisat report (not a field)
 
 
 @dataclass(frozen=True)
 class ExhaustedUnsat:
     bounds: Bounds
     elapsed: float
+    verdict = "unsat"
 
 
 @dataclass(frozen=True)
 class SearchTimeout:
     elapsed: float
+    verdict = "timeout"
 
 
 SearchOutcome = Union[ModelFound, ExhaustedUnsat, SearchTimeout]
@@ -1369,6 +1367,13 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
 # Equisatisfiability harness
 # ---------------------------------------------------------------------------
 
+def _record(obj) -> dict:
+    """The fields of a dataclass instance in declaration order, those that
+    are None left out; a list field holds such instances."""
+    return {k: [_record(x) for x in v] if isinstance(v, list) else v
+            for k, v in vars(obj).items() if v is not None}
+
+
 @dataclass
 class DirectionOutcome:
     direction: str  # "v1" | "fosl"
@@ -1378,18 +1383,7 @@ class DirectionOutcome:
     model: dict | None = None
     verified: bool | None = None  # cross-verification through lift/lower
 
-    def to_dict(self) -> dict:
-        out = {
-            "direction": self.direction,
-            "outcome": self.outcome,
-            "elapsed_ms": self.elapsed_ms,
-            "bounds": self.bounds,
-        }
-        if self.model is not None:
-            out["model"] = self.model
-        if self.verified is not None:
-            out["verified"] = self.verified
-        return out
+    to_dict = _record
 
 
 @dataclass
@@ -1399,23 +1393,29 @@ class EquisatReport:
     directions: list[DirectionOutcome]
     counterexample: dict | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "formula": self.formula,
-            "agreement": self.agreement,
-            "directions": [d.to_dict() for d in self.directions],
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+    to_dict = _record
 
 
-def _outcome_name(result: SearchOutcome) -> str:
+def _direction(direction: str, search, bounds: Bounds, to_dict, image, holds):
+    """One side of equisat_check: search(bounds) and, when it finds a
+    model, the model's image on the other side and whether the other
+    side's sentence holds in it.  Returns the outcome and the image."""
+    start = time.monotonic()
+    result = search(bounds)
+    outcome = DirectionOutcome(direction, result.verdict,
+                               int((time.monotonic() - start) * 1000), bounds.to_dict())
+    mapped = None
     if isinstance(result, ModelFound):
-        return "sat"
-    if isinstance(result, ExhaustedUnsat):
-        return "unsat"
-    return "timeout"
+        outcome.model = to_dict(result.structure)
+        mapped = image(result.structure)
+        outcome.verified = holds(mapped)
+    return outcome, mapped
+
+
+def _lower_quietly(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _lower(mf, vocab)
 
 
 @nesting_guard
@@ -1453,72 +1453,30 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     validate_formula(f, vocab)
     trans_f = full_translation(f, vocab, strict_names=True)
     trans_vocab = translated_vocabulary(vocab)
-    directions: list[DirectionOutcome] = []
+    caps = (bounds.max_entities, bounds.max_individuals)
+    v1, lifted = _direction(
+        "v1", lambda b: find_v1_model(vocab, f, b), bounds,
+        v1_structure_to_dict, lift_model, lambda mf: is_model(mf, trans_f))
+    fosl, lowered = _direction(
+        "fosl", lambda b: _search_fosl(trans_vocab, trans_f, b, caps),
+        replace(bounds, max_domain=sum(caps)),
+        fosl_structure_to_dict, lambda mf: _lower_quietly(mf, vocab),
+        lambda mv: is_model_v1(mv, f))
+
     counterexample = None
-
-    t0 = time.monotonic()
-    v1_result = find_v1_model(vocab, f, bounds)
-    v1_dir = DirectionOutcome(
-        direction="v1",
-        outcome=_outcome_name(v1_result),
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-        bounds=bounds.to_dict(),
-    )
-    if isinstance(v1_result, ModelFound):
-        v1_dir.model = v1_structure_to_dict(v1_result.structure)
-        lifted = lift_model(v1_result.structure)
-        v1_dir.verified = is_model(lifted, trans_f)
-    directions.append(v1_dir)
-
-    fosl_bounds = Bounds(
-        max_domain=bounds.max_entities + bounds.max_individuals,
-        max_precisifications=bounds.max_precisifications,
-        max_entities=bounds.max_entities,
-        max_individuals=bounds.max_individuals,
-        timeout=bounds.timeout,
-        symmetry_reduction=bounds.symmetry_reduction,
-    )
-    t1 = time.monotonic()
-    fosl_result = _search_fosl(trans_vocab, trans_f, fosl_bounds,
-                               (bounds.max_entities, bounds.max_individuals))
-    fosl_dir = DirectionOutcome(
-        direction="fosl",
-        outcome=_outcome_name(fosl_result),
-        elapsed_ms=int((time.monotonic() - t1) * 1000),
-        bounds=fosl_bounds.to_dict(),
-    )
-    if isinstance(fosl_result, ModelFound):
-        fosl_dir.model = fosl_structure_to_dict(fosl_result.structure)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lowered = _lower(fosl_result.structure, vocab)
-        fosl_dir.verified = is_model_v1(lowered, f)
-    directions.append(fosl_dir)
-
-    if v1_dir.outcome == "timeout" or fosl_dir.outcome == "timeout":
+    if "timeout" in (v1.outcome, fosl.outcome):
         agreement = "inconclusive"
-    elif v1_dir.outcome == "sat" and fosl_dir.outcome == "sat":
-        if v1_dir.verified and fosl_dir.verified:
-            agreement = "sat"
-        else:
-            agreement = "discrepancy"
-            counterexample = v1_dir.model if not v1_dir.verified else fosl_dir.model
-    elif v1_dir.outcome == "unsat" and fosl_dir.outcome == "unsat":
-        agreement = "unsat"
-    elif v1_dir.outcome == "sat":
-        # the lift of the found V1 model fits the adjusted bounds, so the
-        # standpoint search had to find something
-        agreement = "discrepancy"
-        counterexample = fosl_structure_to_dict(lifted)
+    elif v1.outcome == fosl.outcome and v1.verified is not False and fosl.verified is not False:
+        agreement = v1.outcome
     else:
-        # standpoint model found where the V1 search was exhausted; it
-        # lowers within the V1 bounds
         agreement = "discrepancy"
-        counterexample = v1_structure_to_dict(lowered) if fosl_dir.verified else fosl_dir.model
-
-    return EquisatReport(
-        formula=print_formula(f),
-        agreement=agreement,
-        directions=directions,
-        counterexample=counterexample,
-    )
+        if v1.outcome == fosl.outcome:
+            # both sides found a model; the first whose image failed
+            counterexample = v1.model if v1.verified is False else fosl.model
+        elif lifted is not None:
+            # the lift fits the backward bounds, so that search had to find it
+            counterexample = fosl_structure_to_dict(lifted)
+        else:
+            # a standpoint model lowers within the V1 bounds
+            counterexample = v1_structure_to_dict(lowered) if fosl.verified else fosl.model
+    return EquisatReport(print_formula(f), agreement, [v1, fosl], counterexample)

@@ -13,6 +13,7 @@ import itertools
 import random
 from typing import Union
 
+from .errors import VocabularyError
 from .finder import Bounds
 from .fosl import FoslStructure, make_fosl_structure
 from .syntax import (
@@ -175,6 +176,11 @@ def generate_fosl_structure(
 def generate_v1_structure(
     vocab: V1Vocabulary, seed: int, bounds: Bounds
 ) -> V1Structure:
+    if vocab.names and not vocab.sortals:
+        raise VocabularyError(
+            "names must denote admitted individuals, and a vocabulary without "
+            "sortals admits none: no structure has names but no sortal"
+        )
     rng = random.Random(seed)
     ne = rng.randint(1, bounds.max_entities)
     m = rng.randint(1, bounds.max_precisifications)
@@ -202,11 +208,9 @@ def generate_v1_structure(
         sortals[pi] = {
             k: [i for i in idents if rng.random() < 0.5] for k in sortal_names
         }
-        if vocab.names:
-            # names must denote admitted individuals: keep the domain inhabited
-            admitted = set().union(*sortals[pi].values()) if sortal_names else set()
-            if not admitted:
-                sortals[pi][rng.choice(sortal_names)] = [rng.choice(idents)]
+        # names must denote admitted individuals: keep the domain inhabited
+        if vocab.names and not set().union(*sortals[pi].values()):
+            sortals[pi][rng.choice(sortal_names)] = [rng.choice(idents)]
 
     domains = {
         pi: sorted(set().union(*sortals[pi].values())) if sortals[pi] else []

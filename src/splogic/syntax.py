@@ -260,36 +260,42 @@ def falsity() -> Formula:
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Free variable names (without the ``?`` sigil)."""
-    if isinstance(f, Atom):
-        return frozenset(t.name for t in f.args if isinstance(t, Var))
-    if isinstance(f, Equal):
-        return frozenset(t.name for t in (f.left, f.right) if isinstance(t, Var))
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, And):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, Forall):
-        return free_variables(f.body) - {f.var}
-    if isinstance(f, Box):
-        return free_variables(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return _variables(f, True)
 
 
 def all_variables(f: Formula) -> frozenset[str]:
     """Every variable name occurring in f, free or bound."""
-    if isinstance(f, Atom):
-        return frozenset(t.name for t in f.args if isinstance(t, Var))
-    if isinstance(f, Equal):
-        return frozenset(t.name for t in (f.left, f.right) if isinstance(t, Var))
-    if isinstance(f, Not):
-        return all_variables(f.body)
-    if isinstance(f, And):
-        return all_variables(f.left) | all_variables(f.right)
-    if isinstance(f, Forall):
-        return all_variables(f.body) | {f.var}
-    if isinstance(f, Box):
-        return all_variables(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return _variables(f, False)
+
+
+def _variables(f: Formula, free: bool) -> frozenset[str]:
+    """The variable names of f, those bound above their occurrence left
+    out when free is set.  One walk over an explicit stack fills one set,
+    so nesting depth costs no recursion; node classes are matched exactly,
+    as none is subclassed."""
+    out: set[str] = set()
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        kind = type(g)
+        if kind is And:
+            stack.append((g.right, bound))
+            stack.append((g.left, bound))
+        elif kind is Not or kind is Box:
+            stack.append((g.body, bound))
+        elif kind is Atom or kind is Equal:
+            for t in g.args if kind is Atom else (g.left, g.right):
+                if type(t) is Var and t.name not in bound:
+                    out.add(t.name)
+        elif kind is Forall:
+            if free:
+                bound = bound | {g.var}
+            else:
+                out.add(g.var)
+            stack.append((g.body, bound))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return frozenset(out)
 
 
 def formula_size(f: Formula) -> int:

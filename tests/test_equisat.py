@@ -6,11 +6,19 @@ from splogic import (
     Bounds,
     Box,
     EvaluationError,
+    ExhaustedUnsat,
     equisat_check,
+    fosl_structure_to_dict,
     generate_formula,
+    lift_model,
+    make_v1_structure,
     make_v1_vocabulary,
     parse_formula,
+    v1_structure_from_dict,
 )
+from splogic import finder
+
+from naive_eval import naive_is_model_v1
 
 BOUNDS = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
                 timeout=60)
@@ -104,3 +112,98 @@ class TestEquisatHarness:
         assert tallies.get("discrepancy", 0) == 0
         assert tallies.get("inconclusive", 0) == 0
         assert tallies.get("sat", 0) + tallies.get("unsat", 0) == 200
+
+
+class TestAgreementBranches:
+    """Each way equisat_check combines its two directions, and the
+    counterexample it reports for each kind of discrepancy."""
+
+    @staticmethod
+    def named_attribute():
+        vocab = make_v1_vocabulary(["K"], {"A": 1}, {}, ["n"], [])
+        return vocab, parse_formula("A(n)", vocab)
+
+    @staticmethod
+    def countermodel():
+        # a V1 structure in which A(n) is false
+        return make_v1_structure(["e0"], ["p0"], {}, {"i0": {"p0": "e0"}},
+                                 {"p0": {"K": ["i0"]}}, {"p0": {"A": []}}, {},
+                                 {"p0": {"n": "i0"}})
+
+    def test_timeouts_are_inconclusive(self):
+        vocab, f = self.named_attribute()
+        report = equisat_check(vocab, f, Bounds(timeout=1e-9))
+        assert report.agreement == "inconclusive"
+        assert [d.outcome for d in report.directions] == ["timeout", "timeout"]
+        assert all(d.model is None and d.verified is None for d in report.directions)
+        assert report.counterexample is None
+        assert list(report.to_dict()) == ["formula", "agreement", "directions"]
+
+    def test_backward_model_beyond_the_v1_search_is_lowered(self):
+        # registries never give two individuals one extension map, so at
+        # one entity and one precisification the V1 search cannot tell a
+        # from b; the backward search can, and its model lowers to a V1
+        # model of the sentence
+        vocab = make_v1_vocabulary(["K"], {}, {}, ["a", "b"], [])
+        f = parse_formula("!(a = b)", vocab)
+        bounds = Bounds(max_entities=1, max_precisifications=1, max_individuals=2,
+                        timeout=60)
+        report = equisat_check(vocab, f, bounds)
+        assert report.agreement == "discrepancy"
+        v1, fosl = report.directions
+        assert (v1.outcome, fosl.outcome, fosl.verified) == ("unsat", "sat", True)
+        with pytest.warns(UserWarning, match="share one extension map"):
+            lowered = v1_structure_from_dict(report.counterexample)
+        assert naive_is_model_v1(lowered, f)
+        data = report.to_dict()
+        assert list(data) == ["formula", "agreement", "directions", "counterexample"]
+        assert [list(d) for d in data["directions"]] == [
+            ["direction", "outcome", "elapsed_ms", "bounds"],
+            ["direction", "outcome", "elapsed_ms", "bounds", "model", "verified"],
+        ]
+        assert list(data["directions"][1]["bounds"]) == [
+            "max_domain", "max_precisifications", "max_entities", "max_individuals",
+            "timeout", "symmetry_reduction",
+        ]
+        assert data["directions"][1]["bounds"]["max_domain"] == 3
+
+    @pytest.mark.parametrize("failing", ["v1", "fosl"])
+    def test_failed_check_reports_the_unverified_model(self, monkeypatch, failing):
+        # both sides find a model, but one side's model does not map to a
+        # model on the other: the lift, or the lowering, is replaced by
+        # the countermodel
+        vocab, f = self.named_attribute()
+        countermodel = self.countermodel()
+        if failing == "v1":
+            monkeypatch.setattr(finder, "lift_model", lambda mv: lift_model(countermodel))
+        else:
+            monkeypatch.setattr(finder, "_lower", lambda mf, vocab: countermodel)
+        report = equisat_check(vocab, f, BOUNDS)
+        assert report.agreement == "discrepancy"
+        assert [d.outcome for d in report.directions] == ["sat", "sat"]
+        assert [d.verified for d in report.directions] == [failing != "v1", failing != "fosl"]
+        outcomes = {d.direction: d for d in report.directions}
+        assert report.counterexample == outcomes[failing].model
+
+    def test_v1_model_without_a_backward_model_reports_its_lift(self, monkeypatch):
+        vocab, f = self.named_attribute()
+        monkeypatch.setattr(finder, "_search_fosl",
+                            lambda vocab, f, bounds, caps=None: ExhaustedUnsat(bounds, 0.0))
+        report = equisat_check(vocab, f, BOUNDS)
+        assert report.agreement == "discrepancy"
+        v1, fosl = report.directions
+        assert (v1.outcome, v1.verified, fosl.outcome) == ("sat", True, "unsat")
+        lifted = lift_model(v1_structure_from_dict(v1.model))
+        assert report.counterexample == fosl_structure_to_dict(lifted)
+
+    def test_unverified_backward_model_without_a_v1_model_is_reported(self, monkeypatch):
+        vocab, f = self.named_attribute()
+        countermodel = self.countermodel()
+        monkeypatch.setattr(finder, "find_v1_model",
+                            lambda vocab, f, bounds: ExhaustedUnsat(bounds, 0.0))
+        monkeypatch.setattr(finder, "_lower", lambda mf, vocab: countermodel)
+        report = equisat_check(vocab, f, BOUNDS)
+        assert report.agreement == "discrepancy"
+        v1, fosl = report.directions
+        assert (v1.outcome, fosl.outcome, fosl.verified) == ("unsat", "sat", False)
+        assert report.counterexample == fosl.model

@@ -8,6 +8,7 @@ from splogic import (
     Equal,
     Forall,
     Not,
+    VocabularyError,
     free_variables,
     generate_formula,
     generate_structure,
@@ -121,6 +122,12 @@ class TestStructureGenerators:
             assert fosl_structure_from_dict(fosl_structure_to_dict(m)) == m
             v = generate_v1_structure(V1_VOCAB, seed, BOUNDS)
             assert v1_structure_from_dict(v1_structure_to_dict(v)) == v
+
+    def test_names_without_a_sortal_are_rejected(self):
+        # a name denotes an admitted individual, and only sortals admit one
+        vocab = make_v1_vocabulary([], {"Attr": 1}, {}, ["n"], [])
+        with pytest.raises(VocabularyError, match="without sortals"):
+            generate_v1_structure(vocab, 0, BOUNDS)
 
     def test_dispatch_by_vocabulary_kind(self):
         from splogic import FoslStructure, V1Structure

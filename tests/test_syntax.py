@@ -245,6 +245,23 @@ class TestQueries:
         f = Forall("x", Atom("R", (Var("x"), Var("y"))))
         assert all_variables(f) == {"x", "y"}
 
+    def test_binding_is_scoped_to_the_quantifier_body(self):
+        f = And(Forall("x", Atom("P", (Var("x"),))), Equal(Var("x"), Var("y")))
+        assert free_variables(f) == {"x", "y"}
+        assert all_variables(f) == {"x", "y"}
+
+    def test_variables_of_a_non_formula_are_a_type_error(self):
+        for query in (free_variables, all_variables):
+            with pytest.raises(TypeError, match="not a formula"):
+                query(Not(Var("x")))
+
+    def test_deeply_nested_free_variable(self):
+        f = Atom("P", (Var("x"),))
+        for _ in range(5000):
+            f = Not(f)
+        assert free_variables(f) == {"x"}
+        assert all_variables(Forall("x", f)) == {"x"}
+
     def test_formula_size(self):
         assert formula_size(Atom("P", (Const("c"),))) == 1
         p = Atom("P", (Const("c"),))
