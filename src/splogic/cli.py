@@ -251,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="emit the full translation of a v1 formula")
     add_common(p)
     p.add_argument("--strict-names", action="store_true",
-                   help="also force every name to denote an admitted individual")
+                   help="also force every name to denote an admitted individual; "
+                        "without it a name may denote a precise entity, and a "
+                        "sentence that mentions a name may be satisfiable where "
+                        "its V1 reading is not")
     p.add_argument("--out", default=None, help="output formula file")
     p.add_argument("--report", default=None, help="sidecar JSON report path")
     p.set_defaults(func=cmd_translate)

@@ -1,25 +1,28 @@
 """Bounded exhaustive model search for both logics, plus the
 equisatisfiability harness built on the translation.
 
-The search assigns interpretation "cells" (one membership bit per
-predicate/tuple/precisification, one element choice per constant and
-precisification, one bit per standpoint membership) and evaluates the
-query three-valued after each assignment: definitely-false prunes the
-branch, definitely-true completes the remaining cells with defaults,
-and an unknown result names a blocking cell to branch on next.  Domains
+The search assigns interpretation "cells" (a membership bit per
+predicate, tuple and precisification, a standpoint membership bit per
+precisification, and a value per function, argument and precisification,
+a constant being a 0-ary function) and evaluates the query three-valued
+after each assignment: definitely-false prunes the branch,
+definitely-true completes the remaining cells with defaults, and an
+unknown result names a blocking cell to branch on next.  Domains
 grow from size 1, false comes before true, and smaller elements come
 first, so the first model found is canonical for the enumeration order.
 
 The standpoint space and the V1 space (one per level, shared by its
-registries of extension maps) share one depth-first search, one cell
-write and one three-valued compiler, which also creates their cells and
-read sets (see _Space); each supplies its universal quantifier and
-tables, V1 also its indefinite atoms and its atoms over precise
-entities.  Every constraint of a level is a compiled instance, V1's
-typing of names included.  An unknown result names as its blocking
-cell the first unset cell read by a subformula it depends on: a
-subformula that turns out decided leaves no trace.  Every search runs
-serially in the calling thread.
+registries of extension maps) share one cell store, one depth-first
+search, one cell write and one three-valued compiler, which also creates
+their cells and read sets (see _Space).  Every cell is (kind, symbol,
+precisification, rank); in both spaces an individual's precise version
+is the function prec, which V1's registries preset.  Each space supplies
+its universal quantifier and tables, V1 also its indefinite atoms and
+its atoms over precise entities.  Every constraint of a level is a
+compiled instance, V1's typing of names included.  An unknown result
+names as its blocking cell the first unset cell read by a subformula it
+depends on: a subformula that turns out decided leaves no trace.  Every
+search runs serially in the calling thread.
 """
 
 from __future__ import annotations
@@ -283,22 +286,26 @@ class _Space:
     """Depth-first search over the cells of a partial structure, and the
     three-valued compiler both logics share.
 
-    A space keeps its cells in three tables: pred_bits[pred][pi][rank]
-    (membership bits, tuple ranks in base self.base), const_val[(name,
-    pi)] (an element or None) and sigma_bits[(sp, pi)]; their cells are
-    ("p", pred, pi, rank), ("c", name, pi) and ("s", sp, pi).  A split
-    standpoint space adds a fourth, prec_val[pi][i] (individual i's
-    precise version or None), with cells ("f", "prec", pi, i).  A space
+    A space keeps its cells in one store, tables[(kind, symbol)], with
+    one row per precisification, or a single row for a rigid symbol.  A
+    cell is (kind, symbol, pi, rank), the rank-th entry of row pi:
+      "p"  a predicate's membership bit, tuple ranks in base self.base;
+      "s"  a standpoint's membership bit, a 0-ary symbol at rank 0;
+      "f"  a function's value, an element or None: a constant is 0-ary,
+           at rank 0, and prec, each individual's precise version, is
+           1-ary, ranked by the individual.
+    A bit stores 0 for unset, 1 for true and 2 for false.  A space
     provides _table, propagate, materialize, _quantify (the universal
-    over its domain) and self.choices, the values a constant branches
-    over; it may extend assign, branch_values, decide (the one branching
-    step) and unassign.  Both spaces write every cell through _poke.
+    over its domain) and self.choices, the values a function branches
+    over from its least one (_least); it may extend assign, decide (the
+    one branching step) and unassign.  Both spaces write every cell
+    through _poke.
 
     The compiler is the one walk over a level's formula.  It creates a
     symbol's cells when it first meets it (a predicate's table through
     _table(pred, arity)) and adds the read-set keys of what it compiles
     to self.reads: ("p", pred, env slots) for an atom over variables
-    only, ("p", pred) for any other, ("c", name) and ("s", sp).  A bound
+    only, ("p", pred) for any other, ("f", name) and ("s", sp).  A bound
     variable takes an env slot above every slot in scope (_bind), so a
     rebound variable never overwrites the one it shadows.  The walk also
     sets self.varies when the value may depend on the precisification:
@@ -316,6 +323,23 @@ class _Space:
     indefinite and rigid precise predicates, and ind, ext and prec in a
     split standpoint space.
     """
+
+    def __init__(self, vocab, f: Formula, m: int, base: int):
+        self.vocab = vocab
+        self.formula = f
+        self.m = m
+        self.base = base
+        # the compiler creates the cells of the symbols the level formula
+        # mentions, a predicate's table through _table, which records its
+        # arity in preds
+        self.preds: dict[str, int] = {}
+        self.tables: dict[tuple[str, str], list] = {}
+        self.env: list[int] = []
+        self.culprit: tuple | None = None
+        self.reads: set[tuple] = set()
+        self.conjuncts: list = []  # compiled instances
+        self.pi_indep: list[bool] = []
+        self.trail: list[list[tuple[int, int]]] = [[]]
 
     def dfs(self, deadline: float):
         if time.monotonic() > deadline:
@@ -339,9 +363,16 @@ class _Space:
                 self.unassign(cell)
 
     def branch_values(self, cell: tuple) -> tuple[int, ...]:
-        if cell[0] == "c":
-            return self.choices
-        return (2, 1)  # absent before present
+        if cell[0] != "f":
+            return (2, 1)  # absent before present
+        least = self._least(cell[1])
+        return tuple(e for e in self.choices if e >= least) if least else self.choices
+
+    def _least(self, symbol: str) -> int:
+        # a function's least value: prec maps an individual to an entity,
+        # and the entities of a standpoint space start at first_ext (V1
+        # presets its prec rows, so it never branches on them)
+        return self.first_ext if symbol == "prec" else 0
 
     def decide(self, cell: tuple, value: int) -> None:
         self.assign(cell, value)
@@ -362,19 +393,11 @@ class _Space:
 
     def _poke(self, cell: tuple, value) -> None:
         # the one cell write, for both spaces; None unsets
-        kind = cell[0]
-        if kind == "p":
-            _, pred, pi, rank = cell
-            self.pred_bits[pred][pi][rank] = 0 if value is None else value
-        elif kind == "c":
-            _, name, pi = cell
-            self.const_val[(name, pi)] = value
-        elif kind == "f":
-            _, _, pi, i = cell
-            self.prec_val[pi][i] = value
+        kind, symbol, pi, rank = cell
+        if kind == "f":
+            self.tables[kind, symbol][pi][rank] = value
         else:
-            _, sp, pi = cell
-            self.sigma_bits[(sp, pi)] = 0 if value is None else value
+            self.tables[kind, symbol][pi][rank] = 0 if value is None else value
 
     # ---- compilation to closures: fn(pi, env) -> three-valued int ----
 
@@ -482,15 +505,13 @@ class _Space:
                 return fn
 
             self.reads.add(("s", sp))
-            bits = self.sigma_bits
-            for p2 in range(m):
-                bits.setdefault((sp, p2), 0)
+            rows = self.tables.setdefault(("s", sp), [bytearray(1) for _ in range(m)])
 
             def fn(pi, env):
                 cul = self.culprit
                 unknown = False
                 for p2 in range(m):
-                    b = bits[(sp, p2)]
+                    b = rows[p2][0]
                     if b == 2:
                         continue
                     v = child(p2, env)
@@ -498,7 +519,7 @@ class _Space:
                         if b == 1:
                             self.culprit = cul
                             return _F
-                        self._note(("s", sp, p2))  # membership still open
+                        self._note(("s", sp, p2, 0))  # membership still open
                         unknown = True
                     elif v == _U:
                         unknown = True
@@ -513,15 +534,13 @@ class _Space:
             return lambda pi, env: env[slot]
         self.varies = True
         name = t.name
-        self.reads.add(("c", name))
-        vals = self.const_val
-        for pi in range(self.m):
-            vals.setdefault((name, pi), None)
+        self.reads.add(("f", name))
+        rows = self.tables.setdefault(("f", name), [[None] for _ in range(self.m)])
 
         def resolve(pi, env):
-            v = vals[(name, pi)]
+            v = rows[pi][0]
             if v is None:
-                self._note(("c", name, pi))
+                self._note(("f", name, pi, 0))
                 return None
             return v
 
@@ -543,11 +562,11 @@ def _rows(bits, arity: int, names: list[str]) -> list[tuple[str, ...]]:
     return sorted(rows)
 
 
-def _sigma(standpoints, sigma_bits: dict, precs: list[str]) -> dict[str, list[str]]:
+def _sigma(standpoints, tables: dict, precs: list[str]) -> dict[str, list[str]]:
     """Each standpoint's precisifications; one the formula does not
-    mention (no cells) admits none."""
+    mention (no table) admits none."""
     return {
-        sp: [p for pi, p in enumerate(precs) if sigma_bits.get((sp, pi)) == 1]
+        sp: [p for p, row in zip(precs, tables.get(("s", sp), ())) if row[0] == 1]
         for sp in sorted(standpoints)
         if sp != UNIVERSAL_STANDPOINT
     }
@@ -566,47 +585,40 @@ class _FoslSpace(_Space):
     precisifications, restricted to the symbols the formula mentions.
 
     Symmetry is broken only at decisions: with symmetry reduction on, a
-    constant branches over each block's elements (see set_blocks) up to
+    value cell branches over each block's elements (see set_blocks) up to
     the largest one a decision on the path names, plus one fresh one
     (the least-number heuristic, LNH).  Propagation derives only values
     every model below the node shares (_probe), which keep the models'
     symmetry, so forced cells mention nothing.
 
-    With prec_cells, the space is split (see split): it has no ind, ext
-    or prec table.  ind(s) is s < first_ext and ext(s) is s >= first_ext,
-    and prec is a function: one value cell ("f", "prec", pi, i) per
-    individual i and precisification, ranging over the entities; an atom
-    prec(s, t) reads s's cell, and is false when s is an entity or t an
-    individual.  So bridge axioms 1, 2 and 4-6 hold and are not ground;
-    materialize writes the three predicates, and the revalidation against
-    the whole sentence still checks the five.  A function cell branches
-    over the entity block's LNH values, is probed at every entity like a
-    constant, and a decision on it mentions its individual and value."""
+    With prec_cells, the space is split (see split): it has no table of
+    ind, ext or prec bits.  ind(s) is s < first_ext and ext(s) is
+    s >= first_ext, and prec is a function like a constant, 1-ary: one
+    value cell ("f", "prec", pi, i) per individual i and precisification,
+    ranging over the entities (see _least); an atom prec(s, t) reads s's
+    cell, and is false when s is an entity or t an individual.  So bridge
+    axioms 1, 2 and 4-6 hold and are not ground; materialize writes the
+    three predicates, and the revalidation against the whole sentence
+    still checks the five.  A prec cell branches over the entity block's
+    LNH values, is probed at every entity, and a decision on it mentions
+    its individual and value."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
                  deadline: float = float("inf"), prec_cells: bool = False):
-        self.vocab = vocab
-        self.formula = f
-        self.n = self.base = n
-        self.m = m
+        _Space.__init__(self, vocab, f, m, n)
+        self.n = n
         self.symmetry = symmetry
-        # the compiler creates the cells of the symbols the level formula
-        # mentions (see _table)
-        self.preds: dict[str, int] = {}
-        self.pred_bits: dict[str, list[bytearray]] = {}
-        self.const_val: dict[tuple[str, int], int | None] = {}
-        self.sigma_bits: dict[tuple[str, int], int] = {}
-        self.env: list[int] = []
         self.prec_cells = prec_cells
-        self.prec_val: list[list[int | None]] = [[None] * n for _ in range(m)]
-        self.first_ext = n  # the split point, set by split
+        if prec_cells:
+            self.tables["f", "prec"] = [[None] * n for _ in range(m)]
+        # the split point, set by split; 0 until then, no individuals, so
+        # a constant that is named prec takes every element (_least)
+        self.first_ext = 0
 
         # the LNH state: the largest element of each block a decision
         # mentioned, and self.choices (see set_blocks)
         self.set_blocks(((0, n),))
         self.lnh_stack: list[tuple] = []  # (maxima, choices) per assignment
-
-        self.culprit: tuple | None = None
 
         # Universal blocks at the top of a conjunct (boxes commute with
         # them under the constant-domain semantics) are ground into one
@@ -623,9 +635,7 @@ class _FoslSpace(_Space):
         # reads the split point, ("x", "split"), and a prec atom also its
         # first argument's cell, keyed ("f", "prec", i) when that argument
         # is a ground variable.
-        self.conjuncts: list = []  # compiled bodies
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
-        self.pi_indep: list[bool] = []
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
         dropped = _split_level_axioms(m) if prec_cells else ()
         for part in conjuncts(_level_formula(f, m)):
@@ -640,7 +650,7 @@ class _FoslSpace(_Space):
             slots: dict[str, int] = {}
             for v in qvars:
                 slots = self._bind(slots, v)
-            self.reads: set[tuple] = set()
+            self.reads = set()
             self.varies = False
             fn = self._compile(rebuilt, slots)
             wide: set[tuple] = set()
@@ -666,7 +676,6 @@ class _FoslSpace(_Space):
                     self.watch.setdefault(key, []).append(ci)
         self.scan_order = range(len(self.conjuncts))
         self.status = [[_U] * m for _ in self.conjuncts]
-        self.trail: list[list[tuple[int, int]]] = [[]]
 
         # memos: an instance is re-evaluated only when a cell it can read
         # changes, i.e. when a key of its read set is touched
@@ -678,10 +687,10 @@ class _FoslSpace(_Space):
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
         if self.prec_cells and pred in _SPLIT_PREDS:
             return None  # compiled by _precise_atom
-        if pred not in self.pred_bits:
+        if pred not in self.preds:
             self.preds[pred] = arity
-            self.pred_bits[pred] = [bytearray(self.n ** arity) for _ in range(self.m)]
-        return self.pred_bits[pred]
+            self.tables["p", pred] = [bytearray(self.n ** arity) for _ in range(self.m)]
+        return self.tables["p", pred]
 
     def _precise_atom(self, f: Atom, slots, resolvers):
         # ind, ext and prec in a split space, read off the split point
@@ -703,7 +712,7 @@ class _FoslSpace(_Space):
         self.reads.add(("f", "prec", (slots[head.name],)) if isinstance(head, Var)
                        else ("f", "prec"))
         first, second = resolvers
-        vals = self.prec_val
+        vals = self.tables["f", "prec"]
 
         def fn(pi, env):
             s = first(pi, env)
@@ -819,17 +828,14 @@ class _FoslSpace(_Space):
 
     def _probe(self, cell, fn, pi, preset) -> tuple[int, int | None]:
         """How many values of cell keep this one instance satisfiable,
-        and the last value that did.  A constant is tried at every
-        element and a function cell at every entity, whatever the LNH
-        cap, so one survivor is entailed."""
+        and the last value that did.  A value cell is tried at every
+        element from its function's least value on, whatever the LNH cap,
+        so one survivor is entailed."""
         survivors = 0
         keep = None
         env = self.env
-        kind = cell[0]
-        if kind == "c":
-            values = range(self.n)
-        elif kind == "f":
-            values = range(self.first_ext, self.n)
+        if cell[0] == "f":
+            values = range(self._least(cell[1]), self.n)
         else:
             values = (2, 1)
         for value in values:
@@ -847,11 +853,11 @@ class _FoslSpace(_Space):
     # ---- assignment trail; probes write through _poke alone ----
 
     def _touch(self, cell: tuple) -> None:
-        # the read-set keys of a cell: its symbol's, and for a predicate
-        # cell also its own, ("p", pred, rank)
+        # the read-set keys of a cell: its symbol's, (kind, symbol), and
+        # its own, (kind, symbol, rank)
         self.tick += 1
-        keys = (cell[:2], cell[:2] + cell[3:]) if len(cell) == 4 else (cell[:2],)
-        for key in keys:
+        kind, symbol, _, rank = cell
+        for key in ((kind, symbol), (kind, symbol, rank)):
             for ci in self.watch.get(key, ()):
                 self.conj_touch[ci] = self.tick
 
@@ -871,7 +877,7 @@ class _FoslSpace(_Space):
         caller to close (pop_frame) before the next split."""
         self.set_blocks(((0, r), (r, self.n)))
         self.first_ext = r
-        self._touch(("x", "split"))
+        self._touch(("x", "split", 0, 0))  # the key ("x", "split") alone is read
         self.trail.append([])
 
     def _choices(self) -> tuple[int, ...]:
@@ -894,24 +900,19 @@ class _FoslSpace(_Space):
         _Space.assign(self, cell, value)
         self._touch(cell)
 
-    def branch_values(self, cell: tuple) -> tuple[int, ...]:
-        if cell[0] == "f":
-            first = self.first_ext
-            return tuple(e for e in self.choices if e >= first)
-        return _Space.branch_values(self, cell)
-
     def decide(self, cell: tuple, value: int) -> None:
+        # a decision mentions the elements its cell's rank encodes, one
+        # base-n digit per argument (a row holds n ** arity cells), and
+        # the value of a value cell
         self.assign(cell, value)
-        if cell[0] == "c":
+        kind, symbol, pi, rank = cell
+        size = len(self.tables[kind, symbol][pi])
+        while size > 1:
+            self._mention(rank % self.n)
+            rank //= self.n
+            size //= self.n
+        if kind == "f":
             self._mention(value)
-        elif cell[0] == "f":
-            self._mention(cell[3])
-            self._mention(value)
-        elif cell[0] == "p":
-            r = cell[3]
-            for _ in range(self.preds[cell[1]]):
-                self._mention(r % self.n)
-                r //= self.n
 
     def unassign(self, cell: tuple) -> None:
         self.maxima, self.choices = self.lnh_stack.pop()
@@ -922,27 +923,26 @@ class _FoslSpace(_Space):
         domain = [f"d{i}" for i in range(self.n)]
         precs = [f"p{i}" for i in range(self.m)]
         interpretation = {}
+        tables = self.tables
         for pi in range(self.m):
-            preds = {
-                p: _rows(self.pred_bits[p][pi], k, domain) for p, k in self.preds.items()
-            }
+            preds = {p: _rows(tables["p", p][pi], k, domain) for p, k in self.preds.items()}
             if self.prec_cells:
                 first = self.first_ext
                 preds["ind"] = [(domain[i],) for i in range(first)]
                 preds["ext"] = [(domain[i],) for i in range(first, self.n)]
                 preds["prec"] = sorted(
                     (domain[i], domain[first if v is None else v])
-                    for i, v in enumerate(self.prec_val[pi][:first])
+                    for i, v in enumerate(tables["f", "prec"][pi][:first])
                 )
             for p, k in self.vocab.predicates.items():
                 if p not in preds and k is not None:
                     preds[p] = []
             constants = {}
             for c in sorted(self.vocab.constants):
-                v = self.const_val.get((c, pi))
-                constants[c] = domain[v if v is not None else 0]
+                rows = tables.get(("f", c))  # none if f does not mention c
+                constants[c] = domain[(rows[pi][0] if rows else None) or 0]
             interpretation[precs[pi]] = {"predicates": preds, "constants": constants}
-        sigma = _sigma(self.vocab.standpoints, self.sigma_bits, precs)
+        sigma = _sigma(self.vocab.standpoints, tables, precs)
         structure = make_fosl_structure(domain, precs, sigma, interpretation)
         if not is_model(structure, self.formula):
             raise SplError("internal error: candidate failed revalidation")
@@ -1090,65 +1090,59 @@ def find_fosl_model(vocab: FoslVocabulary, f: Formula, bounds: Bounds) -> Search
 class _V1Space(_Space):
     """Partial V1 structure for registries of r extension maps.
 
-    maps[i][pi] gives the precise version of individual i at
-    precisification pi.  The registries of a level are enumerated outside
-    (all strictly increasing combinations of distinct maps, so duplicate
-    registries never occur) and searched in one space, each writing its
-    maps into the maps list.  pred_bits holds the sortal and indefinite
-    tables over individuals (base r) and the rigid precise tables over
-    entities (base ne) as one row, with cells ("p", pred, 0, rank);
-    const_val holds the proper names.  Every constraint is an instance:
-    one per name n, K1(n) | ... | Kk(n) over the sorted sortals (false
-    without sortals), comes first, and an indefinite atom is true only of
+    An individual's precise version is the function prec, as in a split
+    standpoint space: self.prec, the ("f", "prec") rows, holds the maps
+    of one registry, prec[pi][i] the entity of individual i at
+    precisification pi.  The registries of a level are enumerated
+    outside (all strictly increasing combinations of distinct maps, so
+    duplicate registries never occur) and searched in one space, each
+    writing its maps into those rows, whose cells are never assigned.
+    The sortal and indefinite tables are over individuals (base r), a
+    rigid precise table over entities (base ne) is a single row, with
+    cells ("p", pred, 0, rank), and a proper name is a 0-ary function
+    over the individuals.  Every constraint is an instance: one per name
+    n, K1(n) | ... | Kk(n) over the sorted sortals (false without
+    sortals), comes first, and an indefinite atom is true only of
     individuals admitted at its precisification (see _precise_atom).
     """
 
     def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int,
                  maps: tuple[tuple[int, ...], ...]):
-        self.vocab = vocab
-        self.formula = f
+        _Space.__init__(self, vocab, f, m, len(maps))
         self.ne = ne
-        self.m = m
-        self.maps = list(maps)
-        self.r = self.base = len(maps)
+        self.r = self.base
         self.choices = tuple(range(self.r))  # a name may denote any individual
+        self.prec = self.tables["f", "prec"] = list(zip(*maps))
 
         # member3 reads every sortal, so each has a table whether or not f
         # mentions it; the compiler creates the indefinite and precise
-        # tables, the name and the standpoint cells (_table)
-        self.preds: dict[str, int] = {}  # indefinite and precise arities
-        self.sortal_list = sorted(vocab.sortals)
-        self.pred_bits = {k: [bytearray(self.r) for _ in range(m)] for k in self.sortal_list}
-        self.const_val: dict[tuple[str, int], int | None] = {}
-        self.sigma_bits: dict[tuple[str, int], int] = {}
-
-        self.culprit: tuple | None = None
-        self.env: list[int] = []
-        self.reads: set[tuple] = set()  # unused: this space keeps no memos
-        self.conjuncts: list = []
-        self.pi_indep: list[bool] = []
+        # tables (whose arities preds holds), the name and the standpoint
+        # cells (_table); this space keeps no read sets
+        self.sortal_rows = [(k, [bytearray(self.r) for _ in range(m)])
+                            for k in sorted(vocab.sortals)]
+        self.tables.update((("p", k), rows) for k, rows in self.sortal_rows)
         for part in _name_typing(vocab.sortals, vocab.names) + conjuncts(_level_formula(f, m)):
             self.varies = False
             self.conjuncts.append(self._compile(part, {}))
             self.pi_indep.append(not self.varies)
         self.status = [[_U] * m for _ in self.conjuncts]
-        self.trail: list[list[tuple[int, int]]] = [[]]
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
-        if pred not in self.pred_bits:  # an indefinite or a precise predicate
+        table = self.tables.get(("p", pred))
+        if table is None:  # an indefinite or a precise predicate
             self.preds[pred] = arity
             if pred in self.vocab.precise:
-                self.pred_bits[pred] = [bytearray(self.ne ** arity)]  # rigid
+                self.tables["p", pred] = [bytearray(self.ne ** arity)]  # rigid
             else:
-                self.pred_bits[pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
-        return None if pred in self.preds else self.pred_bits[pred]  # see _precise_atom
+                self.tables["p", pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
+        return None if pred in self.preds else table  # see _precise_atom
 
     def member3(self, i: int, pi: int) -> tuple[int, tuple | None]:
         """Is individual i admitted by some sortal at pi?  An unknown
         answer comes with the first open sortal cell."""
         culprit = None
-        for k in self.sortal_list:
-            b = self.pred_bits[k][pi][i]
+        for k, rows in self.sortal_rows:
+            b = rows[pi][i]
             if b == 1:
                 return _T, None
             if b == 0 and culprit is None:
@@ -1186,7 +1180,7 @@ class _V1Space(_Space):
     def _precise_atom(self, f: Atom, slots, resolvers):
         # this space keeps no read sets
         pred = f.pred
-        bits = self.pred_bits[pred]
+        bits = self.tables["p", pred]
         if pred not in self.vocab.precise:
             # an indefinite atom reads its bit first; a true tuple holds only
             # of individuals admitted at pi, checked last argument first
@@ -1222,7 +1216,7 @@ class _V1Space(_Space):
         # a precise atom dereferences each argument to its individual's
         # precise version at pi
         row = bits[0]
-        maps = self.maps
+        prec = self.prec
         ne = self.ne
 
         def fn(pi, env):
@@ -1231,7 +1225,7 @@ class _V1Space(_Space):
                 i = resolve(pi, env)
                 if i is None:
                     return _U
-                rank = rank * ne + maps[i][pi]
+                rank = rank * ne + prec[pi][i]
             b = row[rank]
             if b == 0:
                 self._note(("p", pred, 0, rank))
@@ -1267,13 +1261,13 @@ class _V1Space(_Space):
         precs = [f"p{i}" for i in range(self.m)]
         idents = [f"i{i}" for i in range(self.r)]
         individuals = {
-            idents[i]: {precs[pi]: entities[self.maps[i][pi]] for pi in range(self.m)}
+            idents[i]: {precs[pi]: entities[self.prec[pi][i]] for pi in range(self.m)}
             for i in range(self.r)
         }
         sortals = {
             precs[pi]: {
-                k: [idents[i] for i in range(self.r) if self.pred_bits[k][pi][i] == 1]
-                for k in self.sortal_list
+                k: [idents[i] for i in range(self.r) if rows[pi][i] == 1]
+                for k, rows in self.sortal_rows
             }
             for pi in range(self.m)
         }
@@ -1281,23 +1275,23 @@ class _V1Space(_Space):
         for pi, p in enumerate(precs):
             admitted = set().union(*sortals[p].values())
             indefinite[p] = {
-                a: [row for row in _rows(self.pred_bits[a][pi], self.preds[a], idents)
+                a: [row for row in _rows(self.tables["p", a][pi], self.preds[a], idents)
                     if admitted.issuperset(row)]
                 if a in self.preds else []
                 for a in sorted(self.vocab.indefinite)
             }
         precise = {
-            q: _rows(self.pred_bits[q][0], self.preds[q], entities)
+            q: _rows(self.tables["p", q][0], self.preds[q], entities)
             if q in self.preds else []
             for q in sorted(self.vocab.precise)
         }
         names = {
             precs[pi]: {
-                nm: idents[self.const_val[(nm, pi)]] for nm in sorted(self.vocab.names)
+                nm: idents[self.tables["f", nm][pi][0]] for nm in sorted(self.vocab.names)
             }
             for pi in range(self.m)
         }
-        sigma = _sigma(self.vocab.standpoints, self.sigma_bits, precs)
+        sigma = _sigma(self.vocab.standpoints, self.tables, precs)
         structure = make_v1_structure(
             entities, precs, sigma, individuals, sortals, indefinite, precise, names
         )
@@ -1317,7 +1311,8 @@ def _search_level_v1(vocab, f, ne, m, r, deadline):
     """The dfs results, lazily, of the registries of r individuals at ne
     entities and m precisifications, all in one space: a finished dfs
     leaves every cell unset, and the instance statuses of its own trail
-    frame are reset, so the next registry only writes its maps.  No
+    frame are reset, so the next registry only writes its maps into the
+    space's prec rows.  No
     registry is searched once the deadline has passed."""
     space = None
     for maps in _registry_combos(ne, m, r):
@@ -1327,7 +1322,7 @@ def _search_level_v1(vocab, f, ne, m, r, deadline):
         if space is None:
             space = _V1Space(vocab, f, ne, m, maps)
         else:
-            space.maps[:] = maps
+            space.prec[:] = zip(*maps)
         space.trail.append([])
         yield space.dfs(deadline)
         space.pop_frame()

@@ -299,29 +299,53 @@ def _variables(f: Formula, free: bool) -> frozenset[str]:
 
 
 def formula_size(f: Formula) -> int:
-    """Number of AST nodes (terms are not counted)."""
-    if isinstance(f, (Atom, Equal)):
-        return 1
-    if isinstance(f, (Not, Forall, Box)):
-        return 1 + formula_size(f.body)
-    if isinstance(f, And):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    """Number of AST nodes (terms are not counted), counted over an
+    explicit stack, so nesting depth costs no recursion."""
+    size = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        size += 1
+        if kind is And:
+            stack.append(g.right)
+            stack.append(g.left)
+        elif kind is Not or kind is Forall or kind is Box:
+            stack.append(g.body)
+        elif kind is not Atom and kind is not Equal:
+            raise TypeError(f"not a formula: {g!r}")
+    return size
 
 
 def is_monodic(f: Formula) -> bool:
-    """True iff every Box subformula binds a body with at most one free variable."""
-    if isinstance(f, (Atom, Equal)):
-        return True
-    if isinstance(f, Not):
-        return is_monodic(f.body)
-    if isinstance(f, And):
-        return is_monodic(f.left) and is_monodic(f.right)
-    if isinstance(f, Forall):
-        return is_monodic(f.body)
-    if isinstance(f, Box):
-        return len(free_variables(f.body)) <= 1 and is_monodic(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    """True iff every Box subformula binds a body with at most one free
+    variable.  One post-order walk over an explicit stack computes the
+    free variables of each node from its children's, so each box body's
+    once and with no recursion."""
+    free: list[frozenset[str]] = []  # of the finished nodes, in order
+    stack = [(f, False)]
+    while stack:
+        g, finished = stack.pop()
+        kind = type(g)
+        if kind is Atom or kind is Equal:
+            free.append(frozenset(t.name for t in (g.args if kind is Atom else (g.left, g.right))
+                                  if type(t) is Var))
+        elif not finished:
+            if kind is And:
+                stack += ((g, True), (g.right, False), (g.left, False))
+            elif kind is Not or kind is Forall or kind is Box:
+                stack += ((g, True), (g.body, False))
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+        elif kind is And:
+            right = free.pop()
+            free[-1] |= right
+        elif kind is Forall:
+            free[-1] -= {g.var}
+        elif kind is Box and len(free[-1]) > 1:
+            return False
+        # else a negation or a box, which keeps its body's free variables
+    return True
 
 
 def is_sentence(f: Formula) -> bool:

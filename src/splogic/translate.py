@@ -340,10 +340,15 @@ def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
     """Recover a V1 structure from a standpoint structure satisfying the
     bridge axioms (checked first; the violated axiom is reported).
 
-    Names denoting precise entities cannot influence the truth of any
-    translated sentence, so they are remapped to the canonical (smallest)
-    individual with a warning rather than rejected.  A wildcard (None)
-    arity is pinned by the structure's rows before the axioms are built.
+    A name denoting a precise entity is remapped to the canonical
+    (smallest) individual with a warning rather than rejected.  The
+    remapping can change the truth of a sentence that mentions the name:
+    the translation of !K(n) & exists ?x K(?x), unsat in V1, without the
+    name-typing axioms (strict_names) has a model in which n denotes a
+    precise entity, and that model lowers to a structure that falsifies
+    the sentence.  With strict_names the translation has no such model.
+    A wildcard (None) arity is pinned by the structure's rows before the
+    axioms are built.
     """
     _check_bridge_axioms(mf, vocab)
     return _lower(mf, vocab)

@@ -583,17 +583,20 @@ class TestMemoInvariant:
 
     @staticmethod
     def cells(space):
+        # predicates, then constants, then standpoints; a split space's
+        # prec cells are the caller's
         for pred, k in space.preds.items():
             for pi in range(space.m):
                 for rank in range(space.n ** k):
-                    if space.pred_bits[pred][pi][rank] == 0:
+                    if space.tables["p", pred][pi][rank] == 0:
                         yield ("p", pred, pi, rank)
-        for (name, pi), v in space.const_val.items():
-            if v is None:
-                yield ("c", name, pi)
-        for (sp, pi), b in space.sigma_bits.items():
-            if b == 0:
-                yield ("s", sp, pi)
+        for kind, unset in (("f", None), ("s", 0)):
+            for (k, symbol), rows in space.tables.items():
+                if k != kind or symbol == "prec":
+                    continue
+                for pi, row in enumerate(rows):
+                    if row[0] == unset:
+                        yield (kind, symbol, pi, 0)
 
     @staticmethod
     def check_memos(space):
@@ -662,6 +665,37 @@ class TestMemoInvariant:
         assert report.agreement == "sat"
 
 
+class TestFinishedSearch:
+    """A finished search leaves every cell unset: one V1 space searches
+    every registry of its level, writing only its prec rows in between,
+    and a space reused for another search relies on the same."""
+
+    def test_every_cell_is_unset_after_the_outermost_dfs(self, monkeypatch):
+        depth = 0
+        finished = []
+        dfs = finder._Space.dfs
+
+        def checked(space, deadline):
+            nonlocal depth
+            depth += 1
+            result = dfs(space, deadline)
+            depth -= 1
+            if depth == 0:
+                for (kind, symbol), rows in space.tables.items():
+                    if isinstance(space, _V1Space) and symbol == "prec":
+                        continue  # the registry's maps, written by the level loop
+                    unset = None if kind == "f" else 0
+                    assert all(v == unset for row in rows for v in row), (kind, symbol)
+                finished.append(type(space))
+            return result
+
+        monkeypatch.setattr(finder._Space, "dfs", checked)
+        vocab = corpus_vocab()
+        for seed in range(40):
+            equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
+        assert len(finished) > 200 and set(finished) == {_FoslSpace, _V1Space}
+
+
 class TestCulpritRule:
     """An unknown result reports only cells it depends on: in
     !(P(c) & R(c)) & Q(c) with R(c) false, the unset P(c) read inside the
@@ -681,7 +715,7 @@ class TestCulpritRule:
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1, "R": 1}, ["c"], [])
         f = parse_formula(self.TEXT, vocab)
         space = _FoslSpace(vocab, f, 1, 1, True)
-        space.assign(("c", "c", 0), 0)
+        space.assign(("f", "c", 0, 0), 0)
         space.assign(("p", "R", 0, 0), 2)
         assert self.evaluate(space, f) == ("p", "Q", 0, 0)
 
@@ -689,7 +723,7 @@ class TestCulpritRule:
         vocab = make_v1_vocabulary(["K"], {"P": 1, "Q": 1, "R": 1}, {}, ["c"], [])
         f = parse_formula(self.TEXT, vocab)
         space = _V1Space(vocab, f, 1, 1, ((0,),))
-        space.assign(("c", "c", 0), 0)
+        space.assign(("f", "c", 0, 0), 0)
         space.assign(("p", "R", 0, 0), 2)
         assert self.evaluate(space, f) == ("p", "Q", 0, 0)
 
@@ -698,14 +732,40 @@ class TestProbing:
     """Every undecided instance has its blocking cell probed, however many
     times it reads unset cells."""
 
+    TEXT = "(P(c) -> !P(c) & forall ?x !P(c)) & (!P(c) -> P(c) & forall ?x P(c))"
+
     def test_instances_reading_a_cell_three_times_refute_the_node(self):
-        # each conjunct reads P(c) three times; probed alone, the first
-        # forces P(c) false and the second forces it true
+        # each conjunct reads P(c) three times (a vacuous universal keeps
+        # the level formula from merging the repeated reads); probed
+        # alone, the first forces P(c) false and the second forces it
+        # true, and without the probes the node stays open
         vocab = make_fosl_vocabulary({"P": 1}, ["c"], [])
-        f = parse_formula("(P(c) -> !P(c) & !P(c)) & (!P(c) -> P(c) & P(c))", vocab)
-        space = _FoslSpace(vocab, f, 1, 1, True)
-        space.assign(("c", "c", 0), 0)
-        assert space.propagate([]) == (_F, None)
+        f = parse_formula(self.TEXT, vocab)
+        outcomes = []
+        for stubbed in (False, True):
+            space = _FoslSpace(vocab, f, 1, 1, True)
+            assert len(space.conjuncts) == 2
+            space.assign(("f", "c", 0, 0), 0)
+            probed = []
+            probe = space._probe
+
+            def recorded(cell, *args, _probe=probe, _stubbed=stubbed):
+                probed.append(cell)
+                return (2, None) if _stubbed else _probe(cell, *args)
+
+            space._probe = recorded
+            outcomes.append(space.propagate([]))
+            assert probed == [("p", "P", 0, 0)] * 2
+        assert outcomes == [(_F, None), (_U, ("p", "P", 0, 0))]
+
+    def test_a_constant_named_prec_is_probed_at_every_element(self):
+        # only the split space's function prec starts at the entities; a
+        # constant may have that name where prec is no predicate
+        vocab = make_fosl_vocabulary({"P": 1}, ["prec", "c"], [])
+        f = parse_formula("P(prec) & !P(c)", vocab)
+        outcome = find_fosl_model(vocab, f, Bounds(max_domain=2, max_precisifications=1))
+        assert isinstance(outcome, ModelFound)
+        assert outcome.structure.interpretation["p0"].constants["prec"] == "d0"
 
 
 class TestSortSplit:
@@ -824,12 +884,12 @@ class TestSortSplit:
         assert calls == []
 
     def test_split_space_reads_the_split_point(self, monkeypatch):
-        # a split space holds no ind, ext or prec table; split(r) opens
+        # a split space holds no table of ind, ext or prec bits; split(r) opens
         # one trail frame and assigns no cell, and the individuals of a
         # model are the first r elements at every precisification
         vocab, f = self.hard_translation()
         space = _FoslSpace(vocab, f, 4, 2, True, prec_cells=True)
-        assert not {"ind", "ext", "prec"} & set(space.pred_bits)
+        assert not {("p", "ind"), ("p", "ext"), ("p", "prec")} & set(space.tables)
         assigned = []
         monkeypatch.setattr(space, "assign", lambda *args: assigned.append(args))
         frames = len(space.trail)
@@ -1025,7 +1085,7 @@ class TestSortSplit:
             for _ in range(rng.randint(1, 8)):
                 open_cells = list(TestMemoInvariant.cells(space))
                 open_cells += [("f", "prec", pi, i) for pi in range(space.m) for i in range(r)
-                               if space.prec_val[pi][i] is None]
+                               if space.tables["f", "prec"][pi][i] is None]
                 if not open_cells:
                     break
                 cell = rng.choice(open_cells)
@@ -1033,7 +1093,7 @@ class TestSortSplit:
                 assigned = [cell]
                 v, _ = space.propagate(assigned)
                 steps.append(assigned)
-                function_cells += sum(c[0] == "f" for c in assigned)
+                function_cells += sum(c[:2] == ("f", "prec") for c in assigned)
                 if v == _F:
                     break
             for step in reversed(steps):
@@ -1047,15 +1107,15 @@ class TestSortSplit:
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
         space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
-        cell = ("c", "n", 0)
+        cell = ("f", "n", 0, 0)
         assert space.branch_values(cell) == (0,)
         space.split(2)
         assert space.branch_values(cell) == (0, 2)
         space.decide(("p", "Kind", 1, 3), 1)
         assert space.branch_values(cell) == (0, 2, 3)
-        space.decide(("c", "n", 1), 0)
+        space.decide(("f", "n", 1, 0), 0)
         assert space.branch_values(cell) == (0, 1, 2, 3)
-        space.unassign(("c", "n", 1))
+        space.unassign(("f", "n", 1, 0))
         space.unassign(("p", "Kind", 1, 3))
         assert space.branch_values(cell) == (0, 2)
 
@@ -1063,9 +1123,9 @@ class TestSortSplit:
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
         space = _FoslSpace(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
-        assert "prec" not in space.pred_bits
+        assert ("p", "prec") not in space.tables
         space.split(3)
-        constant, function = ("c", "n", 0), ("f", "prec", 1, 0)
+        constant, function = ("f", "n", 0, 0), ("f", "prec", 1, 0)
         # a function cell takes the entity block's values only
         assert space.branch_values(constant) == (0, 3)
         assert space.branch_values(function) == (3,)
@@ -1075,7 +1135,7 @@ class TestSortSplit:
         assert space.branch_values(function) == (3, 4)
         space.unassign(("f", "prec", 0, 1))
         assert space.branch_values(constant) == (0, 3)
-        assert space.prec_val[0][1] is None
+        assert space.tables["f", "prec"][0][1] is None
 
     @staticmethod
     def expected_choices(space, decisions):
@@ -1083,12 +1143,13 @@ class TestSortSplit:
         # names; per block, values up to the largest of them plus one
         mentioned = set()
         for cell in decisions:
-            if cell[0] == "c":
-                mentioned.add(space.const_val[cell[1:]])
-            elif cell[0] == "f":
-                # a function cell names its individual and its value
-                mentioned.add(cell[3])
-                mentioned.add(space.prec_val[cell[2]][cell[3]])
+            if cell[0] == "f":
+                # a constant names its value, and a prec cell its
+                # individual and its value
+                kind, symbol, pi, rank = cell
+                if symbol == "prec":
+                    mentioned.add(rank)
+                mentioned.add(space.tables[kind, symbol][pi][rank])
             elif cell[0] == "p":
                 rank = cell[3]
                 for _ in range(space.preds[cell[1]]):
@@ -1119,7 +1180,7 @@ class TestSortSplit:
                 _method(space, cell, *args)
                 if _name == "decide":
                     decisions.append(cell)
-                    function_decisions += cell[0] == "f"
+                    function_decisions += cell[:2] == ("f", "prec")
                 elif _name == "unassign" and decisions and decisions[-1] == cell:
                     decisions.pop()
                 assert space.choices == self.expected_choices(space, decisions)

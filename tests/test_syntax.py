@@ -279,6 +279,26 @@ class TestQueries:
         # variable at most
         assert is_monodic(formula_c)
 
+    def test_deeply_nested_size_and_monodicity(self):
+        f = Atom("P", (Var("x"),))
+        for _ in range(5000):
+            f = Not(f)
+        assert formula_size(f) == 5001
+        assert is_monodic(f)
+
+    @pytest.mark.parametrize("inner, monodic", [(("x",), True), (("x", "y"), False)])
+    def test_deep_box_chain_is_monodic_iff_its_bodies_are(self, inner, monodic):
+        # every box body reads ?x, and the innermost also what inner names
+        f = Atom("R" if len(inner) > 1 else "P", tuple(Var(v) for v in inner))
+        for _ in range(800):
+            f = Box("*", And(f, Atom("P", (Var("x"),))))
+        assert is_monodic(f) is monodic
+
+    def test_size_and_monodicity_of_a_non_formula_are_a_type_error(self):
+        for query in (formula_size, is_monodic):
+            with pytest.raises(TypeError, match="not a formula"):
+                query(And(Atom("P", (Var("x"),)), Var("x")))
+
 
 class TestVocabularies:
     def test_universal_standpoint_always_present(self):

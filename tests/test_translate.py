@@ -7,9 +7,11 @@ from splogic import (
     Bounds,
     Box,
     EvaluationError,
+    ExhaustedUnsat,
     ModelFormatError,
     axiom_set,
     equisat_check,
+    find_fosl_model,
     find_v1_model,
     formula_size,
     fosl_structure_to_dict,
@@ -384,6 +386,27 @@ class TestLowerModel:
         with pytest.warns(UserWarning, match="remapped to canonical individual"):
             lowered = lower_model(shifted, desert_v1_vocab)
         assert lowered.names["p1"]["house"] == "i0"
+
+    def test_name_at_precise_entity_can_change_the_verdict(self):
+        # n must denote an admitted individual in V1, so the sentence is
+        # unsat; the plain translation lets n denote a precise entity,
+        # and the name-typing axioms rule that out again
+        vocab = make_v1_vocabulary(["K"], {}, {}, ["n"], [])
+        f = parse_formula("!K(n) & exists ?x K(?x)", vocab)
+        trans_vocab = translated_vocabulary(vocab)
+        bounds = Bounds(max_domain=3, max_precisifications=1,
+                        max_entities=2, max_individuals=2, timeout=60)
+        assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
+        plain = find_fosl_model(trans_vocab, full_translation(f, vocab), bounds)
+        model = plain.structure
+        ext = {row[0] for row in model.interpretation["p0"].predicates["ext"]}
+        assert model.interpretation["p0"].constants["n"] in ext
+        with pytest.warns(UserWarning, match="remapped to canonical individual"):
+            lowered = lower_model(model, vocab)
+        assert not is_model_v1(lowered, f)
+        strict = full_translation(f, vocab, strict_names=True)
+        assert isinstance(find_fosl_model(trans_vocab, strict, bounds), ExhaustedUnsat)
+        assert equisat_check(vocab, f, bounds).agreement == "unsat"
 
     def test_roundtrip_preserves_satisfaction(self, desert_v1_vocab):
         import warnings
