@@ -11,18 +11,23 @@ unknown result names a blocking cell to branch on next.  Domains
 grow from size 1, false comes before true, and smaller elements come
 first, so the first model found is canonical for the enumeration order.
 
-The standpoint space and the V1 space (one per level, shared by its
-registries of extension maps) share one cell store, one depth-first
-search, one cell write and one three-valued compiler, which also creates
-their cells and read sets (see _Space).  Every cell is (kind, symbol,
-precisification, rank); in both spaces an individual's precise version
-is the function prec, which V1's registries preset.  Each space supplies
-its universal quantifier and tables, V1 also its indefinite atoms and
-its atoms over precise entities.  Every constraint of a level is a
-compiled instance, V1's typing of names included.  An unknown result
+The standpoint space and the V1 space share one cell store, one
+depth-first search, one cell write and one three-valued compiler, which
+also creates their cells and read sets (see _Space).  Every cell is
+(kind, symbol, precisification, rank); in both spaces an individual's
+precise version is the function prec, which V1's registries preset.  Each
+space supplies its universal quantifier and tables, V1 also its indefinite
+atoms and its atoms over precise entities.  Every constraint of a level is
+a compiled instance, V1's typing of names included.  An unknown result
 names as its blocking cell the first unset cell read by a subformula it
-depends on: a subformula that turns out decided leaves no trace.  Every
-search runs serially in the calling thread.
+depends on: a subformula that turns out decided leaves no trace.
+
+One level loop, _search, runs both engines: a level is a space and the
+configurations it is searched under, the split points of a split
+standpoint level or the registries of extension maps of a V1 level, each
+searched in the level's one space.  A passed deadline is the exception
+_DeadlinePassed, whether it passes while a space is ground or while it is
+searched.  Every search runs serially in the calling thread.
 """
 
 from __future__ import annotations
@@ -282,6 +287,10 @@ def _strip_ground_prefix(f: Formula, n: int) -> tuple[list[str], list[str], Form
 # What both search spaces share
 # ---------------------------------------------------------------------------
 
+class _DeadlinePassed(Exception):
+    """The deadline passed while a space was ground or searched."""
+
+
 class _Space:
     """Depth-first search over the cells of a partial structure, and the
     three-valued compiler both logics share.
@@ -295,11 +304,12 @@ class _Space:
            at rank 0, and prec, each individual's precise version, is
            1-ary, ranked by the individual.
     A bit stores 0 for unset, 1 for true and 2 for false.  A space
-    provides _table, propagate, materialize, _quantify (the universal
-    over its domain) and self.choices, the values a function branches
-    over from its least one (_least); it may extend assign, decide (the
-    one branching step) and unassign.  Both spaces write every cell
-    through _poke.
+    provides _table, propagate, materialize, configure (which sets up
+    one configuration of the level, see _search), _quantify (the
+    universal over its domain) and self.choices, the values a function
+    branches over from its least one (_least); it may extend assign,
+    decide (the one branching step) and unassign.  Both spaces write
+    every cell through _poke.
 
     The compiler is the one walk over a level's formula.  It creates a
     symbol's cells when it first meets it (a predicate's table through
@@ -342,25 +352,27 @@ class _Space:
         self.trail: list[list[tuple[int, int]]] = [[]]
 
     def dfs(self, deadline: float):
+        """The first model below this node, materialized, or None when
+        there is none.  A finished search leaves every cell it assigned
+        unset; past the deadline it raises _DeadlinePassed and leaves the
+        space as it is, for the caller to drop."""
         if time.monotonic() > deadline:
-            return ("timeout",)
+            raise _DeadlinePassed
         propagated: list[tuple] = []
-        try:
-            v, culprit = self.propagate(propagated)
-            if v == _F:
-                return ("unsat",)
-            if v == _T:
-                return ("model", self.materialize())
+        v, culprit = self.propagate(propagated)
+        found = None
+        if v == _T:
+            found = self.materialize()
+        elif v == _U:
             for value in self.branch_values(culprit):
                 self.decide(culprit, value)
-                result = self.dfs(deadline)
+                found = self.dfs(deadline)
                 self.unassign(culprit)
-                if result[0] != "unsat":
-                    return result
-            return ("unsat",)
-        finally:
-            for cell in reversed(propagated):
-                self.unassign(cell)
+                if found is not None:
+                    break
+        for cell in reversed(propagated):
+            self.unassign(cell)
+        return found
 
     def branch_values(self, cell: tuple) -> tuple[int, ...]:
         if cell[0] != "f":
@@ -576,10 +588,6 @@ def _sigma(standpoints, tables: dict, precs: list[str]) -> dict[str, list[str]]:
 # Standpoint-logic search space
 # ---------------------------------------------------------------------------
 
-class _DeadlinePassed(Exception):
-    """The deadline passed while a space was being set up."""
-
-
 class _FoslSpace(_Space):
     """Partial standpoint structure over n domain elements and m
     precisifications, restricted to the symbols the formula mentions.
@@ -591,17 +599,18 @@ class _FoslSpace(_Space):
     every model below the node shares (_probe), which keep the models'
     symmetry, so forced cells mention nothing.
 
-    With prec_cells, the space is split (see split): it has no table of
-    ind, ext or prec bits.  ind(s) is s < first_ext and ext(s) is
-    s >= first_ext, and prec is a function like a constant, 1-ary: one
-    value cell ("f", "prec", pi, i) per individual i and precisification,
-    ranging over the entities (see _least); an atom prec(s, t) reads s's
-    cell, and is false when s is an entity or t an individual.  So bridge
-    axioms 1, 2 and 4-6 hold and are not ground; materialize writes the
-    three predicates, and the revalidation against the whole sentence
-    still checks the five.  A prec cell branches over the entity block's
-    LNH values, is probed at every entity, and a decision on it mentions
-    its individual and value."""
+    With prec_cells, the space is split at the point its configuration
+    sets (see configure), and it has no table of ind, ext or prec bits.
+    ind(s) is s < first_ext and ext(s) is s >= first_ext, and prec is a
+    function like a constant, 1-ary: one value cell ("f", "prec", pi, i)
+    per individual i and precisification, ranging over the entities (see
+    _least); an atom prec(s, t) reads s's cell, and is false when s is an
+    entity or t an individual.  So bridge axioms 1, 2 and 4-6 hold and are
+    not ground; materialize writes the three predicates, and the
+    revalidation against the whole sentence still checks the five.  A
+    prec cell branches over the entity block's LNH values, is probed at
+    every entity, and a decision on it mentions its individual and value.
+    Without prec_cells the space's one configuration is None."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
                  deadline: float = float("inf"), prec_cells: bool = False):
@@ -611,8 +620,8 @@ class _FoslSpace(_Space):
         self.prec_cells = prec_cells
         if prec_cells:
             self.tables["f", "prec"] = [[None] * n for _ in range(m)]
-        # the split point, set by split; 0 until then, no individuals, so
-        # a constant that is named prec takes every element (_least)
+        # the split point, set by configure; 0 until then, no individuals,
+        # so a constant that is named prec takes every element (_least)
         self.first_ext = 0
 
         # the LNH state: the largest element of each block a decision
@@ -674,7 +683,6 @@ class _FoslSpace(_Space):
                     keys.add((kind, pred, rank))
                 for key in keys:
                     self.watch.setdefault(key, []).append(ci)
-        self.scan_order = range(len(self.conjuncts))
         self.status = [[_U] * m for _ in self.conjuncts]
 
         # memos: an instance is re-evaluated only when a cell it can read
@@ -767,8 +775,7 @@ class _FoslSpace(_Space):
         frame = self.trail[-1]
         tick = self.tick
         env = self.env
-        for ci in self.scan_order:
-            fn = self.conjuncts[ci]
+        for ci, fn in enumerate(self.conjuncts):
             row = self.status[ci]
             memo_row = self.u_memo[ci]
             touched = self.conj_touch[ci]
@@ -870,15 +877,15 @@ class _FoslSpace(_Space):
         self.maxima = tuple(lo - 1 for lo, _ in blocks)
         self.choices = self._choices()
 
-    def split(self, r: int) -> None:
+    def configure(self, r: int | None) -> None:
         """Make the elements below r the individuals and the rest the
         entities, with blocks [0, r) and [r, n), while no cell is
-        assigned; no cell is written.  Opens a trail frame for the
-        caller to close (pop_frame) before the next split."""
-        self.set_blocks(((0, r), (r, self.n)))
-        self.first_ext = r
-        self._touch(("x", "split", 0, 0))  # the key ("x", "split") alone is read
-        self.trail.append([])
+        assigned; no cell is written.  An unsplit space's one
+        configuration, None, changes nothing."""
+        if r is not None:
+            self.set_blocks(((0, r), (r, self.n)))
+            self.first_ext = r
+            self._touch(("x", "split", 0, 0))  # the key ("x", "split") alone is read
 
     def _choices(self) -> tuple[int, ...]:
         # per block: the elements up to its largest mentioned one, plus
@@ -955,7 +962,6 @@ class _FoslSpace(_Space):
 _SPLIT_AXIOMS = frozenset(_FIXED_BOXED.values())
 _SPLIT_PREDS = frozenset(("ind", "ext", "prec"))
 _INK_IND = admitted_are_individuals()
-_FALSITY = falsity()
 
 
 def _split_level_axioms(m: int) -> frozenset:
@@ -993,79 +999,76 @@ def _sort_floors(parts: set) -> int | None:
     return int(named and axiom_8)
 
 
-def _search_level_fosl(vocab, f, n, m, symmetry, deadline, floor, caps):
-    """Search one level: n elements, m precisifications.  No space is
-    built, and no further conjunct of one ground, once the deadline has
-    passed.
-
-    floor, when given, is the least number of ind elements of the models
-    of f, whose top-level conjuncts make ind/ext a rigid partition of the
-    domain and prec a total function from ind to ext (see _sort_floors).
-    Any model with r elements in ind can be renumbered so that those are
-    the elements 0..r-1.  So with symmetry reduction on, the level is
-    searched on one split space (see _FoslSpace) once per r from the ind
-    floor to n - 1, which leaves prec an entity to take, each block
-    [0, r), [r, n) with its own least-number heuristic, instead of
-    branching on the sorts through every permutation of the same split;
-    a level that no r fits, such as n = 1 when the floor is 1, is unsat
-    without a space, and one whose formula simplifies to false is
-    searched once, unsplit.  Otherwise the level is one search over
-    every cell.
-
-    caps, the most ext and ind elements a model may have, also bound r
-    and split the level in both symmetry modes.
-    """
-    if time.monotonic() > deadline:
-        return ("timeout",)
-    sizes = None  # the ind block sizes r, when the level is split
-    if floor is not None and (symmetry or caps is not None):
-        low, high = floor, n - 1
-        if caps is not None:
-            low, high = max(low, n - caps[0]), min(high, caps[1])
-        sizes = range(low, high + 1)
-        if not sizes:
-            return ("unsat",)
+def _search(levels, bounds: Bounds) -> SearchOutcome:
+    """The one level loop of both engines.  levels(deadline) yields,
+    level by level, a function that builds the level's space and the
+    configurations the space is searched under; each configuration is
+    set up (configure) and searched in one trail frame, closed after its
+    search, so the next one starts from a space with every cell unset
+    and every instance undecided.  The deadline is checked before each
+    configuration, so no space is built and no configuration searched
+    once it has passed; a space is built at its level's first
+    configuration, so a level with none builds no space.  Returns the
+    first model, ExhaustedUnsat when every configuration is refuted, or
+    SearchTimeout when the deadline passes (_DeadlinePassed, raised
+    while a space is ground or searched)."""
+    start = time.monotonic()
+    deadline = start + bounds.timeout
     try:
-        space = _FoslSpace(vocab, f, n, m, symmetry, deadline, sizes is not None)
+        for build, configs in levels(deadline):
+            space = None
+            for config in configs:
+                if time.monotonic() > deadline:
+                    raise _DeadlinePassed
+                if space is None:
+                    space = build()
+                space.configure(config)
+                space.trail.append([])
+                found = space.dfs(deadline)
+                space.pop_frame()
+                if found is not None:
+                    return ModelFound(found, time.monotonic() - start)
     except _DeadlinePassed:
-        return ("timeout",)
-    if sizes is None or _level_formula(f, m) == _FALSITY:
-        return space.dfs(deadline)
-    for r in sizes:
-        space.split(r)
-        result = space.dfs(deadline)
-        space.pop_frame()
-        if result[0] != "unsat":
-            return result
-    return ("unsat",)
-
-
-def _first_outcome(results, bounds: Bounds, start: float) -> SearchOutcome:
-    """The outcome of a search over a sequence of subspaces, given the
-    lazy sequence of their dfs results: the first model or timeout, or
-    exhaustion."""
-    for result in results:
-        if result[0] == "model":
-            return ModelFound(result[1], time.monotonic() - start)
-        if result[0] == "timeout":
-            return SearchTimeout(time.monotonic() - start)
+        return SearchTimeout(time.monotonic() - start)
     return ExhaustedUnsat(bounds, time.monotonic() - start)
 
 
 def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
-    """The level loop of find_fosl_model over a validated sentence; caps
-    (most ext, most ind elements) bound each level's split (see
-    _search_level_fosl).  The top-level conjuncts of f are read once,
-    here, for every level."""
-    start = time.monotonic()
-    deadline = start + bounds.timeout
+    """The levels of find_fosl_model over a validated sentence, n
+    elements and m precisifications, searched by _search.
+
+    floor, when not None, is the least number of ind elements of the
+    models of f, whose top-level conjuncts make ind/ext a rigid
+    partition of the domain and prec a total function from ind to ext
+    (see _sort_floors); they are read once, here, for every level.  Any
+    model with r elements in ind can be renumbered so that those are the
+    elements 0..r-1.  So with symmetry reduction on, a level is one split
+    space (see _FoslSpace) configured once per r from the ind floor to
+    n - 1, which leaves prec an entity to take, each block [0, r),
+    [r, n) with its own least-number heuristic, instead of branching on
+    the sorts through every permutation of the same split; a level that
+    no r fits, such as n = 1 when the floor is 1, is unsat without a
+    space.  Otherwise a level is one search over every cell.
+
+    caps, the most ext and ind elements a model may have, also bound r
+    and split the level in both symmetry modes."""
+    symmetry = bounds.symmetry_reduction
     floor = _sort_floors(set(conjuncts(f)))
-    results = (
-        _search_level_fosl(vocab, f, n, m, bounds.symmetry_reduction, deadline, floor, caps)
-        for n in range(1, bounds.max_domain + 1)
-        for m in range(1, bounds.max_precisifications + 1)
-    )
-    return _first_outcome(results, bounds, start)
+    split = floor is not None and (symmetry or caps is not None)
+
+    def levels(deadline):
+        for n in range(1, bounds.max_domain + 1):
+            sizes = (None,)
+            if split:
+                low, high = floor, n - 1
+                if caps is not None:
+                    low, high = max(low, n - caps[0]), min(high, caps[1])
+                sizes = range(low, high + 1)
+            for m in range(1, bounds.max_precisifications + 1):
+                yield functools.partial(_FoslSpace, vocab, f, n, m, symmetry, deadline,
+                                        split), sizes
+
+    return _search(levels, bounds)
 
 
 @nesting_guard
@@ -1075,7 +1078,7 @@ def find_fosl_model(vocab: FoslVocabulary, f: Formula, bounds: Bounds) -> Search
     f has bridge axioms 1, 2 and 4-6 among its top-level conjuncts, as a
     full translation does, each level is split on ind/ext, starting each
     sort at the least size the bridge axioms among them force, and prec
-    is searched as a function (see _sort_floors and _search_level_fosl);
+    is searched as a function (see _sort_floors and _search_fosl);
     a sentence that lacks any of the five is searched unsplit."""
     validate_formula(f, vocab)
     if free_variables(f):
@@ -1093,10 +1096,9 @@ class _V1Space(_Space):
     An individual's precise version is the function prec, as in a split
     standpoint space: self.prec, the ("f", "prec") rows, holds the maps
     of one registry, prec[pi][i] the entity of individual i at
-    precisification pi.  The registries of a level are enumerated
-    outside (all strictly increasing combinations of distinct maps, so
-    duplicate registries never occur) and searched in one space, each
-    writing its maps into those rows, whose cells are never assigned.
+    precisification pi.  A level's registries are its configurations
+    (see find_v1_model), all searched in one space: configure writes a
+    registry's maps into those rows, whose cells are never assigned.
     The sortal and indefinite tables are over individuals (base r), a
     rigid precise table over entities (base ne) is a single row, with
     cells ("p", pred, 0, rank), and a proper name is a 0-ary function
@@ -1106,13 +1108,12 @@ class _V1Space(_Space):
     individuals admitted at its precisification (see _precise_atom).
     """
 
-    def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int,
-                 maps: tuple[tuple[int, ...], ...]):
-        _Space.__init__(self, vocab, f, m, len(maps))
+    def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int, r: int):
+        _Space.__init__(self, vocab, f, m, r)
         self.ne = ne
-        self.r = self.base
-        self.choices = tuple(range(self.r))  # a name may denote any individual
-        self.prec = self.tables["f", "prec"] = list(zip(*maps))
+        self.r = r
+        self.choices = tuple(range(r))  # a name may denote any individual
+        self.prec = self.tables["f", "prec"] = []  # written by configure
 
         # member3 reads every sortal, so each has a table whether or not f
         # mentions it; the compiler creates the indefinite and precise
@@ -1126,6 +1127,11 @@ class _V1Space(_Space):
             self.conjuncts.append(self._compile(part, {}))
             self.pi_indep.append(not self.varies)
         self.status = [[_U] * m for _ in self.conjuncts]
+
+    def configure(self, maps: tuple[tuple[int, ...], ...]) -> None:
+        """Search the registry whose individual i has the extension map
+        maps[i], a tuple of entities by precisification."""
+        self.prec[:] = zip(*maps)
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
         table = self.tables.get(("p", pred))
@@ -1303,34 +1309,8 @@ class _V1Space(_Space):
 @functools.lru_cache(maxsize=8)
 def _name_typing(sortals: frozenset, names: frozenset) -> list[Formula]:
     # the name-typing instances of _V1Space, shared by the spaces of all levels
-    return [disjoin(Atom(k, (Const(nm),)) for k in sorted(sortals)) if sortals else _FALSITY
+    return [disjoin(Atom(k, (Const(nm),)) for k in sorted(sortals)) if sortals else falsity()
             for nm in sorted(names)]
-
-
-def _search_level_v1(vocab, f, ne, m, r, deadline):
-    """The dfs results, lazily, of the registries of r individuals at ne
-    entities and m precisifications, all in one space: a finished dfs
-    leaves every cell unset, and the instance statuses of its own trail
-    frame are reset, so the next registry only writes its maps into the
-    space's prec rows.  No
-    registry is searched once the deadline has passed."""
-    space = None
-    for maps in _registry_combos(ne, m, r):
-        if time.monotonic() > deadline:
-            yield ("timeout",)
-            return
-        if space is None:
-            space = _V1Space(vocab, f, ne, m, maps)
-        else:
-            space.prec[:] = zip(*maps)
-        space.trail.append([])
-        yield space.dfs(deadline)
-        space.pop_frame()
-
-
-def _registry_combos(ne: int, m: int, r: int):
-    all_maps = list(itertools.product(range(ne), repeat=m))
-    return itertools.combinations(all_maps, r)
 
 
 @nesting_guard
@@ -1338,24 +1318,24 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
     """Search for a variable reference structure making f globally true.
 
     Entity counts, precisification counts and registry sizes grow from the
-    smallest, one search space per level (see _search_level_v1);
-    registries are combinations of distinct extension maps in
-    lexicographic order, enumerated lazily, and none is searched once the
-    deadline has passed."""
+    smallest, one search space per level (ne, m, r); a level's
+    configurations are its registries, the combinations of r distinct
+    extension maps in lexicographic order, enumerated lazily (see
+    _search), so duplicate registries never occur."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
-    start = time.monotonic()
-    deadline = start + bounds.timeout
     min_r = 1 if vocab.names else 0
-    results = (
-        result
-        for ne in range(1, bounds.max_entities + 1)
-        for m in range(1, bounds.max_precisifications + 1)
-        for r in range(min_r, min(bounds.max_individuals, ne ** m) + 1)
-        for result in _search_level_v1(vocab, f, ne, m, r, deadline)
-    )
-    return _first_outcome(results, bounds, start)
+
+    def levels(deadline):  # a V1 space is not ground, so it needs no deadline
+        for ne in range(1, bounds.max_entities + 1):
+            for m in range(1, bounds.max_precisifications + 1):
+                maps = list(itertools.product(range(ne), repeat=m))
+                for r in range(min_r, min(bounds.max_individuals, len(maps)) + 1):
+                    yield (functools.partial(_V1Space, vocab, f, ne, m, r),
+                           itertools.combinations(maps, r))
+
+    return _search(levels, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1425,7 +1405,7 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     and I ind elements, so the backward search is the lift of the V1
     search space: in both symmetry modes each level is split on ind/ext,
     with at most max_individuals ind and max_entities ext elements (see
-    _search_level_fosl and _sort_floors), and every model found lowers
+    _search_fosl and _sort_floors), and every model found lowers
     within the V1 bounds.  Either verification failing, or one side
     satisfiable where the other is not, is a discrepancy, so an "unsat"
     agreement checks the V1 search's "unsat" independently.  The V1
@@ -1469,8 +1449,9 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
             # both sides found a model; the first whose image failed
             counterexample = v1.model if v1.verified is False else fosl.model
         elif lifted is not None:
-            # the lift fits the backward bounds, so that search had to find it
-            counterexample = fosl_structure_to_dict(lifted)
+            # a verified lift fits the backward bounds, so that search had
+            # to find it; an unverified one fails the translation
+            counterexample = fosl_structure_to_dict(lifted) if v1.verified else v1.model
         else:
             # a standpoint model lowers within the V1 bounds
             counterexample = v1_structure_to_dict(lowered) if fosl.verified else fosl.model

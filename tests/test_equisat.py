@@ -185,16 +185,26 @@ class TestAgreementBranches:
         outcomes = {d.direction: d for d in report.directions}
         assert report.counterexample == outcomes[failing].model
 
-    def test_v1_model_without_a_backward_model_reports_its_lift(self, monkeypatch):
+    @pytest.mark.parametrize("verified", [True, False], ids=["verified", "unverified"])
+    def test_v1_model_without_a_backward_model_reports_its_lift(self, monkeypatch, verified):
+        # a verified lift fits the backward bounds, so it is the model the
+        # backward search missed; a lift that fails the translation is no
+        # such model, so the V1 model itself is the counterexample
         vocab, f = self.named_attribute()
         monkeypatch.setattr(finder, "_search_fosl",
                             lambda vocab, f, bounds, caps=None: ExhaustedUnsat(bounds, 0.0))
+        if not verified:
+            countermodel = self.countermodel()
+            monkeypatch.setattr(finder, "lift_model", lambda mv: lift_model(countermodel))
         report = equisat_check(vocab, f, BOUNDS)
         assert report.agreement == "discrepancy"
         v1, fosl = report.directions
-        assert (v1.outcome, v1.verified, fosl.outcome) == ("sat", True, "unsat")
-        lifted = lift_model(v1_structure_from_dict(v1.model))
-        assert report.counterexample == fosl_structure_to_dict(lifted)
+        assert (v1.outcome, v1.verified, fosl.outcome) == ("sat", verified, "unsat")
+        if verified:
+            lifted = lift_model(v1_structure_from_dict(v1.model))
+            assert report.counterexample == fosl_structure_to_dict(lifted)
+        else:
+            assert report.counterexample == v1.model
 
     def test_unverified_backward_model_without_a_v1_model_is_reported(self, monkeypatch):
         vocab, f = self.named_attribute()

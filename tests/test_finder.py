@@ -226,21 +226,20 @@ class TestV1Search:
 
     def test_pool_stops_drawing_tasks_at_the_deadline(self, monkeypatch):
         # a fake clock passes the deadline while the fifth registry is
-        # drawn; the search checks the deadline before searching each
-        # registry, so it draws no more
+        # set up; the search checks the deadline before searching each
+        # registry, so it sets up no more
         clock = [0.0]
         monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         draws = []
-        combos = finder._registry_combos
+        configure = _V1Space.configure
 
-        def counted(ne, m, r):
-            for maps in combos(ne, m, r):
-                draws.append(maps)
-                if len(draws) == 5:
-                    clock[0] = 10.0
-                yield maps
+        def counted(space, maps):
+            draws.append(maps)
+            if len(draws) == 5:
+                clock[0] = 10.0
+            configure(space, maps)
 
-        monkeypatch.setattr(finder, "_registry_combos", counted)
+        monkeypatch.setattr(_V1Space, "configure", counted)
         vocab = corpus_vocab()
         f = parse_formula("Attr(n) & !Attr(n)", vocab)
         bounds = Bounds(max_entities=5, max_precisifications=3, max_individuals=5,
@@ -262,9 +261,9 @@ class TestV1Search:
         levels = []
 
         class Counted(_V1Space):
-            def __init__(self, vocab, f, ne, m, maps):
-                levels.append((ne, m, len(maps)))
-                super().__init__(vocab, f, ne, m, maps)
+            def __init__(self, vocab, f, ne, m, r):
+                levels.append((ne, m, r))
+                super().__init__(vocab, f, ne, m, r)
 
         monkeypatch.setattr(finder, "_V1Space", Counted)
         vocab = corpus_vocab()
@@ -670,6 +669,14 @@ class TestFinishedSearch:
     every registry of its level, writing only its prec rows in between,
     and a space reused for another search relies on the same."""
 
+    @staticmethod
+    def assert_unset(space):
+        for (kind, symbol), rows in space.tables.items():
+            if isinstance(space, _V1Space) and symbol == "prec":
+                continue  # the registry's maps, written by configure
+            unset = None if kind == "f" else 0
+            assert all(v == unset for row in rows for v in row), (kind, symbol)
+
     def test_every_cell_is_unset_after_the_outermost_dfs(self, monkeypatch):
         depth = 0
         finished = []
@@ -681,11 +688,7 @@ class TestFinishedSearch:
             result = dfs(space, deadline)
             depth -= 1
             if depth == 0:
-                for (kind, symbol), rows in space.tables.items():
-                    if isinstance(space, _V1Space) and symbol == "prec":
-                        continue  # the registry's maps, written by the level loop
-                    unset = None if kind == "f" else 0
-                    assert all(v == unset for row in rows for v in row), (kind, symbol)
+                self.assert_unset(space)
                 finished.append(type(space))
             return result
 
@@ -694,6 +697,26 @@ class TestFinishedSearch:
         for seed in range(40):
             equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
         assert len(finished) > 200 and set(finished) == {_FoslSpace, _V1Space}
+
+    def test_every_configuration_starts_clean(self, monkeypatch):
+        # _search sets up every configuration of a level (a split point,
+        # a registry) in the level's one space: each starts with every
+        # instance undecided, every cell unset and no trail frame open
+        # beyond the space's first
+        configured = []
+        for cls in (_FoslSpace, _V1Space):
+            def checked(space, config, _configure=cls.configure):
+                assert all(v == _U for row in space.status for v in row)
+                self.assert_unset(space)
+                assert len(space.trail) == 1
+                configured.append(type(space))
+                _configure(space, config)
+
+            monkeypatch.setattr(cls, "configure", checked)
+        vocab = corpus_vocab()
+        for seed in range(40):
+            equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
+        assert len(configured) > 200 and set(configured) == {_FoslSpace, _V1Space}
 
 
 class TestCulpritRule:
@@ -722,7 +745,8 @@ class TestCulpritRule:
     def test_v1_space(self):
         vocab = make_v1_vocabulary(["K"], {"P": 1, "Q": 1, "R": 1}, {}, ["c"], [])
         f = parse_formula(self.TEXT, vocab)
-        space = _V1Space(vocab, f, 1, 1, ((0,),))
+        space = _V1Space(vocab, f, 1, 1, 1)
+        space.configure(((0,),))
         space.assign(("f", "c", 0, 0), 0)
         space.assign(("p", "R", 0, 0), 2)
         assert self.evaluate(space, f) == ("p", "Q", 0, 0)
@@ -776,14 +800,17 @@ class TestSortSplit:
 
     @staticmethod
     def count_splits(monkeypatch):
+        # the split points configured; an unsplit space's one
+        # configuration is None
         calls = []
-        split = _FoslSpace.split
+        configure = _FoslSpace.configure
 
         def counted(space, r):
-            calls.append((space.n, space.m, r))
-            return split(space, r)
+            if r is not None:
+                calls.append((space.n, space.m, r))
+            return configure(space, r)
 
-        monkeypatch.setattr(_FoslSpace, "split", counted)
+        monkeypatch.setattr(_FoslSpace, "configure", counted)
         return calls
 
     @staticmethod
@@ -884,17 +911,18 @@ class TestSortSplit:
         assert calls == []
 
     def test_split_space_reads_the_split_point(self, monkeypatch):
-        # a split space holds no table of ind, ext or prec bits; split(r) opens
-        # one trail frame and assigns no cell, and the individuals of a
-        # model are the first r elements at every precisification
+        # a split space holds no table of ind, ext or prec bits;
+        # configure(r) opens no trail frame and assigns no cell, and the
+        # individuals of a model are the first r elements at every
+        # precisification
         vocab, f = self.hard_translation()
         space = _FoslSpace(vocab, f, 4, 2, True, prec_cells=True)
         assert not {("p", "ind"), ("p", "ext"), ("p", "prec")} & set(space.tables)
         assigned = []
         monkeypatch.setattr(space, "assign", lambda *args: assigned.append(args))
         frames = len(space.trail)
-        assert space.split(2) is None
-        assert len(space.trail) == frames + 1 and space.trail[-1] == []
+        assert space.configure(2) is None
+        assert len(space.trail) == frames and space.trail[-1] == []
         assert assigned == []
         assert space.first_ext == 2 and space.blocks == ((0, 2), (2, 4))
         monkeypatch.undo()
@@ -1080,7 +1108,8 @@ class TestSortSplit:
         function_cells = 0  # assigned or forced
         for _ in range(40):
             r = rng.randint(1, 3)
-            space.split(r)
+            space.configure(r)
+            space.trail.append([])
             steps: list[list[tuple]] = []
             for _ in range(rng.randint(1, 8)):
                 open_cells = list(TestMemoInvariant.cells(space))
@@ -1109,7 +1138,7 @@ class TestSortSplit:
         space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
         cell = ("f", "n", 0, 0)
         assert space.branch_values(cell) == (0,)
-        space.split(2)
+        space.configure(2)
         assert space.branch_values(cell) == (0, 2)
         space.decide(("p", "Kind", 1, 3), 1)
         assert space.branch_values(cell) == (0, 2, 3)
@@ -1124,7 +1153,7 @@ class TestSortSplit:
         f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
         space = _FoslSpace(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
         assert ("p", "prec") not in space.tables
-        space.split(3)
+        space.configure(3)
         constant, function = ("f", "n", 0, 0), ("f", "prec", 1, 0)
         # a function cell takes the entity block's values only
         assert space.branch_values(constant) == (0, 3)

@@ -37,14 +37,15 @@ def main(argv: list[str]) -> int:
     import splogic as sp
     from splogic import finder
 
+    # the search builds each level's space through finder._FoslSpace
     levels: list[tuple[int, int]] = []
-    search_level = finder._search_level_fosl
 
-    def recorded(vocab, f, n, m, *args):
-        levels.append((n, m))
-        return search_level(vocab, f, n, m, *args)
+    class Recorded(finder._FoslSpace):
+        def __init__(self, vocab, f, n, m, *args):
+            levels.append((n, m))
+            super().__init__(vocab, f, n, m, *args)
 
-    finder._search_level_fosl = recorded
+    finder._FoslSpace = Recorded
 
     vocab = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
     trans_vocab = sp.translated_vocabulary(vocab)
