@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -1105,7 +1104,9 @@ class _V1Space(_Space):
     over the individuals.  Every constraint is an instance: one per name
     n, K1(n) | ... | Kk(n) over the sorted sortals (false without
     sortals), comes first, and an indefinite atom is true only of
-    individuals admitted at its precisification (see _precise_atom).
+    individuals admitted at its precisification.  Its bit is branched on
+    only once every argument is known to be admitted (see _precise_atom),
+    so every true bit lies over admitted individuals.
     """
 
     def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int, r: int):
@@ -1188,8 +1189,11 @@ class _V1Space(_Space):
         pred = f.pred
         bits = self.tables["p", pred]
         if pred not in self.vocab.precise:
-            # an indefinite atom reads its bit first; a true tuple holds only
-            # of individuals admitted at pi, checked last argument first
+            # an indefinite atom holds only of individuals admitted at pi:
+            # a known non-admitted argument makes it false, an open
+            # admission names its first open sortal cell (last argument
+            # first), and only then is the atom's own bit the culprit, so
+            # a true bit always lies over admitted individuals
             base = self.r
             member3 = self.member3
 
@@ -1201,20 +1205,20 @@ class _V1Space(_Space):
                         return _U
                     rank = rank * base + i
                 b = bits[pi][rank]
-                if b == 0:
-                    self._note(("p", pred, pi, rank))
-                    return _U
                 if b == 2:
                     return _F
                 culprit = None
+                rest = rank
                 for _ in resolvers:
-                    mv, mc = member3(rank % base, pi)
+                    mv, mc = member3(rest % base, pi)
                     if mv == _F:
                         return _F
                     culprit = culprit or mc
-                    rank //= base
+                    rest //= base
                 if culprit is None:
-                    return _T
+                    if b == 1:
+                        return _T
+                    culprit = ("p", pred, pi, rank)
                 self._note(culprit)
                 return _U
 
@@ -1277,15 +1281,14 @@ class _V1Space(_Space):
             }
             for pi in range(self.m)
         }
-        indefinite = {}
-        for pi, p in enumerate(precs):
-            admitted = set().union(*sortals[p].values())
-            indefinite[p] = {
-                a: [row for row in _rows(self.tables["p", a][pi], self.preds[a], idents)
-                    if admitted.issuperset(row)]
+        indefinite = {
+            p: {
+                a: _rows(self.tables["p", a][pi], self.preds[a], idents)
                 if a in self.preds else []
                 for a in sorted(self.vocab.indefinite)
             }
+            for pi, p in enumerate(precs)
+        }
         precise = {
             q: _rows(self.tables["p", q][0], self.preds[q], entities)
             if q in self.preds else []
@@ -1387,12 +1390,6 @@ def _direction(direction: str, search, bounds: Bounds, to_dict, image, holds):
     return outcome, mapped
 
 
-def _lower_quietly(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _lower(mf, vocab)
-
-
 @nesting_guard
 def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatReport:
     """Test a sentence and its translation on both sides of the
@@ -1420,10 +1417,11 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     satisfies the name-typing axioms, and this restriction keeps the
     check two-sided and exact.
 
-    A standpoint model is lowered without checking the bridge axioms
-    again: the search has just verified it against the full translation,
-    whose boxed conjuncts are those axioms.  The lowered model is still
-    checked against f.
+    A standpoint model is lowered (_lower) without checking the bridge and
+    name-typing axioms again: the search has just verified it against the
+    full translation, whose boxed conjuncts are those axioms, so each name
+    keeps its denotation, an admitted individual.  The lowered model is
+    still checked against f.
     """
     validate_formula(f, vocab)
     trans_f = full_translation(f, vocab, strict_names=True)
@@ -1435,7 +1433,7 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     fosl, lowered = _direction(
         "fosl", lambda b: _search_fosl(trans_vocab, trans_f, b, caps),
         replace(bounds, max_domain=sum(caps)),
-        fosl_structure_to_dict, lambda mf: _lower_quietly(mf, vocab),
+        fosl_structure_to_dict, lambda mf: _lower(mf, vocab),
         lambda mv: is_model_v1(mv, f))
 
     counterexample = None

@@ -174,7 +174,7 @@ def eval_term(m: FoslStructure, pi: str, v: Assignment, t: Term) -> str:
 _UNBOUND = -1  # an env value no element has
 _NO_ROWS: frozenset[int] = frozenset()
 # compiled conjuncts kept: room for the boxed bridge axioms of a full
-# translation and the plain ones lower_model checks (about 10 each for a
+# translation and the unboxed ones lower_model checks (about 10 each for a
 # small vocabulary), with the top-level conjuncts of a few sentences; a
 # larger cache keeps more one-off conjuncts, and the formulas that key
 # them, alive

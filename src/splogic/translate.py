@@ -12,7 +12,6 @@ version there.
 from __future__ import annotations
 
 import functools
-import warnings
 import weakref
 from dataclasses import replace
 
@@ -338,34 +337,29 @@ def lift_model(mv: V1Structure) -> FoslStructure:
 
 def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
     """Recover a V1 structure from a standpoint structure satisfying the
-    bridge axioms (checked first; the violated axiom is reported).
-
-    A name denoting a precise entity is remapped to the canonical
-    (smallest) individual with a warning rather than rejected.  The
-    remapping can change the truth of a sentence that mentions the name:
-    the translation of !K(n) & exists ?x K(?x), unsat in V1, without the
-    name-typing axioms (strict_names) has a model in which n denotes a
-    precise entity, and that model lowers to a structure that falsifies
-    the sentence.  With strict_names the translation has no such model.
-    A wildcard (None) arity is pinned by the structure's rows before the
-    axioms are built.
+    bridge axioms and the name-typing axioms (checked first; the violated
+    axiom is reported, names:n for a name n that denotes no admitted
+    individual, and a name mf does not interpret is an EvaluationError).
+    So every structure returned is one the V1 loader accepts.  A wildcard
+    (None) arity is pinned by the structure's rows before the axioms are
+    built.
     """
     _check_bridge_axioms(mf, vocab)
     return _lower(mf, vocab)
 
 
 def _check_bridge_axioms(mf: FoslStructure, vocab: V1Vocabulary) -> None:
-    """Raise AxiomViolationError, with the label of the first bridge axiom
-    mf falsifies, unless mf satisfies them all.  The axioms are checked
-    together first, in one evaluation of their conjunction, and one by one
-    only to name a violated one."""
+    """Raise AxiomViolationError, with the label of the first bridge or
+    name-typing axiom mf falsifies, unless mf satisfies them all.  The
+    axioms are checked together first, in one evaluation of their
+    conjunction, and one by one only to name a violated one."""
     pinned = {
         p: len(next(iter(rows)))
         for interp in mf.interpretation.values()
         for p, rows in interp.predicates.items()
         if rows
     }
-    axioms = labeled_axioms(_pin_wildcards(vocab, pinned))
+    axioms = labeled_axioms(_pin_wildcards(vocab, pinned), strict_names=True)
     if is_model(mf, conjoin([ax for _, ax in axioms])):
         return
     for label, ax in axioms:
@@ -376,9 +370,9 @@ def _check_bridge_axioms(mf: FoslStructure, vocab: V1Vocabulary) -> None:
 
 
 def _lower(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
-    """lower_model without the bridge-axiom check: mf must satisfy the
-    bridge axioms, for example because it is a model of a full
-    translation."""
+    """lower_model without the axiom check: mf must satisfy the bridge and
+    the name-typing axioms, for example because it is a model of a full
+    translation with strict_names.  Each name keeps its denotation."""
     pi0 = mf.precisifications[0]
     base = mf.interpretation[pi0].predicates
     ind_ids = sorted(e for (e,) in base.get("ind", frozenset()))
@@ -421,26 +415,10 @@ def _lower(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
         for q in sorted(vocab.precise)
     }
 
-    names: dict[str, dict[str, str]] = {}
-    for pi in mf.precisifications:
-        table = {}
-        for n in sorted(vocab.names):
-            target = mf.interpretation[pi].constants[n]
-            if target in ind_set:
-                table[n] = target
-            else:
-                if not ind_ids:
-                    raise ModelFormatError(
-                        f"cannot lower: name {n!r} denotes a precise entity and "
-                        "no individual exists to stand in"
-                    )
-                warnings.warn(
-                    f"name {n!r} denotes precise entity {target!r} at {pi!r}; "
-                    f"remapped to canonical individual {ind_ids[0]!r}",
-                    stacklevel=3,
-                )
-                table[n] = ind_ids[0]
-        names[pi] = table
+    names = {
+        pi: {n: mf.interpretation[pi].constants[n] for n in sorted(vocab.names)}
+        for pi in mf.precisifications
+    }
 
     return make_v1_structure(
         ext_ids,
@@ -451,5 +429,4 @@ def _lower(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
         indefinite,
         precise,
         names,
-        strict_names=False,
     )

@@ -11,7 +11,6 @@ map at the current precisification.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -67,14 +66,12 @@ def make_v1_structure(
     indefinite: Mapping[str, Mapping[str, Iterable]] = {},
     precise: Mapping[str, Iterable] = {},
     names: Mapping[str, Mapping[str, str]] = {},
-    strict_names: bool = True,
 ) -> V1Structure:
     """Normalize and validate a variable reference structure.
 
-    With strict_names (the JSON loader always sets it) every name must
-    denote a member of the quantifier domain at each precisification;
-    lowered structures relax this, since the bridge axioms do not
-    constrain constants.
+    Every name must denote a member of the quantifier domain at each
+    precisification.  Individuals may share an extension map: they stay
+    distinct individuals.
     """
     ents = tuple(entities)
     precs = tuple(precisifications)
@@ -108,17 +105,6 @@ def make_v1_structure(
                     f"individual {ident!r} maps {pi!r} to unknown entity {e!r}"
                 )
         registry[ident] = IndefiniteIndividual(ident, ext)
-    by_extent: dict[tuple, list[str]] = {}
-    for ident in sorted(registry):
-        key = tuple(registry[ident].extent[pi] for pi in precs)
-        by_extent.setdefault(key, []).append(ident)
-    for group in by_extent.values():
-        if len(group) > 1:
-            warnings.warn(
-                f"individuals {group} share one extension map; "
-                "they are treated as distinct individuals",
-                stacklevel=2,
-            )
 
     sortal_names = set()
     srt: dict[str, dict[str, frozenset[str]]] = {pi: {} for pi in precs}
@@ -196,7 +182,7 @@ def make_v1_structure(
                 raise ModelFormatError(
                     f"name {n!r} at {pi!r} denotes unknown individual {ident!r}"
                 )
-            if strict_names and ident not in domains[pi]:
+            if ident not in domains[pi]:
                 raise ModelFormatError(
                     f"name {n!r} at {pi!r} denotes {ident!r}, which no sortal admits there"
                 )

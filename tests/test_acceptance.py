@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import itertools
 import random
 import time
-import warnings
 
 import pytest
 
@@ -136,9 +135,7 @@ def test_criterion_3_translation_correspondence(desert_v1_vocab):
                   "PartOf(?x, ?y)", "?x = ?y"]
     for seed in range(40):
         mv = generate_v1_structure(desert_v1_vocab, seed, bounds)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            again = lower_model(lift_model(mv), desert_v1_vocab)
+        again = lower_model(lift_model(mv), desert_v1_vocab)
         idents = sorted(mv.registry)
         for text in atom_texts:
             f = parse_formula(text, desert_v1_vocab)

@@ -152,8 +152,7 @@ class TestAgreementBranches:
         assert report.agreement == "discrepancy"
         v1, fosl = report.directions
         assert (v1.outcome, fosl.outcome, fosl.verified) == ("unsat", "sat", True)
-        with pytest.warns(UserWarning, match="share one extension map"):
-            lowered = v1_structure_from_dict(report.counterexample)
+        lowered = v1_structure_from_dict(report.counterexample)
         assert naive_is_model_v1(lowered, f)
         data = report.to_dict()
         assert list(data) == ["formula", "agreement", "directions", "counterexample"]

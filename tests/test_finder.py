@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -283,9 +282,8 @@ class TestV1Search:
 
     # An indefinite predicate holds only of individuals some sortal admits
     # at the same precisification: at a precisification where ?x is not a
-    # K, A(?x) is false.  The first two sentences make the search set such
-    # a tuple true, which the generated micro-completeness sentences never
-    # do.
+    # K, A(?x) is false.  The first two sentences ask for such a tuple,
+    # which the generated micro-completeness sentences never do.
     @pytest.mark.parametrize("text, sat", [
         ("exists ?x ([*] A(?x) & <*> !K(?x))", False),
         ("exists ?x ([s] A(?x) & <s> !K(?x))", False),
@@ -302,6 +300,30 @@ class TestV1Search:
         if sat:
             assert naive_is_model_v1(outcome.structure, f)
 
+    @pytest.mark.parametrize("text, before", [
+        ("exists ?x ([*] A(?x) & <*> !K(?x))", 536),
+        ("exists ?x ([s] A(?x) & <s> !K(?x))", 1032),
+    ])
+    def test_indefinite_bits_wait_for_admission(self, monkeypatch, text, before):
+        # an indefinite atom branches on its bit only once its arguments
+        # are admitted, so a non-admitted argument refutes it without
+        # searching both values of the bit; branching on the bit first
+        # took the dfs call counts in `before`
+        calls = []
+        dfs = _V1Space.dfs
+
+        def counted(space, deadline):
+            calls.append(space)
+            return dfs(space, deadline)
+
+        monkeypatch.setattr(_V1Space, "dfs", counted)
+        vocab = make_v1_vocabulary(["K"], {"A": 1}, {"Q": 1}, ["c"], ["s"])
+        bounds = Bounds(max_entities=2, max_precisifications=2, max_individuals=2,
+                        timeout=60)
+        outcome = find_v1_model(vocab, parse_formula(text, vocab), bounds)
+        assert isinstance(outcome, ExhaustedUnsat)
+        assert len(calls) < before
+
     # Two individuals may share an extension map (they stay distinct
     # individuals), but registries are drawn as combinations of distinct
     # maps, so at one entity and one precisification a registry holds a
@@ -316,11 +338,10 @@ class TestV1Search:
 
     def test_individuals_sharing_a_map_model_distinct_names(self):
         vocab, f = self.shared_map_case()
-        with pytest.warns(UserWarning, match="share one extension map"):
-            m = make_v1_structure(
-                ["e0"], ["p0"], {}, {"i0": {"p0": "e0"}, "i1": {"p0": "e0"}},
-                {"p0": {"K": ["i0", "i1"]}}, {}, {}, {"p0": {"a": "i0", "b": "i1"}},
-            )
+        m = make_v1_structure(
+            ["e0"], ["p0"], {}, {"i0": {"p0": "e0"}, "i1": {"p0": "e0"}},
+            {"p0": {"K": ["i0", "i1"]}}, {}, {}, {"p0": {"a": "i0", "b": "i1"}},
+        )
         assert is_model_v1(m, f)
         assert naive_is_model_v1(m, f)
 
@@ -748,6 +769,9 @@ class TestCulpritRule:
         space = _V1Space(vocab, f, 1, 1, 1)
         space.configure(((0,),))
         space.assign(("f", "c", 0, 0), 0)
+        # an indefinite atom over an individual of open admission blames
+        # the sortal cell; with c admitted, only the atoms' bits are open
+        space.assign(("p", "K", 0, 0), 1)
         space.assign(("p", "R", 0, 0), 2)
         assert self.evaluate(space, f) == ("p", "Q", 0, 0)
 
@@ -1043,9 +1067,7 @@ class TestSortSplit:
                     verdicts["unsat"] += 1
                     assert capped == "unsat", (entities, individuals, seed)
                     continue
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    lowered = lower_model(ref.structure, vocab)
+                lowered = lower_model(ref.structure, vocab)
                 if (len(lowered.entities) <= entities
                         and len(lowered.registry) <= individuals):
                     verdicts["within"] += 1

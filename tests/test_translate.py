@@ -9,12 +9,15 @@ from splogic import (
     EvaluationError,
     ExhaustedUnsat,
     ModelFormatError,
+    SplError,
     axiom_set,
+    conjoin,
     equisat_check,
     find_fosl_model,
     find_v1_model,
     formula_size,
     fosl_structure_to_dict,
+    fosl_structure_from_dict,
     full_translation,
     generate_formula,
     generate_v1_structure,
@@ -32,6 +35,8 @@ from splogic import (
     translate_formula,
     translated_vocabulary,
     translation_report,
+    v1_structure_from_dict,
+    v1_structure_to_dict,
 )
 from splogic import translate
 from splogic.parser import parse_raw
@@ -373,7 +378,7 @@ class TestLowerModel:
             lower_model(bad, vocab)
         assert err.value.axiom_label == "7:A"
 
-    def test_name_at_precise_entity_is_remapped_with_warning(self, desert_v1_vocab):
+    def test_name_at_precise_entity_is_rejected(self, desert_v1_vocab):
         shifted = make_fosl_structure(
             ["e0", "i0"], ["p1"], {},
             {"p1": {"predicates": {
@@ -383,14 +388,15 @@ class TestLowerModel:
                 "AridArea": [], "PartOf": [],
             }, "constants": {"house": "e0", "a": "i0"}}},
         )
-        with pytest.warns(UserWarning, match="remapped to canonical individual"):
-            lowered = lower_model(shifted, desert_v1_vocab)
-        assert lowered.names["p1"]["house"] == "i0"
+        with pytest.raises(AxiomViolationError) as err:
+            lower_model(shifted, desert_v1_vocab)
+        assert err.value.axiom_label == "names:house"
 
     def test_name_at_precise_entity_can_change_the_verdict(self):
         # n must denote an admitted individual in V1, so the sentence is
-        # unsat; the plain translation lets n denote a precise entity,
-        # and the name-typing axioms rule that out again
+        # unsat; the plain translation lets n denote a precise entity, a
+        # model that has no lowering, and the name-typing axioms rule it
+        # out again
         vocab = make_v1_vocabulary(["K"], {}, {}, ["n"], [])
         f = parse_formula("!K(n) & exists ?x K(?x)", vocab)
         trans_vocab = translated_vocabulary(vocab)
@@ -401,32 +407,70 @@ class TestLowerModel:
         model = plain.structure
         ext = {row[0] for row in model.interpretation["p0"].predicates["ext"]}
         assert model.interpretation["p0"].constants["n"] in ext
-        with pytest.warns(UserWarning, match="remapped to canonical individual"):
-            lowered = lower_model(model, vocab)
-        assert not is_model_v1(lowered, f)
+        with pytest.raises(AxiomViolationError) as err:
+            lower_model(model, vocab)
+        assert err.value.axiom_label == "names:n"
         strict = full_translation(f, vocab, strict_names=True)
         assert isinstance(find_fosl_model(trans_vocab, strict, bounds), ExhaustedUnsat)
         assert equisat_check(vocab, f, bounds).agreement == "unsat"
 
-    def test_roundtrip_preserves_satisfaction(self, desert_v1_vocab):
-        import warnings
+    @staticmethod
+    def unadmitted_name(constants):
+        # the plain bridge axioms hold; i1 is an individual no sortal admits
+        return make_fosl_structure(
+            ["e0", "i0", "i1"], ["p0"], {},
+            {"p0": {"predicates": {
+                "ind": [["i0"], ["i1"]], "ext": [["e0"]], "ink": [["i0"]],
+                "prec": [["i0", "e0"], ["i1", "e0"]], "K": [["i0"]],
+            }, "constants": constants}},
+        )
 
+    def test_name_at_unadmitted_individual_is_rejected(self):
+        vocab = make_v1_vocabulary(["K"], {}, {}, ["n"], [])
+        model = self.unadmitted_name({"n": "i1"})
+        assert is_model(model, conjoin(axiom_set(vocab)))
+        with pytest.raises(AxiomViolationError) as err:
+            lower_model(model, vocab)
+        assert err.value.axiom_label == "names:n"
+
+    def test_uninterpreted_name_is_an_error(self):
+        vocab = make_v1_vocabulary(["K"], {}, {}, ["n"], [])
+        with pytest.raises(SplError, match="unknown constant 'n'"):
+            lower_model(self.unadmitted_name({}), vocab)
+
+    def test_lowered_structures_reload(self):
+        # every structure lower_model returns passes the V1 loader: the
+        # lowering of each lifted generated structure, and of each
+        # backward model the equisat harness finds, over the corpus
+        # vocabulary at the corpus bounds
+        vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+        bounds = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
+                        timeout=60)
+        lowered = []
+        for seed in range(200):
+            mv = generate_v1_structure(vocab, seed, bounds)
+            lowered.append(lower_model(lift_model(mv), vocab))
+        for seed in range(40):
+            fosl = equisat_check(vocab, generate_formula(vocab, seed, 4), bounds).directions[1]
+            if fosl.model is not None:
+                lowered.append(lower_model(fosl_structure_from_dict(fosl.model), vocab))
+        assert len(lowered) > 220
+        for mv in lowered:
+            assert v1_structure_from_dict(v1_structure_to_dict(mv)) == mv
+
+    def test_roundtrip_preserves_satisfaction(self, desert_v1_vocab):
         bounds = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
                         timeout=60)
         for seed in range(200):
             mv = generate_v1_structure(desert_v1_vocab, seed, bounds)
             f = generate_formula(desert_v1_vocab, seed + 11000, 4)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                again = lower_model(lift_model(mv), desert_v1_vocab)
+            again = lower_model(lift_model(mv), desert_v1_vocab)
             assert is_model_v1(again, f) == is_model_v1(mv, f)
 
     def test_lowering_holds_on_perturbed_axiom_models(self, desert_v1_vocab):
         # enrich lifted structures with junk: rigid precise-predicate rows
         # over individual ids, which the axioms allow but no translated
         # sentence can observe
-        import warnings
-
         bounds = Bounds(max_entities=2, max_individuals=2,
                         max_precisifications=2, timeout=60)
         for seed in range(60):
@@ -454,9 +498,7 @@ class TestLowerModel:
             )
             f = generate_formula(desert_v1_vocab, seed + 13000, 4)
             full = full_translation(f, desert_v1_vocab)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lowered = lower_model(perturbed, desert_v1_vocab)
+            lowered = lower_model(perturbed, desert_v1_vocab)
             assert is_model(perturbed, full) == is_model_v1(lowered, f)
 
     def test_roundtrip_preserves_atom_truth_values(self, v0, desert_v1_vocab):

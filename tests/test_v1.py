@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -133,7 +134,6 @@ class TestLocality:
         )
         assert satisfies_v1(tweaked, "p1", {}, f) == satisfies_v1(v0, "p1", {}, f)
 
-    @pytest.mark.filterwarnings("ignore:individuals")
     def test_sortal_and_indefinite_atoms_ignore_extents(self, v0, desert_v1_vocab):
         # rigidly remap every individual to one entity: classification atoms
         # keep their truth values
@@ -258,22 +258,16 @@ class TestStructureValidation:
                 {}, {}, {"p1": {"n": "i0"}},
             )
 
-    def test_name_outside_domain_allowed_when_relaxed(self):
-        m = make_v1_structure(
-            ["e0"], ["p1"], {}, {"i0": {"p1": "e0"}},
-            {"p1": {"Kind": []}},
-            {}, {}, {"p1": {"n": "i0"}},
-            strict_names=False,
-        )
-        assert m.names["p1"]["n"] == "i0"
-
-    def test_duplicate_extents_warn(self):
-        with pytest.warns(UserWarning, match="share one extension map"):
-            make_v1_structure(
+    def test_shared_maps_load_without_warning(self):
+        # individuals with one extension map are distinct individuals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = make_v1_structure(
                 ["e0"], ["p1"], {},
                 {"i0": {"p1": "e0"}, "i1": {"p1": "e0"}},
                 {"p1": {"Kind": ["i0", "i1"]}},
             )
+        assert sorted(m.registry) == ["i0", "i1"]
 
     def test_precise_tuple_outside_entities_rejected(self):
         with pytest.raises(ModelFormatError):
