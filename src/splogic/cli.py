@@ -139,10 +139,10 @@ def cmd_translate(args) -> int:
     if not isinstance(vocab, V1Vocabulary):
         raise SplError("translate requires a v1 vocabulary")
     f = parse_formula(read_formula_file(args.formula), vocab)
-    translated = full_translation(f, vocab, strict_names=args.strict_names)
+    translated = full_translation(f, vocab)
     _write_or_print(print_formula(translated) + "\n", args.out)
     if args.report:
-        report = translation_report(f, vocab, strict_names=args.strict_names)
+        report = translation_report(f, vocab)
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -250,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="emit the full translation of a v1 formula")
     add_common(p)
-    p.add_argument("--strict-names", action="store_true",
-                   help="also force every name to denote an admitted individual; "
-                        "without it a name may denote a precise entity, and a "
-                        "sentence that mentions a name may be satisfiable where "
-                        "its V1 reading is not")
     p.add_argument("--out", default=None, help="output formula file")
     p.add_argument("--report", default=None, help="sidecar JSON report path")
     p.set_defaults(func=cmd_translate)

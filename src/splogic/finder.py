@@ -65,9 +65,9 @@ from .syntax import (
 )
 from .translate import (
     _FIXED_BOXED,
+    _INK_IND,
     _SHARED_AXIOMS,
     _lower,
-    admitted_are_individuals,
     full_translation,
     lift_model,
     translated_vocabulary,
@@ -960,7 +960,6 @@ class _FoslSpace(_Space):
 # and prec a total function from ind to ext
 _SPLIT_AXIOMS = frozenset(_FIXED_BOXED.values())
 _SPLIT_PREDS = frozenset(("ind", "ext", "prec"))
-_INK_IND = admitted_are_individuals()
 
 
 def _split_level_axioms(m: int) -> frozenset:
@@ -1409,22 +1408,14 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     search never gives two individuals one extension map; a sentence
     that needs that within bounds shows as a discrepancy.
 
-    Both directions use one full translation with the name-typing axioms
-    (every proper name denotes an admitted individual): the plain axiom
-    set does not constrain names, and models whose names denote precise
-    entities fall outside the model correspondence.  Every V1 model the
-    search finds has its names denote admitted individuals, so its lift
-    satisfies the name-typing axioms, and this restriction keeps the
-    check two-sided and exact.
-
-    A standpoint model is lowered (_lower) without checking the bridge and
-    name-typing axioms again: the search has just verified it against the
-    full translation, whose boxed conjuncts are those axioms, so each name
-    keeps its denotation, an admitted individual.  The lowered model is
-    still checked against f.
+    Both directions use the one full translation, whose boxed conjuncts
+    are the bridge axioms, name typing included, so a standpoint model the
+    search has verified is lowered (_lower) without checking them again,
+    each name keeping its denotation, and only the lowered model is
+    checked, against f.
     """
     validate_formula(f, vocab)
-    trans_f = full_translation(f, vocab, strict_names=True)
+    trans_f = full_translation(f, vocab)
     trans_vocab = translated_vocabulary(vocab)
     caps = (bounds.max_entities, bounds.max_individuals)
     v1, lifted = _direction(

@@ -176,44 +176,34 @@ _FIXED_BOXED = {label: _box(ax) for label, ax in _SORT_AXIOMS + _PREC_AXIOMS}
 _SHARED_AXIOMS: weakref.WeakSet = weakref.WeakSet(_FIXED_BOXED.values())
 
 
-def admitted_are_individuals() -> Formula:
-    """ink(x) -> ind(x), the first conjunct of bridge axiom 8's body.  With
-    a name-typing axiom ink(c) it leaves no model without an ind element,
-    and the model finder reads that from a sentence with both, boxed,
-    among its top-level conjuncts."""
-    return _INK_IND
-
-
-def labeled_axioms(
-    vocab: V1Vocabulary, strict_names: bool = False
-) -> list[tuple[str, Formula]]:
+def labeled_axioms(vocab: V1Vocabulary) -> list[tuple[str, Formula]]:
     """The bridge axioms with schema labels, in their fixed order.
 
     1. ind/ext partition the domain;  2. both are rigid;  3. each precise
     predicate is rigid;  4. prec relates individuals to entities;  5. every
     individual has a precise version;  6. at most one;  7. indefinite
     predicates apply only to admitted individuals;  8. admitted individuals
-    are individuals of some sort.  With strict_names, every proper name is
-    additionally forced to denote an admitted individual.
+    are individuals of some sort;  names:n. the proper name n denotes an
+    admitted individual, one axiom per name, as in V1 a name refers to an
+    individual some sortal admits.
 
     Equal vocabularies get the same node objects (see _bridge_axioms), in
     a new list on each call.
     """
-    return list(_bridge_axioms(_vocabulary_key(vocab, strict_names))[0])
+    return list(_bridge_axioms(_vocabulary_key(vocab))[0])
 
 
-def axiom_set(vocab: V1Vocabulary, strict_names: bool = False) -> list[Formula]:
-    return [f for _, f in labeled_axioms(vocab, strict_names)]
+def axiom_set(vocab: V1Vocabulary) -> list[Formula]:
+    return [f for _, f in labeled_axioms(vocab)]
 
 
-def _vocabulary_key(vocab: V1Vocabulary, strict_names: bool) -> tuple:
+def _vocabulary_key(vocab: V1Vocabulary) -> tuple:
     return (
         frozenset(vocab.sortals),
         tuple(sorted(vocab.indefinite.items())),
         tuple(sorted(vocab.precise.items())),
         frozenset(vocab.names),
         frozenset(vocab.standpoints),
-        strict_names,
     )
 
 
@@ -227,7 +217,7 @@ def _bridge_axioms(key: tuple) -> tuple[tuple[tuple[str, Formula], ...], Formula
     """The labelled bridge axioms of a vocabulary key (_vocabulary_key),
     and the conjunction of them under the universal box, as
     full_translation conjoins it."""
-    sortals, indefinite, precise, names, _, strict_names = key
+    sortals, indefinite, precise, names, _ = key
     if not sortals:
         raise ModelFormatError("translation requires at least one sortal")
     x = Var("x")
@@ -246,9 +236,7 @@ def _bridge_axioms(key: tuple) -> tuple[tuple[tuple[str, Formula], ...], Formula
         out.append((f"7:{a}", _forall_all(vs, implies(atom, guards))))
     sortal_disjunction = disjoin([Atom(k, (x,)) for k in sorted(sortals)])
     out.append(("8", Forall("x", And(_INK_IND, iff(ink_x, sortal_disjunction)))))
-    if strict_names:
-        for n in sorted(names):
-            out.append((f"names:{n}", Atom("ink", (Const(n),))))
+    out.extend((f"names:{n}", Atom("ink", (Const(n),))) for n in sorted(names))
     boxed = [_FIXED_BOXED.get(label) or _box(ax) for label, ax in out]
     _SHARED_AXIOMS.update(boxed)
     return tuple(out), conjoin(boxed)
@@ -266,11 +254,19 @@ def _pin_wildcards(vocab: V1Vocabulary, pinned: dict[str, int]) -> V1Vocabulary:
 
 @nesting_guard
 def full_translation(
-    f: Formula, vocab: V1Vocabulary, strict_names: bool = False
+    f: Formula, vocab: V1Vocabulary, *, strict_names: bool = True
 ) -> Formula:
-    """Translated formula conjoined with the box-prefixed bridge axioms.
-    A wildcard (None) arity that f uses is pinned by that use, so that the
-    axioms and the translated sentence agree on it."""
+    """Translated formula conjoined with the box-prefixed bridge axioms,
+    name typing included.  A wildcard (None) arity that f uses is pinned by
+    that use, so that the axioms and the translated sentence agree on it.
+
+    strict_names exists only for the benchmark's equisat workload, which
+    still passes strict_names=True: True means what every translation
+    means, and False, a translation without name typing, is rejected.
+    """
+    if strict_names is not True:
+        raise ValueError(f"strict_names must be True (every translation "
+                         f"types names), got {strict_names!r}")
     if free_variables(f):
         raise ModelFormatError(
             f"full translation requires a sentence; free: {sorted(free_variables(f))}"
@@ -279,23 +275,21 @@ def full_translation(
     _validate(f, vocab, pinned)
     core = _translate(f, vocab, _FreshVars(all_variables(f)))
     vocab = _pin_wildcards(vocab, pinned)
-    return And(core, _bridge_axioms(_vocabulary_key(vocab, strict_names))[1])
+    return And(core, _bridge_axioms(_vocabulary_key(vocab))[1])
 
 
-def translation_report(f: Formula, vocab: V1Vocabulary, strict_names: bool = False) -> dict:
+def translation_report(f: Formula, vocab: V1Vocabulary) -> dict:
     """Sizes, monodicity flags and axiom count for a translation run."""
     core = translate_formula(f, vocab)
-    full = full_translation(f, vocab, strict_names)
-    axioms = axiom_set(vocab, strict_names)
+    full = full_translation(f, vocab)
     return {
         "source_size": formula_size(f),
         "translated_size": formula_size(core),
         "full_size": formula_size(full),
-        "axiom_count": len(axioms),
+        "axiom_count": len(labeled_axioms(vocab)),
         "source_monodic": is_monodic(f),
         "translated_monodic": is_monodic(core),
         "full_monodic": is_monodic(full),
-        "strict_names": strict_names,
     }
 
 
@@ -337,9 +331,9 @@ def lift_model(mv: V1Structure) -> FoslStructure:
 
 def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
     """Recover a V1 structure from a standpoint structure satisfying the
-    bridge axioms and the name-typing axioms (checked first; the violated
-    axiom is reported, names:n for a name n that denotes no admitted
-    individual, and a name mf does not interpret is an EvaluationError).
+    bridge axioms (checked first; the violated axiom is reported, names:n
+    for a name n that denotes no admitted individual, and a name mf does
+    not interpret is an EvaluationError).
     So every structure returned is one the V1 loader accepts.  A wildcard
     (None) arity is pinned by the structure's rows before the axioms are
     built.
@@ -349,17 +343,17 @@ def lower_model(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
 
 
 def _check_bridge_axioms(mf: FoslStructure, vocab: V1Vocabulary) -> None:
-    """Raise AxiomViolationError, with the label of the first bridge or
-    name-typing axiom mf falsifies, unless mf satisfies them all.  The
-    axioms are checked together first, in one evaluation of their
-    conjunction, and one by one only to name a violated one."""
+    """Raise AxiomViolationError, with the label of the first bridge axiom
+    mf falsifies, unless mf satisfies them all.  The axioms are checked
+    together first, in one evaluation of their conjunction, and one by one
+    only to name a violated one."""
     pinned = {
         p: len(next(iter(rows)))
         for interp in mf.interpretation.values()
         for p, rows in interp.predicates.items()
         if rows
     }
-    axioms = labeled_axioms(_pin_wildcards(vocab, pinned), strict_names=True)
+    axioms = labeled_axioms(_pin_wildcards(vocab, pinned))
     if is_model(mf, conjoin([ax for _, ax in axioms])):
         return
     for label, ax in axioms:
@@ -370,9 +364,9 @@ def _check_bridge_axioms(mf: FoslStructure, vocab: V1Vocabulary) -> None:
 
 
 def _lower(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
-    """lower_model without the axiom check: mf must satisfy the bridge and
-    the name-typing axioms, for example because it is a model of a full
-    translation with strict_names.  Each name keeps its denotation."""
+    """lower_model without the axiom check: mf must satisfy the bridge
+    axioms, for example because it is a model of a full translation.  Each
+    name keeps its denotation."""
     pi0 = mf.precisifications[0]
     base = mf.interpretation[pi0].predicates
     ind_ids = sorted(e for (e,) in base.get("ind", frozenset()))

@@ -119,7 +119,7 @@ class TestTranslate:
         text = out_path.read_text().strip()
         assert "ink" in text and "prec" in text and "[*]" in text
         report = json.loads(report_path.read_text())
-        assert report["axiom_count"] == 8
+        assert report["axiom_count"] == 10
         assert report["source_monodic"] is True
 
     def test_translated_output_reparses(self, capsys, tmp_path):
@@ -136,16 +136,24 @@ class TestTranslate:
         vocab = load_vocabulary(str(FIXTURES / "desert_v1_vocab.json"))
         parse_formula(out_path.read_text(), translated_vocabulary(vocab))
 
-    def test_strict_names_adds_axioms(self, capsys, tmp_path):
-        plain = tmp_path / "plain.txt"
-        strict = tmp_path / "strict.txt"
+    def test_names_are_typed(self, capsys, tmp_path):
+        # every name denotes an admitted individual, with no flag
+        out_path = tmp_path / "t.txt"
         run(capsys, "translate", "--formula", str(FIXTURES / "formula_c.txt"),
-            "--vocab", str(FIXTURES / "desert_v1_vocab.json"), "--out", str(plain))
-        run(capsys, "translate", "--formula", str(FIXTURES / "formula_c.txt"),
-            "--vocab", str(FIXTURES / "desert_v1_vocab.json"), "--out", str(strict),
-            "--strict-names")
-        assert "ink(a)" not in plain.read_text()
-        assert "ink(a)" in strict.read_text()
+            "--vocab", str(FIXTURES / "desert_v1_vocab.json"), "--out", str(out_path))
+        text = out_path.read_text()
+        assert "ink(a)" in text and "ink(house)" in text
+
+    @pytest.mark.parametrize("command", ["translate", "equisat"])
+    def test_strict_names_option_is_gone(self, capsys, command):
+        # every translation types names
+        with pytest.raises(SystemExit) as exc:
+            main([command,
+                  "--formula", str(FIXTURES / "formula_c.txt"),
+                  "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
+                  "--strict-names"])
+        assert exc.value.code == 2
+        assert "--strict-names" in capsys.readouterr().err
 
     def test_fosl_vocab_rejected(self, capsys):
         code, _, err = run(
@@ -307,17 +315,6 @@ class TestEquisatCommand:
                 "--out", str(path))
             reports.append(strip(json.loads(path.read_text())))
         assert reports[0] == reports[1]
-
-
-    def test_strict_names_option_is_gone(self, capsys):
-        # the report always uses the name-typed translation
-        with pytest.raises(SystemExit) as exc:
-            main(["equisat",
-                  "--formula", str(FIXTURES / "formula_c.txt"),
-                  "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
-                  "--strict-names"])
-        assert exc.value.code == 2
-        assert "--strict-names" in capsys.readouterr().err
 
 
 class TestMonodic:

@@ -42,9 +42,8 @@ class TestEquisatHarness:
         assert [d.outcome for d in report.directions] == ["unsat", "unsat"]
 
     def test_name_typing_boundary_case(self):
-        # the plain axiom set leaves proper names untyped; the harness's
-        # name-typed backward search keeps both directions aligned on the
-        # sentence that denies its own name a referent
+        # the translation's name typing keeps both directions aligned on
+        # the sentence that denies its own name a referent
         vocab = make_v1_vocabulary(["Desert"], {}, {}, ["n"], [])
         f = parse_formula("!exists ?x ?x = n", vocab)
         report = equisat_check(vocab, f, BOUNDS)

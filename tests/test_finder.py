@@ -645,7 +645,7 @@ class TestMemoInvariant:
     @pytest.mark.parametrize("seed", [1044, 167, 42])
     def test_valid_memos_match_fresh_evaluation(self, seed):
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        f = full_translation(generate_formula(vocab, seed, 4), vocab)
         space = _FoslSpace(translated_vocabulary(vocab), f, 3, 2, True)
         checked = []
         scan = space._scan
@@ -841,7 +841,7 @@ class TestSortSplit:
     def hard_translation():
         # seed 167 is unsat, so every level and every split is searched
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
+        f = full_translation(generate_formula(vocab, 167, 4), vocab)
         return translated_vocabulary(vocab), f
 
     def test_full_translation_and_its_round_trip_split(self, monkeypatch):
@@ -884,7 +884,7 @@ class TestSortSplit:
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
         parts = finder.conjuncts(f)
-        axioms = dict(labeled_axioms(corpus_vocab(), strict_names=True))
+        axioms = dict(labeled_axioms(corpus_vocab()))
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
         axiom = Box("*", axioms["names:n"])
         assert axiom in parts
@@ -910,7 +910,7 @@ class TestSortSplit:
         trans_vocab = translated_vocabulary(vocab)
         bounds = Bounds(max_domain=2, max_precisifications=2, timeout=60)
         for seed, levels, domain in ((3, 2, 2), (5, 1, 1)):
-            f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+            f = full_translation(generate_formula(vocab, seed, 4), vocab)
             calls.clear()
             flat.clear()
             outcome = find_fosl_model(trans_vocab, f, bounds)
@@ -926,7 +926,7 @@ class TestSortSplit:
         # all five axioms together allow
         calls = self.count_splits(monkeypatch)
         vocab, f = self.hard_translation()
-        axiom = Box("*", dict(labeled_axioms(corpus_vocab(), strict_names=True))[label])
+        axiom = Box("*", dict(labeled_axioms(corpus_vocab()))[label])
         parts = finder.conjuncts(f)
         assert axiom in parts
         g = conjoin([p for p in parts if p != axiom])
@@ -963,7 +963,7 @@ class TestSortSplit:
         source = corpus_vocab()
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
         for seed in range(40):
-            f = full_translation(generate_formula(source, seed, 4), source, strict_names=True)
+            f = full_translation(generate_formula(source, seed, 4), source)
             find_fosl_model(vocab, f, bounds)
         assert len(models) > 20
         for r, model in models:
@@ -998,7 +998,7 @@ class TestSortSplit:
         seen = set()
         splitting = 0
         for seed in seeds:
-            f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+            f = full_translation(generate_formula(vocab, seed, 4), vocab)
             calls.clear()
             flat.clear()
             split = find_fosl_model(trans_vocab, f, on)
@@ -1061,7 +1061,7 @@ class TestSortSplit:
             for seed in range(60):
                 f = generate_formula(vocab, seed, 4)
                 capped = equisat_check(vocab, f, bounds).directions[1].outcome
-                ref = find_fosl_model(trans_vocab, full_translation(f, vocab, strict_names=True),
+                ref = find_fosl_model(trans_vocab, full_translation(f, vocab),
                                       reference)
                 if isinstance(ref, ExhaustedUnsat):
                     verdicts["unsat"] += 1
@@ -1096,7 +1096,7 @@ class TestSortSplit:
         assert [flat for flat, _ in found] == [True]
         model = found[0][1]
         assert report.directions[1].model == fosl_structure_to_dict(model)
-        assert naive_is_model(model, full_translation(f, vocab, strict_names=True))
+        assert naive_is_model(model, full_translation(f, vocab))
         images = {}
         for pi in model.precisifications:
             table = model.interpretation[pi].predicates
@@ -1115,7 +1115,7 @@ class TestSortSplit:
         # cells, in short rounds at a random split each: a new split moves
         # where the entities start, which every prec atom reads
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        f = full_translation(generate_formula(vocab, seed, 4), vocab)
         space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
         checked = []
         scan = space._scan
@@ -1156,7 +1156,7 @@ class TestSortSplit:
 
     def test_constant_values_per_block(self):
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
+        f = full_translation(generate_formula(vocab, 167, 4), vocab)
         space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
         cell = ("f", "n", 0, 0)
         assert space.branch_values(cell) == (0,)
@@ -1172,7 +1172,7 @@ class TestSortSplit:
 
     def test_function_cell_values_per_block(self):
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, 167, 4), vocab, strict_names=True)
+        f = full_translation(generate_formula(vocab, 167, 4), vocab)
         space = _FoslSpace(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
         assert ("p", "prec") not in space.tables
         space.configure(3)
@@ -1239,7 +1239,7 @@ class TestSortSplit:
 
             monkeypatch.setattr(_FoslSpace, name, checked_method)
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        f = full_translation(generate_formula(vocab, seed, 4), vocab)
         # level n=4 is the one the equisat_hard sentences exhaust
         bounds = Bounds(max_domain=domain, max_precisifications=2, timeout=60)
         find_fosl_model(translated_vocabulary(vocab), f, bounds)
@@ -1257,21 +1257,21 @@ class TestLevelFormula:
         vocab = corpus_vocab()
         for seed in range(40):
             sentence = generate_formula(vocab, seed, 4)
-            for f in (sentence, full_translation(sentence, vocab, strict_names=True)):
+            for f in (sentence, full_translation(sentence, vocab)):
                 s = finder._simplify(f, m)[0]
                 expected = truth() if s is True else falsity() if s is False else s
                 assert finder._level_formula(f, m) == expected
 
     def test_shared_axioms_are_simplified_once_per_m(self):
         vocab = corpus_vocab()
-        one, two = (full_translation(generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        one, two = (full_translation(generate_formula(vocab, seed, 4), vocab)
                     for seed in (1, 2))
         finder._level_formula(one, 2)
         before = finder._simplify_shared.cache_info()
         finder._level_formula(two, 2)
         after = finder._simplify_shared.cache_info()
         assert after.misses == before.misses
-        assert after.hits - before.hits == len(labeled_axioms(vocab, strict_names=True))
+        assert after.hits - before.hits == len(labeled_axioms(vocab))
 
     def test_unchanged_formula_is_returned_as_is(self):
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, [], ["s"])

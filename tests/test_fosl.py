@@ -292,7 +292,7 @@ class TestCompiledEvaluator:
         for seed in range(200):
             mv = generate_v1_structure(self.V1_VOCAB, seed, self.V1_BOUNDS)
             f = generate_formula(self.V1_VOCAB, seed + 7000, 4)
-            full = full_translation(f, self.V1_VOCAB, strict_names=seed % 2 == 0)
+            full = full_translation(f, self.V1_VOCAB)
             lifted = lift_model(mv)
             verdict = is_model(lifted, full)
             assert verdict == naive_is_model(lifted, full)
@@ -306,7 +306,7 @@ class TestCompiledEvaluator:
         # the axioms, so boxed and unboxed axioms both fail at some
         vocab = translated_vocabulary(self.V1_VOCAB)
         bounds = Bounds(max_domain=4, max_precisifications=2, timeout=60)
-        axioms = [ax for _, ax in labeled_axioms(self.V1_VOCAB, strict_names=True)]
+        axioms = [ax for _, ax in labeled_axioms(self.V1_VOCAB)]
         verdicts = set()
         for seed in range(100):
             m = generate_fosl_structure(vocab, seed, bounds)

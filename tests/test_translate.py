@@ -98,7 +98,10 @@ class TestTranslateFormula:
 class TestAxiomSet:
     def test_fixed_order_and_labels(self, desert_v1_vocab):
         labels = [lab for lab, _ in labeled_axioms(desert_v1_vocab)]
-        assert labels == ["1", "2", "3:PartOf", "4", "5", "6", "7:AridArea", "8"]
+        assert labels == [
+            "1", "2", "3:PartOf", "4", "5", "6", "7:AridArea", "8",
+            "names:a", "names:house",
+        ]
 
     def test_precise_rigidity_instance(self, desert_v1_vocab):
         ax3 = dict(labeled_axioms(desert_v1_vocab))["3:PartOf"]
@@ -130,13 +133,14 @@ class TestAxiomSet:
             axiom_set(vocab)
 
     def test_strict_names_appends_typing(self, desert_v1_vocab):
-        labels = [lab for lab, _ in labeled_axioms(desert_v1_vocab, strict_names=True)]
-        assert labels[-2:] == ["names:a", "names:house"]
+        # name typing is part of every axiom set now, with no keyword
+        axioms = labeled_axioms(desert_v1_vocab)
+        assert axioms[-2:] == [("names:a", pr("ink(a)")), ("names:house", pr("ink(house)"))]
 
     def test_every_axiom_is_a_sentence(self, desert_v1_vocab):
         from splogic.syntax import free_variables
 
-        for _, ax in labeled_axioms(desert_v1_vocab, strict_names=True):
+        for _, ax in labeled_axioms(desert_v1_vocab):
             assert free_variables(ax) == frozenset()
 
 
@@ -157,20 +161,20 @@ class TestAxiomCache:
     once (translate._bridge_axioms)."""
 
     def test_equal_vocabularies_share_axiom_objects(self):
-        one = labeled_axioms(_desert(names=("house", "a")), strict_names=True)
-        two = labeled_axioms(_desert(names=("a", "house")), strict_names=True)
+        one = labeled_axioms(_desert(names=("house", "a")))
+        two = labeled_axioms(_desert(names=("a", "house")))
         assert one == two
         assert all(a is b for (_, a), (_, b) in zip(one, two))
         boxed_one = conjuncts(full_translation(pr("Desert(a)"), _desert()))[1:]
         boxed_two = conjuncts(full_translation(pr("Building(house)"), _desert()))[1:]
-        assert len(boxed_one) == 8
+        assert len(boxed_one) == 10
         assert all(a is b for a, b in zip(boxed_one, boxed_two))
 
     def test_cached_axioms_equal_a_fresh_build(self):
         vocab = _desert(indefinite={"AridArea": 1, "Near": 2}, precise={"PartOf": 3})
-        cached = labeled_axioms(vocab, strict_names=True)
+        cached = labeled_axioms(vocab)
         translate._bridge_axioms.cache_clear()
-        fresh = labeled_axioms(vocab, strict_names=True)
+        fresh = labeled_axioms(vocab)
         assert fresh == cached
         assert all(a is not b for (lab, a), (_, b) in zip(fresh, cached)
                    if lab not in ("1", "2", "4", "5", "6"))
@@ -185,16 +189,10 @@ class TestAxiomCache:
         assert {k for k in base if base[k] != wider[k]} == {"3:PartOf"}
 
     def test_a_different_name_gets_its_own_axioms(self):
-        base = [lab for lab, _ in labeled_axioms(_desert(), strict_names=True)]
-        other = labeled_axioms(_desert(names=("house", "b")), strict_names=True)
+        base = [lab for lab, _ in labeled_axioms(_desert())]
+        other = labeled_axioms(_desert(names=("house", "b")))
         assert base[-2:] == ["names:a", "names:house"]
         assert other[-2:] == [("names:b", pr("ink(b)")), ("names:house", pr("ink(house)"))]
-
-    def test_strict_names_gets_its_own_axioms(self):
-        plain = labeled_axioms(_desert())
-        strict = labeled_axioms(_desert(), strict_names=True)
-        assert strict[:-2] == plain and len(strict) == len(plain) + 2
-        assert labeled_axioms(_desert()) == plain
 
     def test_mutating_a_returned_list_does_not_leak(self):
         vocab = _desert()
@@ -222,14 +220,24 @@ class TestAxiomCache:
             assert reports[0] == reports[1]
 
 class TestFullTranslation:
+    @pytest.mark.filterwarnings("error")
+    def test_strict_names_keyword_is_kept_for_compatibility(self, desert_v1_vocab,
+                                                            formula_c_v1):
+        # True means what every translation means; a translation without
+        # name typing no longer exists
+        typed = full_translation(formula_c_v1, desert_v1_vocab, strict_names=True)
+        assert typed == full_translation(formula_c_v1, desert_v1_vocab)
+        with pytest.raises(ValueError, match="strict_names"):
+            full_translation(formula_c_v1, desert_v1_vocab, strict_names=False)
+
     def test_vacuous_schemata_drop_out(self):
         vocab = make_v1_vocabulary(["Desert"], {}, {}, ["a"], [])
         f = parse_formula("Desert(a)", vocab)
         full = full_translation(f, vocab)
         labels = [lab for lab, _ in labeled_axioms(vocab)]
-        assert labels == ["1", "2", "4", "5", "6", "8"]
+        assert labels == ["1", "2", "4", "5", "6", "8", "names:a"]
         assert formula_size(full) == formula_size(f) + 1 + formula_size(
-            __import__("splogic").conjoin(
+            conjoin(
                 [Box("*", ax) for ax in axiom_set(vocab)]
             )
         )
@@ -259,7 +267,11 @@ class TestFullTranslation:
     def test_report_fields(self, desert_v1_vocab, formula_c_v1):
         report = translation_report(formula_c_v1, desert_v1_vocab)
         assert report["source_size"] == formula_size(formula_c_v1)
-        assert report["axiom_count"] == 8
+        assert report["axiom_count"] == 10
+        assert set(report) == {
+            "source_size", "translated_size", "full_size", "axiom_count",
+            "source_monodic", "translated_monodic", "full_monodic",
+        }
         assert report["source_monodic"] is True
         assert report["translated_monodic"] is True
         # the rigidity schema for the binary precise predicate embeds a box
@@ -297,7 +309,7 @@ class TestMonodicity:
                 assert is_monodic(full_translation(f, self.UNARY_VOCAB))
 
     def test_every_axiom_monodic_for_unary_precise_predicates(self):
-        for _, ax in labeled_axioms(self.UNARY_VOCAB, strict_names=True):
+        for _, ax in labeled_axioms(self.UNARY_VOCAB):
             assert is_monodic(ax)
 
     def test_binary_precise_rigidity_breaks_monodicity(self, desert_v1_vocab):
@@ -319,7 +331,7 @@ class TestLiftModel:
 
     def test_lift_satisfies_every_axiom(self, v0, desert_v1_vocab):
         lifted = lift_model(v0)
-        for label, ax in labeled_axioms(desert_v1_vocab, strict_names=True):
+        for label, ax in labeled_axioms(desert_v1_vocab):
             assert is_model(lifted, ax), label
 
     def test_lift_models_full_translation_of_formula_c(self, v0, desert_v1_vocab, formula_c_v1):
@@ -394,29 +406,23 @@ class TestLowerModel:
 
     def test_name_at_precise_entity_can_change_the_verdict(self):
         # n must denote an admitted individual in V1, so the sentence is
-        # unsat; the plain translation lets n denote a precise entity, a
-        # model that has no lowering, and the name-typing axioms rule it
-        # out again
+        # unsat; a name at a precise entity would make its translation
+        # sat, and the name-typing axiom names:n of every full
+        # translation rules that out
         vocab = make_v1_vocabulary(["K"], {}, {}, ["n"], [])
         f = parse_formula("!K(n) & exists ?x K(?x)", vocab)
         trans_vocab = translated_vocabulary(vocab)
         bounds = Bounds(max_domain=3, max_precisifications=1,
                         max_entities=2, max_individuals=2, timeout=60)
         assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
-        plain = find_fosl_model(trans_vocab, full_translation(f, vocab), bounds)
-        model = plain.structure
-        ext = {row[0] for row in model.interpretation["p0"].predicates["ext"]}
-        assert model.interpretation["p0"].constants["n"] in ext
-        with pytest.raises(AxiomViolationError) as err:
-            lower_model(model, vocab)
-        assert err.value.axiom_label == "names:n"
-        strict = full_translation(f, vocab, strict_names=True)
-        assert isinstance(find_fosl_model(trans_vocab, strict, bounds), ExhaustedUnsat)
+        full = full_translation(f, vocab)
+        assert isinstance(find_fosl_model(trans_vocab, full, bounds), ExhaustedUnsat)
         assert equisat_check(vocab, f, bounds).agreement == "unsat"
 
     @staticmethod
     def unadmitted_name(constants):
-        # the plain bridge axioms hold; i1 is an individual no sortal admits
+        # every bridge axiom but names:n holds; i1 is an individual no
+        # sortal admits
         return make_fosl_structure(
             ["e0", "i0", "i1"], ["p0"], {},
             {"p0": {"predicates": {
@@ -428,7 +434,8 @@ class TestLowerModel:
     def test_name_at_unadmitted_individual_is_rejected(self):
         vocab = make_v1_vocabulary(["K"], {}, {}, ["n"], [])
         model = self.unadmitted_name({"n": "i1"})
-        assert is_model(model, conjoin(axiom_set(vocab)))
+        failing = [lab for lab, ax in labeled_axioms(vocab) if not is_model(model, ax)]
+        assert failing == ["names:n"]
         with pytest.raises(AxiomViolationError) as err:
             lower_model(model, vocab)
         assert err.value.axiom_label == "names:n"

@@ -23,10 +23,12 @@ and one of evaluations:
   eval     no search: on each row of bench/data/check_translate.json,
            the is_model and per-precisification satisfies_at verdicts
            of its standpoint pair, the same verdicts of its V1 pair
-           (is_model_v1, satisfies_at_v1) and of the full translation on
-           the lifted model, and lower_model on the lifted model and on
-           a generated structure over the translated vocabulary (the
-           lowered model, or the label of the violated axiom).
+           (is_model_v1, satisfies_at_v1) and of the full translation,
+           which carries name typing (every name denotes an admitted
+           individual), on the lifted model, and lower_model on the
+           lifted model and on a generated structure over the translated
+           vocabulary (the lowered model, or the label of the violated
+           axiom).
 
 A fingerprint holds every report and outcome, models included, with the
 elapsed fields removed, and the number of depth-first search calls per

@@ -55,7 +55,7 @@ def main(argv: list[str]) -> int:
     agree = disagree = timeouts = 0
     cpu = {"sat": 0.0, "unsat": 0.0}
     for seed, expected, _ in rows:
-        f = sp.full_translation(sp.generate_formula(vocab, seed, 4), vocab, strict_names=True)
+        f = sp.full_translation(sp.generate_formula(vocab, seed, 4), vocab)
         levels.clear()
         start = time.process_time()
         outcome = finder._search_fosl(trans_vocab, f, bounds, (ENTITIES, INDIVIDUALS))
