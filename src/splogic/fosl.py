@@ -28,6 +28,9 @@ from .syntax import (
     Var,
     conjuncts,
     make_fosl_vocabulary,
+    relation_arities,
+    structure_ids,
+    structure_relation,
     structure_sigma,
 )
 
@@ -58,20 +61,14 @@ def make_fosl_structure(
 ) -> FoslStructure:
     """Normalize and validate the pieces of a structure.
 
-    sigma may omit '*'; if present it must equal the full precisification
-    set.  Missing predicate entries default to the empty extension; the
-    constant tables must agree on their key set across precisifications.
+    interpretation gives each precisification a dict with optional keys
+    "predicates" (rows of domain elements; one arity per predicate) and
+    "constants" (the same constants at every precisification).  sigma may
+    omit '*'; if present it must equal the full precisification set.
+    Missing predicate entries default to the empty extension.
     """
-    dom = tuple(domain)
-    precs = tuple(precisifications)
-    if not dom:
-        raise ModelFormatError("domain must be non-empty")
-    if not precs:
-        raise ModelFormatError("precisification set must be non-empty")
-    if len(set(dom)) != len(dom):
-        raise ModelFormatError("domain contains duplicate elements")
-    if len(set(precs)) != len(precs):
-        raise ModelFormatError("duplicate precisification identifiers")
+    dom = structure_ids(domain, "domain")
+    precs = structure_ids(precisifications, "precisification")
     dom_set = frozenset(dom)
 
     sig = structure_sigma(sigma, precs)
@@ -82,55 +79,36 @@ def make_fosl_structure(
         )
 
     pred_names: set[str] = set()
-    const_names: set[str] | None = None
     arities: dict[str, int] = {}
     raw: dict[str, tuple[dict[str, frozenset[tuple[str, ...]]], dict[str, str]]] = {}
     for pi in precs:
         entry = interpretation[pi]
-        if isinstance(entry, Mapping):
-            unknown = entry.keys() - {"predicates", "constants"}
-            if unknown:
-                raise ModelFormatError(
-                    f"interpretation[{pi!r}] has unknown key(s) {sorted(unknown)}"
-                )
-            preds_in, consts_in = entry.get("predicates", {}), entry.get("constants", {})
-        else:
-            preds_in, consts_in = entry.predicates, entry.constants
-        preds: dict[str, frozenset[tuple[str, ...]]] = {}
-        for p, tuples in preds_in.items():
-            rows = frozenset(tuple(row) for row in tuples)
-            for row in rows:
-                if arities.setdefault(p, len(row)) != len(row):
-                    raise ModelFormatError(
-                        f"predicate {p!r} interpreted with mixed arities"
-                    )
-                bad = [e for e in row if e not in dom_set]
-                if bad:
-                    raise ModelFormatError(
-                        f"predicate {p!r} at {pi!r} mentions non-domain element(s) {bad}"
-                    )
-            preds[p] = rows
-            pred_names.add(p)
-        consts = dict(consts_in)
+        unknown = entry.keys() - {"predicates", "constants"}
+        if unknown:
+            raise ModelFormatError(
+                f"interpretation[{pi!r}] has unknown key(s) {sorted(unknown)}"
+            )
+        preds = {
+            p: structure_relation(f"predicate table at {pi!r}", p, rows, dom_set,
+                                  "the domain", arities)
+            for p, rows in entry.get("predicates", {}).items()
+        }
+        pred_names.update(preds)
+        consts = dict(entry.get("constants", {}))
         for c, e in consts.items():
             if e not in dom_set:
                 raise ModelFormatError(
                     f"constant {c!r} at {pi!r} denotes non-domain element {e!r}"
                 )
-        if const_names is None:
-            const_names = set(consts)
-        elif set(consts) != const_names:
+        if raw and consts.keys() != raw[precs[0]][1].keys():
             raise ModelFormatError(
                 "constant tables must interpret the same constants at every precisification"
             )
         raw[pi] = (preds, consts)
 
     interp = {
-        pi: PrecInterp(
-            {p: raw[pi][0].get(p, frozenset()) for p in pred_names},
-            raw[pi][1],
-        )
-        for pi in precs
+        pi: PrecInterp({p: preds.get(p, frozenset()) for p in pred_names}, consts)
+        for pi, (preds, consts) in raw.items()
     }
     return FoslStructure(dom, precs, sig, interp)
 
@@ -485,16 +463,10 @@ def vocabulary_of_fosl_model(m: FoslStructure) -> FoslVocabulary:
 
     Predicate arities come from interpreted tuples; a predicate whose
     extension is empty everywhere keeps a wildcard arity, pinned later by
-    its first use in a formula.
+    its first use in a formula.  The constants are those of the first
+    precisification, since the loader makes every constant table interpret
+    the same ones.
     """
-    arities: dict[str, int | None] = {}
-    consts: set[str] = set()
-    for pi in m.precisifications:
-        interp = m.interpretation[pi]
-        for p, rows in interp.predicates.items():
-            arities.setdefault(p, None)
-            for row in rows:
-                arities[p] = len(row)
-        consts.update(interp.constants)
-    standpoints = set(m.sigma)
-    return make_fosl_vocabulary(arities, consts, standpoints)
+    arities = relation_arities(m.interpretation[pi].predicates for pi in m.precisifications)
+    consts = m.interpretation[m.precisifications[0]].constants
+    return make_fosl_vocabulary(arities, consts, m.sigma)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
 from .errors import (
     ArityMismatchError,
@@ -419,6 +419,49 @@ def _check_standpoints(standpoints: Iterable[str]) -> frozenset[str]:
         if sp != UNIVERSAL_STANDPOINT and not _IDENT_RE.match(sp):
             raise VocabularyError(f"standpoint symbol {sp!r} must be a lowercase identifier or '*'")
     return sps
+
+
+def structure_ids(ids: Iterable[str], table: str) -> tuple[str, ...]:
+    """An identifier list of a structure of either logic (its domain,
+    entities or precisifications, named by table): non-empty, with no
+    duplicates."""
+    out = tuple(ids)
+    if not out:
+        raise ModelFormatError(f"{table} set must be non-empty")
+    if len(set(out)) != len(out):
+        raise ModelFormatError(f"duplicate {table} identifiers")
+    return out
+
+
+def structure_relation(table: str, name: str, rows: Iterable[Iterable[str]],
+                       members: AbstractSet[str], scope: str,
+                       arities: dict[str, int]) -> frozenset[tuple[str, ...]]:
+    """The rows that one table of a structure of either logic gives the
+    relation name, as tuples over members (described by scope in errors),
+    all of the one arity that arities keeps for name across the structure.
+    table names the table in errors."""
+    out = frozenset(map(tuple, rows))
+    for k in {len(row) for row in out}:
+        if arities.setdefault(name, k) != k:
+            raise ModelFormatError(
+                f"{table} gives {name!r} arity {k}, but another row has arity {arities[name]}"
+            )
+    outside = {e for row in out for e in row} - members
+    if outside:
+        raise ModelFormatError(f"{table} gives {name!r} row(s) outside {scope}: {sorted(outside)}")
+    return out
+
+
+def relation_arities(
+    tables: Iterable[Mapping[str, AbstractSet[tuple[str, ...]]]]
+) -> dict[str, int | None]:
+    """Each relation's arity, read off a row of a loaded structure's tables
+    (the loaders keep one arity per relation), or None when it has no row."""
+    arities: dict[str, int | None] = {}
+    for table in tables:
+        for name, rows in table.items():
+            arities[name] = len(next(iter(rows))) if rows else arities.get(name)
+    return arities
 
 
 def structure_sigma(sigma: Mapping[str, Iterable[str]],

@@ -40,6 +40,7 @@ from .syntax import (
     implies,
     is_monodic,
     make_fosl_vocabulary,
+    relation_arities,
     validate_formula,
     _validate,
 )
@@ -242,7 +243,7 @@ def _bridge_axioms(key: tuple) -> tuple[tuple[tuple[str, Formula], ...], Formula
     return tuple(out), conjoin(boxed)
 
 
-def _pin_wildcards(vocab: V1Vocabulary, pinned: dict[str, int]) -> V1Vocabulary:
+def _pin_wildcards(vocab: V1Vocabulary, pinned: dict[str, int | None]) -> V1Vocabulary:
     """vocab with each wildcard (None) arity that pinned names fixed, so
     that the bridge axioms are built at that arity."""
 
@@ -347,12 +348,7 @@ def _check_bridge_axioms(mf: FoslStructure, vocab: V1Vocabulary) -> None:
     mf falsifies, unless mf satisfies them all.  The axioms are checked
     together first, in one evaluation of their conjunction, and one by one
     only to name a violated one."""
-    pinned = {
-        p: len(next(iter(rows)))
-        for interp in mf.interpretation.values()
-        for p, rows in interp.predicates.items()
-        if rows
-    }
+    pinned = relation_arities(interp.predicates for interp in mf.interpretation.values())
     axioms = labeled_axioms(_pin_wildcards(vocab, pinned))
     if is_model(mf, conjoin([ax for _, ax in axioms])):
         return

@@ -28,6 +28,9 @@ from .syntax import (
     Var,
     free_variables,
     make_v1_vocabulary,
+    relation_arities,
+    structure_ids,
+    structure_relation,
     structure_sigma,
 )
 
@@ -69,20 +72,14 @@ def make_v1_structure(
 ) -> V1Structure:
     """Normalize and validate a variable reference structure.
 
-    Every name must denote a member of the quantifier domain at each
-    precisification.  Individuals may share an extension map: they stay
-    distinct individuals.
+    A predicate sits in exactly one of the sortal, indefinite (both per
+    precisification) and precise (rigid) tables, with one arity.
+    Indefinite rows and names at a precisification hold individuals some
+    sortal admits there; precise rows hold entities.  Individuals may share
+    an extension map: they stay distinct individuals.
     """
-    ents = tuple(entities)
-    precs = tuple(precisifications)
-    if not ents:
-        raise ModelFormatError("entity set must be non-empty")
-    if not precs:
-        raise ModelFormatError("precisification set must be non-empty")
-    if len(set(ents)) != len(ents):
-        raise ModelFormatError("duplicate entity identifiers")
-    if len(set(precs)) != len(precs):
-        raise ModelFormatError("duplicate precisification identifiers")
+    ents = structure_ids(entities, "entity")
+    precs = structure_ids(precisifications, "precisification")
     ent_set = frozenset(ents)
     prec_set = frozenset(precs)
 
@@ -106,14 +103,17 @@ def make_v1_structure(
                 )
         registry[ident] = IndefiniteIndividual(ident, ext)
 
+    for kind, tables in (("sortal", sortals), ("indefinite", indefinite), ("name", names)):
+        unknown = tables.keys() - prec_set
+        if unknown:
+            raise ModelFormatError(f"{kind} table for unknown precisification {min(unknown)!r}")
+
     sortal_names = set()
     srt: dict[str, dict[str, frozenset[str]]] = {pi: {} for pi in precs}
     for pi, table in sortals.items():
-        if pi not in prec_set:
-            raise ModelFormatError(f"sortal table for unknown precisification {pi!r}")
         for k, ids in table.items():
             members = frozenset(ids)
-            bad = [i for i in members if i not in registry]
+            bad = sorted(members - registry.keys())
             if bad:
                 raise ModelFormatError(
                     f"sortal {k!r} at {pi!r} contains unknown individual(s) {bad}"
@@ -133,49 +133,32 @@ def make_v1_structure(
     arities: dict[str, int] = {}
     ind: dict[str, dict[str, frozenset[tuple[str, ...]]]] = {pi: {} for pi in precs}
     for pi, table in indefinite.items():
-        if pi not in prec_set:
-            raise ModelFormatError(f"indefinite table for unknown precisification {pi!r}")
-        for a, tuples in table.items():
-            rows = frozenset(tuple(row) for row in tuples)
-            for row in rows:
-                if arities.setdefault(a, len(row)) != len(row):
-                    raise ModelFormatError(f"indefinite predicate {a!r} has mixed arities")
-                outside = [i for i in row if i not in domains[pi]]
-                if outside:
-                    raise ModelFormatError(
-                        f"indefinite predicate {a!r} at {pi!r} mentions individual(s) "
-                        f"{outside} outside the sortal-generated domain"
-                    )
-            ind[pi][a] = rows
+        for a, rows in table.items():
+            ind[pi][a] = structure_relation(
+                f"indefinite table at {pi!r}", a, rows, domains[pi],
+                "the individuals the sortals admit there", arities,
+            )
             indef_names.add(a)
     for pi in precs:
         for a in indef_names:
             ind[pi].setdefault(a, frozenset())
 
-    prc: dict[str, frozenset[tuple[str, ...]]] = {}
-    for q, tuples in precise.items():
-        rows = frozenset(tuple(row) for row in tuples)
-        for row in rows:
-            if arities.setdefault(q, len(row)) != len(row):
-                raise ModelFormatError(f"precise predicate {q!r} has mixed arities")
-            bad = [e for e in row if e not in ent_set]
-            if bad:
-                raise ModelFormatError(
-                    f"precise predicate {q!r} mentions unknown entity(ies) {bad}"
-                )
-        prc[q] = rows
+    prc = {
+        q: structure_relation("precise table", q, rows, ent_set, "the entities", arities)
+        for q, rows in precise.items()
+    }
 
-    name_keys: set[str] | None = None
-    nms: dict[str, dict[str, str]] = {}
-    for pi, table in names.items():
-        if pi not in prec_set:
-            raise ModelFormatError(f"name table for unknown precisification {pi!r}")
-        nms[pi] = dict(table)
-    for pi in precs:
-        table = nms.setdefault(pi, {})
-        if name_keys is None:
-            name_keys = set(table)
-        elif set(table) != name_keys:
+    owner: dict[str, str] = {}
+    for kind, preds in (("sortal", sortal_names), ("indefinite", indef_names), ("precise", prc)):
+        for p in sorted(preds):
+            if owner.setdefault(p, kind) != kind:
+                raise ModelFormatError(
+                    f"predicate {p!r} is in both the {owner[p]} and the {kind} tables"
+                )
+
+    nms = {pi: dict(names.get(pi, {})) for pi in precs}
+    for pi, table in nms.items():
+        if table.keys() != nms[precs[0]].keys():
             raise ModelFormatError("name tables must denote the same names at every precisification")
         for n, ident in table.items():
             if ident not in registry:
@@ -348,22 +331,13 @@ def v1_structure_to_dict(m: V1Structure) -> dict:
 
 
 def vocabulary_of_v1_model(m: V1Structure) -> V1Vocabulary:
-    """Derive the vocabulary (including the predicate partition) from a model."""
-    sortals = set()
-    for pi in m.precisifications:
-        sortals.update(m.sortals[pi])
-    indefinite: dict[str, int | None] = {}
-    for pi in m.precisifications:
-        for a, rows in m.indefinite[pi].items():
-            indefinite.setdefault(a, None)
-            for row in rows:
-                indefinite[a] = len(row)
-    precise: dict[str, int | None] = {}
-    for q, rows in m.precise.items():
-        precise.setdefault(q, None)
-        for row in rows:
-            precise[q] = len(row)
-    names = set()
-    for pi in m.precisifications:
-        names.update(m.names[pi])
-    return make_v1_vocabulary(sortals, indefinite, precise, names, set(m.sigma))
+    """Derive the vocabulary (including the predicate partition) from a model.
+
+    Arities come from the rows; a predicate with no row keeps a wildcard
+    arity.  Sortals and names are those of the first precisification, since
+    the loader makes those tables agree at every precisification.
+    """
+    pi0 = m.precisifications[0]
+    indefinite = relation_arities(m.indefinite[pi] for pi in m.precisifications)
+    precise = relation_arities([m.precise])
+    return make_v1_vocabulary(m.sortals[pi0], indefinite, precise, m.names[pi0], m.sigma)

@@ -209,6 +209,15 @@ class TestStructureValidation:
         with pytest.raises(ModelFormatError):
             make_fosl_structure([], ["p1"], {}, {"p1": {}})
 
+    @pytest.mark.parametrize("domain, precs, match", [
+        (["d1", "d1"], ["p1"], "duplicate domain identifiers"),
+        (["d1"], [], "precisification set must be non-empty"),
+        (["d1"], ["p1", "p1"], "duplicate precisification identifiers"),
+    ])
+    def test_bad_identifier_list_rejected(self, domain, precs, match):
+        with pytest.raises(ModelFormatError, match=match):
+            make_fosl_structure(domain, precs, {}, {pi: {} for pi in precs})
+
     def test_tuple_outside_domain_rejected(self):
         with pytest.raises(ModelFormatError):
             make_fosl_structure(

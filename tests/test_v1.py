@@ -258,6 +258,49 @@ class TestStructureValidation:
                 {}, {}, {"p1": {"n": "i0"}},
             )
 
+    @pytest.mark.parametrize("entities, precs, match", [
+        ([], ["p1"], "entity set must be non-empty"),
+        (["e0", "e0"], ["p1"], "duplicate entity identifiers"),
+        (["e0"], [], "precisification set must be non-empty"),
+        (["e0"], ["p1", "p1"], "duplicate precisification identifiers"),
+    ])
+    def test_bad_identifier_list_rejected(self, entities, precs, match):
+        with pytest.raises(ModelFormatError, match=match):
+            make_v1_structure(entities, precs, {}, {}, {})
+
+    @pytest.mark.parametrize("indefinite, precise, table", [
+        ({"p1": {"Attr": [["i0"], ["i0", "i0"]]}}, {}, "indefinite table at 'p1'"),
+        ({"p1": {"Attr": [["i0"]]}, "p2": {"Attr": [["i0", "i0"]]}}, {},
+         "indefinite table at 'p2'"),
+        ({}, {"Attr": [["e0"], ["e0", "e0"]]}, "precise table"),
+        ({"p1": {"Attr": [["i0"]]}}, {"Attr": [["e0", "e0"]]}, "precise table"),
+    ])
+    def test_mixed_arity_rejected(self, indefinite, precise, table):
+        with pytest.raises(ModelFormatError, match=f"{table} gives 'Attr' arity"):
+            make_v1_structure(
+                ["e0"], ["p1", "p2"], {}, {"i0": {"p1": "e0", "p2": "e0"}},
+                {"p1": {"Kind": ["i0"]}, "p2": {"Kind": ["i0"]}},
+                indefinite, precise,
+            )
+
+    def test_unknown_sortal_members_listed_in_order(self):
+        with pytest.raises(ModelFormatError, match=r"sortal 'K' .* \['x1', 'x2', 'x3'\]"):
+            make_v1_structure(["e0"], ["p1"], {}, {}, {"p1": {"K": ["x3", "x1", "x2"]}})
+
+    @pytest.mark.parametrize("sortals, indefinite, precise, tables", [
+        ({"p0": {"K": ["i0"]}}, {"p0": {"K": []}}, {}, "sortal and the indefinite"),
+        ({"p0": {"Kind": ["i0"]}}, {"p0": {"K": [["i0"]]}}, {"K": [["e0"]]},
+         "indefinite and the precise"),
+    ])
+    def test_predicate_in_two_tables_rejected(self, sortals, indefinite, precise, tables):
+        # a sortal read as indefinite too would be lifted with the
+        # indefinite rows alone, so the loader accepts one table per predicate
+        with pytest.raises(ModelFormatError, match=f"predicate 'K' is in both the {tables} tables"):
+            make_v1_structure(
+                ["e0"], ["p0"], {}, {"i0": {"p0": "e0"}}, sortals, indefinite, precise,
+                {"p0": {"n": "i0"}},
+            )
+
     def test_shared_maps_load_without_warning(self):
         # individuals with one extension map are distinct individuals
         with warnings.catch_warnings():

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -140,9 +139,7 @@ def _evaluations(sp, workloads, seed: int) -> dict:
 
     def lowered(model):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return sp.v1_structure_to_dict(sp.lower_model(model, vv))
+            return sp.v1_structure_to_dict(sp.lower_model(model, vv))
         except sp.AxiomViolationError as exc:
             return exc.axiom_label
         except sp.ModelFormatError as exc:
