@@ -67,7 +67,10 @@ _VOCAB_SHAPES = {
 
 
 def load_vocabulary(path: str):
-    data = load_json(path, VocabularyError)
+    return load_json(path, VocabularyError, _vocabulary_from_dict)
+
+
+def _vocabulary_from_dict(data):
     check_shape(data, {str: None}, VocabularyError, "vocabulary")
     logic = data.get("logic")
     if logic not in ("fosl", "v1"):  # compared, not hashed: any JSON value

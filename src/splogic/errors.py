@@ -83,14 +83,20 @@ def check_shape(value, shape, error: type[SplError], where: str) -> None:
             check_shape(item, shape[key], error, f"{where}.{key}")
 
 
-def load_json(path: str, error: type[SplError]):
-    """The JSON value in the file at path; a malformed file raises error,
-    which names the path."""
+def load_json(path: str, error: type[SplError], read):
+    """read(value) of the JSON value in the file at path.  A malformed
+    file raises error, which names the path; an SplError that read raises
+    keeps its type and gets the path in front of its message."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"invalid JSON in {path}: {exc}") from None
+    try:
+        return read(data)
+    except SplError as exc:
+        exc.args = (f"{path}: {exc}", *exc.args[1:])
+        raise
 
 
 def nesting_guard(fn):

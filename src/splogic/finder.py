@@ -28,12 +28,22 @@ standpoint level or the registries of extension maps of a V1 level, each
 searched in the level's one space.  A passed deadline is the exception
 _DeadlinePassed, whether it passes while a space is ground or while it is
 searched.  Every search runs serially in the calling thread.
+
+A standpoint level's space outlives one search.  Spaces are kept by
+shape (vocabulary, n, m, symmetry, split and the level formula's shared
+bridge axioms) in a small LRU: a space grounds the parts of its level
+formula that are shared bridge axioms once, each search loads only its
+sentence's own instances, and the end of the level unloads them again.
+The instances are scanned in the level formula's conjunct order, so a
+kept space searches exactly as a new one.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Union
@@ -236,24 +246,41 @@ _simplify_shared = functools.lru_cache(maxsize=64)(_simplify)
 
 
 @functools.lru_cache(maxsize=8)
-def _level_formula(f: Formula, m: int) -> Formula:
-    """The formula specialized to a level with m precisifications; the
-    levels of one search share it for each m.  It is _simplify(f, m),
-    except that a conjunct of f that is a shared bridge axiom is
-    simplified through _simplify_shared."""
+def _level(f: Formula, m: int) -> tuple[Formula, frozenset]:
+    """The formula specialized to a level with m precisifications, and
+    its conjuncts that come from the conjuncts of f that are shared
+    bridge axioms: each one's simplification, or its members when that is
+    a conjunction (none when the level formula is false).  Those parts
+    depend on the vocabulary and on the arities the sentence pins for
+    its wildcard predicates, so they are part of a standpoint space's
+    shape (_shape), and the space grounds them once for all the
+    sentences of that shape (see _FoslSpace.load).  The levels of one
+    search share both for each m.
+
+    The formula is _simplify(f, m), except that a conjunct of f that is a
+    shared bridge axiom is simplified through _simplify_shared."""
+    axioms: set = set()
+
+    def simplified(g: Formula) -> tuple:
+        if g.__class__ is not Box or g not in _SHARED_AXIOMS:
+            return _simplify(g, m)
+        triple = _simplify_shared(g, m)
+        s, _, inner = triple
+        if isinstance(s, And):
+            axioms.update(member[0] for member in inner)
+        elif not isinstance(s, bool):
+            axioms.add(s)
+        return triple
+
     if isinstance(f, And):
-        s = _conjunction(f, (
-            _simplify_shared(g, m) if g.__class__ is Box and g in _SHARED_AXIOMS
-            else _simplify(g, m)
-            for g in conjuncts(f)
-        ))[0]
+        s = _conjunction(f, map(simplified, conjuncts(f)))[0]
     else:
         s = _simplify(f, m)[0]
     if s is True:
-        return truth()
-    if s is False:
-        return falsity()
-    return s
+        s = truth()
+    elif s is False:
+        s = falsity()
+    return s, frozenset(axioms.intersection(conjuncts(s)))
 
 
 _GROUND_LIMIT = 256
@@ -609,7 +636,15 @@ class _FoslSpace(_Space):
     revalidation against the whole sentence still checks the five.  A
     prec cell branches over the entity block's LNH values, is probed at
     every entity, and a decision on it mentions its individual and value.
-    Without prec_cells the space's one configuration is None."""
+    Without prec_cells the space's one configuration is None.
+
+    A space outlives the search of one sentence: load makes a sentence
+    the one searched, and unload, once its level is over, drops that
+    sentence's instances and leaves those of the shared bridge axioms,
+    so the space can be kept for the next search of its shape (see
+    _fosl_space and _keep_space).  _scan visits the instances in
+    self.order, the level formula's conjunct order, whatever order they
+    were ground in."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
                  deadline: float = float("inf"), prec_cells: bool = False):
@@ -631,65 +666,126 @@ class _FoslSpace(_Space):
         # Universal blocks at the top of a conjunct (boxes commute with
         # them under the constant-domain semantics) are ground into one
         # instance per element tuple, so the probe machinery sees small,
-        # nearly-decided constraints instead of one monolithic quantifier.
-        # The deadline is checked before each conjunct is ground
-        # (_DeadlinePassed).
-        #
-        # Each instance also gets its read set, from the compiler's keys
-        # for the rebuilt formula (so it has the box prefix's standpoints):
-        # an atom over ground variables only (slots below len(qvars)) is
-        # keyed by its own cell, ("p", pred, rank), any other atom by its
-        # whole predicate.  In a split space every ind, ext and prec atom
-        # reads the split point, ("x", "split"), and a prec atom also its
-        # first argument's cell, keyed ("f", "prec", i) when that argument
-        # is a ground variable.
+        # nearly-decided constraints instead of one monolithic quantifier
+        # (_ground).  The instances of the parts that are shared bridge
+        # axioms are kept for every later sentence (see load and unload);
+        # self.kept maps each such part to its instances.
         self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
         self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
-        dropped = _split_level_axioms(m) if prec_cells else ()
-        for part in conjuncts(_level_formula(f, m)):
-            if time.monotonic() > deadline:
-                raise _DeadlinePassed
-            if part in dropped:
-                continue
-            boxes, qvars, body = _strip_ground_prefix(part, n)
-            rebuilt = body
-            for sp in reversed(boxes):
-                rebuilt = Box(sp, rebuilt)
-            slots: dict[str, int] = {}
-            for v in qvars:
-                slots = self._bind(slots, v)
-            self.reads = set()
-            self.varies = False
-            fn = self._compile(rebuilt, slots)
-            wide: set[tuple] = set()
-            exact: list[tuple[str, str, tuple[int, ...]]] = []
-            for key in self.reads:
-                if len(key) == 3 and all(s < len(qvars) for s in key[2]):
-                    exact.append(key)
-                else:
-                    wide.add(key[:2])
-            indep = not self.varies
-            for combo in itertools.product(range(n), repeat=len(qvars)):
-                ci = len(self.conjuncts)
-                self.conjuncts.append(fn)
-                self.presets.append(tuple(enumerate(combo)))
-                self.pi_indep.append(indep)
-                keys = set(wide)
-                for kind, pred, arg_slots in exact:
-                    rank = 0
-                    for s in arg_slots:
-                        rank = rank * n + combo[s]
-                    keys.add((kind, pred, rank))
-                for key in keys:
-                    self.watch.setdefault(key, []).append(ci)
-        self.status = [[_U] * m for _ in self.conjuncts]
+        self.status: list[list[int]] = []
+        self.kept: dict[Formula, range] = {}
+        self.shape = _shape(vocab, f, n, m, symmetry, prec_cells)
 
         # memos: an instance is re-evaluated only when a cell it can read
         # changes, i.e. when a key of its read set is touched
         self.tick = 0
-        self.conj_touch = [0] * len(self.conjuncts)
-        self.u_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
-        self.probe_memo: list[list[tuple | None]] = [[None] * m for _ in self.conjuncts]
+        self.conj_touch: list[int] = []
+        self.u_memo: list[list[tuple | None]] = []
+        self.probe_memo: list[list[tuple | None]] = []
+        self.load(f, deadline)
+
+    def load(self, f: Formula, deadline: float = float("inf")) -> None:
+        """Make f, a sentence of the space's shape (_shape), the one it
+        searches, while no cell is assigned and no sentence is loaded
+        since the last unload.  The parts of f's level formula that are
+        shared bridge axioms (see _level) are ground first, by the
+        space's first load, and kept; then the others are ground, up to
+        unload.  So the kept instances come first in every list, and
+        self.order, the instances in the level formula's conjunct order,
+        is the order _scan visits them in, as if the space were new.  A
+        split space drops bridge axioms 1, 2 and 4-6.  The deadline is
+        checked before each part is ground (_DeadlinePassed)."""
+        self.formula = f
+        m = self.m
+        level, axioms = _level(f, m)
+        parts = conjuncts(level)
+        dropped = _split_level_axioms(m) if self.prec_cells else ()
+        for part in parts:
+            if part in axioms and part not in self.kept and part not in dropped:
+                self.kept[part] = self._ground(part, deadline)
+        # what unload truncates back to: the instances, tables and
+        # predicates the kept parts left
+        self.kept_sizes = (len(self.conjuncts), len(self.tables), len(self.preds))
+        self.order: list[int] = []
+        for part in parts:
+            if part not in dropped:
+                span = self.kept.get(part)
+                self.order.extend(span if span is not None else self._ground(part, deadline))
+
+    def unload(self) -> None:
+        """Drop the loaded sentence's own instances with their watch
+        entries, memo rows and the tables (so the cells) they created,
+        leaving what the kept bridge axioms left.  Valid only once the
+        level's search is over, every cell unset and every instance
+        undecided (see _keep_space)."""
+        count, tables, preds = self.kept_sizes
+        for rows in (self.conjuncts, self.presets, self.pi_indep, self.status,
+                     self.conj_touch, self.u_memo, self.probe_memo):
+            del rows[count:]
+        # each watch list holds its instances in ascending order
+        for key, cis in list(self.watch.items()):
+            while cis and cis[-1] >= count:
+                cis.pop()
+            if not cis:
+                del self.watch[key]
+        # the sentence's tables are the newest entries (dicts keep order)
+        while len(self.tables) > tables:
+            self.tables.popitem()
+        while len(self.preds) > preds:
+            self.preds.popitem()
+
+    def _ground(self, part: Formula, deadline: float) -> range:
+        """Ground one part of the level formula into instances, appended
+        to every per-instance list; returns their indices.
+
+        Each instance also gets its read set, from the compiler's keys
+        for the rebuilt formula (so it has the box prefix's standpoints):
+        an atom over ground variables only (slots below len(qvars)) is
+        keyed by its own cell, ("p", pred, rank), any other atom by its
+        whole predicate.  In a split space every ind, ext and prec atom
+        reads the split point, ("x", "split"), and a prec atom also its
+        first argument's cell, keyed ("f", "prec", i) when that argument
+        is a ground variable."""
+        if time.monotonic() > deadline:
+            raise _DeadlinePassed
+        n, m = self.n, self.m
+        boxes, qvars, body = _strip_ground_prefix(part, n)
+        rebuilt = body
+        for sp in reversed(boxes):
+            rebuilt = Box(sp, rebuilt)
+        slots: dict[str, int] = {}
+        for v in qvars:
+            slots = self._bind(slots, v)
+        self.reads = set()
+        self.varies = False
+        fn = self._compile(rebuilt, slots)
+        wide: set[tuple] = set()
+        exact: list[tuple[str, str, tuple[int, ...]]] = []
+        for key in self.reads:
+            if len(key) == 3 and all(s < len(qvars) for s in key[2]):
+                exact.append(key)
+            else:
+                wide.add(key[:2])
+        indep = not self.varies
+        start = len(self.conjuncts)
+        for combo in itertools.product(range(n), repeat=len(qvars)):
+            ci = len(self.conjuncts)
+            self.conjuncts.append(fn)
+            self.presets.append(tuple(enumerate(combo)))
+            self.pi_indep.append(indep)
+            self.status.append([_U] * m)
+            self.conj_touch.append(0)
+            self.u_memo.append([None] * m)
+            self.probe_memo.append([None] * m)
+            keys = set(wide)
+            for kind, pred, arg_slots in exact:
+                rank = 0
+                for s in arg_slots:
+                    rank = rank * n + combo[s]
+                keys.add((kind, pred, rank))
+            for key in keys:
+                self.watch.setdefault(key, []).append(ci)
+        return range(start, len(self.conjuncts))
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
         if self.prec_cells and pred in _SPLIT_PREDS:
@@ -774,7 +870,9 @@ class _FoslSpace(_Space):
         frame = self.trail[-1]
         tick = self.tick
         env = self.env
-        for ci, fn in enumerate(self.conjuncts):
+        conjuncts = self.conjuncts
+        for ci in self.order:
+            fn = conjuncts[ci]
             row = self.status[ci]
             memo_row = self.u_memo[ci]
             touched = self.conj_touch[ci]
@@ -962,11 +1060,54 @@ _SPLIT_AXIOMS = frozenset(_FIXED_BOXED.values())
 _SPLIT_PREDS = frozenset(("ind", "ext", "prec"))
 
 
+@functools.lru_cache(maxsize=8)
 def _split_level_axioms(m: int) -> frozenset:
     """Bridge axioms 1, 2 and 4-6 as the level formula for m
-    precisifications holds them (see _level_formula), for a split space
+    precisifications holds them (see _level), for a split space
     to drop."""
     return frozenset(_simplify_shared(ax, m)[0] for ax in _SPLIT_AXIOMS)
+
+
+def _shape(vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
+           split: bool) -> tuple:
+    # the key of a standpoint space's shape: its vocabulary's symbols and
+    # arities, its level, its kind and the shared bridge axioms of f's
+    # level formula, which fix the instances and tables the space keeps
+    return (frozenset(vocab.predicates.items()), frozenset(vocab.constants),
+            frozenset(vocab.standpoints), n, m, symmetry, split, _level(f, m)[1])
+
+
+# unloaded standpoint spaces by shape, least recently kept first, each
+# holding its shape's bridge axioms: room for the levels of a few
+# vocabularies
+_SPACES_KEPT = 16
+_spaces: collections.OrderedDict = collections.OrderedDict()
+_spaces_lock = threading.Lock()  # searches may run in several threads
+
+
+def _fosl_space(vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
+                deadline: float, split: bool) -> _FoslSpace:
+    """A standpoint space of f's shape loaded with f: a kept one, taken
+    out of the cache until its level ends and _keep_space returns it, or
+    a new one.  So two searches never share a space, and one whose
+    search was interrupted is dropped."""
+    with _spaces_lock:
+        space = _spaces.pop(_shape(vocab, f, n, m, symmetry, split), None)
+    if space is None:
+        return _FoslSpace(vocab, f, n, m, symmetry, deadline, split)
+    space.load(f, deadline)
+    return space
+
+
+def _keep_space(space: _FoslSpace) -> None:
+    """Unload a standpoint space whose level is over and keep it for the
+    next search of its shape (see _search)."""
+    space.unload()
+    with _spaces_lock:
+        _spaces.pop(space.shape, None)
+        _spaces[space.shape] = space
+        if len(_spaces) > _SPACES_KEPT:
+            _spaces.popitem(last=False)
 
 
 def _sort_floors(parts: set) -> int | None:
@@ -997,24 +1138,26 @@ def _sort_floors(parts: set) -> int | None:
     return int(named and axiom_8)
 
 
-def _search(levels, bounds: Bounds) -> SearchOutcome:
+def _search(levels, bounds: Bounds, keep=None) -> SearchOutcome:
     """The one level loop of both engines.  levels(deadline) yields,
-    level by level, a function that builds the level's space and the
+    level by level, a function that gives the level's space and the
     configurations the space is searched under; each configuration is
     set up (configure) and searched in one trail frame, closed after its
     search, so the next one starts from a space with every cell unset
     and every instance undecided.  The deadline is checked before each
-    configuration, so no space is built and no configuration searched
-    once it has passed; a space is built at its level's first
-    configuration, so a level with none builds no space.  Returns the
-    first model, ExhaustedUnsat when every configuration is refuted, or
-    SearchTimeout when the deadline passes (_DeadlinePassed, raised
-    while a space is ground or searched)."""
+    configuration, so no space is set up and no configuration searched
+    once it has passed; a space is set up at its level's first
+    configuration, so a level with none sets up no space.  When a level
+    ends, with no configuration left or a model found, keep, if given,
+    takes its space for a later search; a space whose level an exception
+    ends is not kept.  Returns the first model, ExhaustedUnsat when every
+    configuration is refuted, or SearchTimeout when the deadline passes
+    (_DeadlinePassed, raised while a space is ground or searched)."""
     start = time.monotonic()
     deadline = start + bounds.timeout
     try:
         for build, configs in levels(deadline):
-            space = None
+            space = found = None
             for config in configs:
                 if time.monotonic() > deadline:
                     raise _DeadlinePassed
@@ -1025,7 +1168,11 @@ def _search(levels, bounds: Bounds) -> SearchOutcome:
                 found = space.dfs(deadline)
                 space.pop_frame()
                 if found is not None:
-                    return ModelFound(found, time.monotonic() - start)
+                    break
+            if space is not None and keep is not None:
+                keep(space)
+            if found is not None:
+                return ModelFound(found, time.monotonic() - start)
     except _DeadlinePassed:
         return SearchTimeout(time.monotonic() - start)
     return ExhaustedUnsat(bounds, time.monotonic() - start)
@@ -1063,10 +1210,10 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
                     low, high = max(low, n - caps[0]), min(high, caps[1])
                 sizes = range(low, high + 1)
             for m in range(1, bounds.max_precisifications + 1):
-                yield functools.partial(_FoslSpace, vocab, f, n, m, symmetry, deadline,
+                yield functools.partial(_fosl_space, vocab, f, n, m, symmetry, deadline,
                                         split), sizes
 
-    return _search(levels, bounds)
+    return _search(levels, bounds, _keep_space)
 
 
 @nesting_guard
@@ -1122,7 +1269,7 @@ class _V1Space(_Space):
         self.sortal_rows = [(k, [bytearray(self.r) for _ in range(m)])
                             for k in sorted(vocab.sortals)]
         self.tables.update((("p", k), rows) for k, rows in self.sortal_rows)
-        for part in _name_typing(vocab.sortals, vocab.names) + conjuncts(_level_formula(f, m)):
+        for part in _name_typing(vocab.sortals, vocab.names) + conjuncts(_level(f, m)[0]):
             self.varies = False
             self.conjuncts.append(self._compile(part, {}))
             self.pi_indep.append(not self.varies)

@@ -437,7 +437,7 @@ def fosl_structure_from_dict(data: Mapping) -> FoslStructure:
 
 
 def load_fosl_model(path: str) -> FoslStructure:
-    return fosl_structure_from_dict(load_json(path, ModelFormatError))
+    return load_json(path, ModelFormatError, fosl_structure_from_dict)
 
 
 def fosl_structure_to_dict(m: FoslStructure) -> dict:

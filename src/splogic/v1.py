@@ -305,7 +305,7 @@ def v1_structure_from_dict(data: Mapping) -> V1Structure:
 
 
 def load_v1_model(path: str) -> V1Structure:
-    return v1_structure_from_dict(load_json(path, ModelFormatError))
+    return load_json(path, ModelFormatError, v1_structure_from_dict)
 
 
 def v1_structure_to_dict(m: V1Structure) -> dict:

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # naive_eval, naive_enum
 
+from splogic import finder
 from splogic import (
     load_fosl_model,
     load_v1_model,
@@ -14,6 +15,14 @@ from splogic import (
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def no_kept_spaces():
+    # the standpoint search keeps a space per level shape between
+    # searches; each test starts with none, so no test's result depends
+    # on what an earlier one left
+    finder._spaces.clear()
 
 
 def read_formula_text(name: str) -> str:

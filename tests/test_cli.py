@@ -419,6 +419,61 @@ class TestJsonTypes:
 
 
 
+class TestLoadErrorsNameTheFile:
+    """Every error in a model or vocabulary file, from its JSON types to
+    what the loader checks after them, puts the file's path in front of
+    its message and keeps its type."""
+
+    @staticmethod
+    def v1_model_with_building_indefinite():
+        data = json.loads((FIXTURES / "v0.json").read_text())
+        for pi in ("p1", "p2"):
+            data["indefinite"][pi]["Building"] = [["i_h"]]
+        return data
+
+    @staticmethod
+    def fosl_model_off_its_domain():
+        data = json.loads((FIXTURES / "m0.json").read_text())
+        data["interpretation"]["p1"]["constants"]["c"] = "d9"
+        return data
+
+    @pytest.mark.parametrize("argv, data, message", [
+        (("check", "--flavor", "v1", "--model"), v1_model_with_building_indefinite(),
+         "predicate 'Building' is in both the sortal and the indefinite tables"),
+        (("check", "--flavor", "fosl", "--model"), fosl_model_off_its_domain(),
+         "constant 'c' at 'p1' denotes non-domain element 'd9'"),
+        (("monodic", "--vocab"),
+         {"logic": "v1", "sortals": ["Building"], "indefinite": {"Building": 1}},
+         "sortal, indefinite and precise predicate sets must be disjoint"),
+        (("monodic", "--vocab"), {"logic": "v1", "sortals": ["Building"], "names": 3},
+         "vocabulary.names must be a list, not int"),
+        (("monodic", "--vocab"), {"logic": "fol"},
+         "vocabulary file must declare"),
+    ], ids=["v1-model-tables", "fosl-model-domain", "vocabulary-overlap",
+            "vocabulary-names-type", "vocabulary-logic"])
+    def test_cli_error_names_the_file(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv[:-1], "--formula",
+                             str(FIXTURES / "formula_c.txt"), argv[-1], str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: {message}")
+
+    def test_loaders_keep_the_error_type(self, tmp_path):
+        from splogic import ModelFormatError, VocabularyError, load_v1_model
+        from splogic.cli import load_vocabulary
+
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self.v1_model_with_building_indefinite()))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(model))}: predicate"):
+            load_v1_model(str(model))
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"logic": "v1", "sortals": ["K"], "names": 3}))
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(vocab))}: vocabulary"):
+            load_vocabulary(str(vocab))
+
+
 class TestUnknownKeys:
     """A key that the file format does not list is invalid input (exit 2),
     named with its path, never silently ignored."""

@@ -646,7 +646,31 @@ class TestMemoInvariant:
     def test_valid_memos_match_fresh_evaluation(self, seed):
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, seed, 4), vocab)
-        space = _FoslSpace(translated_vocabulary(vocab), f, 3, 2, True)
+        self.walk(_FoslSpace(translated_vocabulary(vocab), f, 3, 2, True), seed)
+
+    @pytest.mark.parametrize("first, seed", [(1044, 167), (167, 42)])
+    def test_valid_memos_match_fresh_evaluation_on_a_kept_space(self, first, seed):
+        # the search of a first sentence leaves memos in the instances of
+        # the bridge axioms, which the space keeps for the next sentence
+        vocab = corpus_vocab()
+        trans_vocab = translated_vocabulary(vocab)
+        shape = (3, 2, True, float("inf"), False)
+        space = finder._fosl_space(
+            trans_vocab, full_translation(generate_formula(vocab, first, 4), vocab), *shape)
+        space.configure(None)
+        space.trail.append([])
+        space.dfs(float("inf"))
+        space.pop_frame()
+        finder._keep_space(space)
+        assert any(memo is not None for row in space.u_memo for memo in row)
+        f = full_translation(generate_formula(vocab, seed, 4), vocab)
+        assert finder._fosl_space(trans_vocab, f, *shape) is space
+        self.check_memos(space)
+        self.walk(space, seed)
+
+    def walk(self, space, seed):
+        # random assignments and retractions, every memo checked after
+        # each scan
         checked = []
         scan = space._scan
 
@@ -738,6 +762,200 @@ class TestFinishedSearch:
         for seed in range(40):
             equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
         assert len(configured) > 200 and set(configured) == {_FoslSpace, _V1Space}
+
+
+class TestSpaceReuse:
+    """The standpoint search keeps one space per level shape (vocabulary,
+    n, m, symmetry, split) between searches: the space grounds the parts
+    of the level formula that are shared bridge axioms once, and each
+    search adds only its sentence's instances, which the level's close
+    drops again.  A kept space searches as a new one does."""
+
+    @staticmethod
+    def reports(seeds, mode):
+        # per seed, the equisat report without its elapsed fields and the
+        # backward dfs calls.  mode "kept" keeps the spaces between
+        # searches, "emptied" empties the cache before each search, and
+        # "unshared" takes no part for a bridge axiom, so each space
+        # grounds its whole level formula in order and keeps nothing
+        calls = [0]
+        dfs = _FoslSpace.dfs
+
+        def counted(space, deadline):
+            calls[0] += 1
+            return dfs(space, deadline)
+
+        vocab = corpus_vocab()
+        out = {}
+        finder._spaces.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_FoslSpace, "dfs", counted)
+            if mode == "unshared":
+                level = finder._level
+                patch.setattr(finder, "_level", lambda f, m: (level(f, m)[0], frozenset()))
+            for seed in seeds:
+                if mode == "emptied":
+                    finder._spaces.clear()
+                calls[0] = 0
+                report = equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
+                for direction in report.directions:
+                    direction.elapsed_ms = None
+                out[seed] = (report.to_dict(), calls[0])
+        return out
+
+    @pytest.mark.parametrize("seeds", [range(40), range(39, -1, -1)],
+                             ids=["forward", "reverse"])
+    def test_kept_spaces_search_as_new_ones(self, monkeypatch, seeds):
+        built = []
+        init = _FoslSpace.__init__
+
+        def recorded(space, *args):
+            init(space, *args)
+            built.append(space.shape)
+
+        monkeypatch.setattr(_FoslSpace, "__init__", recorded)
+        kept = self.reports(seeds, "kept")
+        # one space per shape: levels n = 2..4 at m = 1, 2, once with
+        # every bridge axiom and once with a false level formula (seed 14)
+        assert len(built) == len(set(built)) == 12
+        assert kept == self.reports(seeds, "emptied")
+        assert kept == self.reports(seeds, "unshared")
+
+    def test_spaces_are_kept_per_bridge_axioms(self):
+        # bridge axiom 7 for an indefinite predicate of open arity takes
+        # the arity the sentence pins, or 1 where the sentence leaves it
+        # out, and sortal K and indefinite K/1 translate to one signature
+        # with different axioms: each search equals a cold one, and each
+        # kept space holds exactly its shape's axioms
+        wild = make_v1_vocabulary(["K"], {"A": None}, {}, ["c"], [])
+        sortal = make_v1_vocabulary(["K", "S"], {}, {}, ["c"], [])
+        indefinite = make_v1_vocabulary(["S"], {"K": 1}, {}, ["c"], [])
+        runs = [(wild, "exists ?x K(?x)"), (wild, "exists ?x A(?x)"),
+                (wild, "exists ?x exists ?y (A(?x, ?y) & !A(?y, ?x))"),
+                (wild, "exists ?x !A(?x)"), (sortal, "exists ?x K(?x)"),
+                (indefinite, "exists ?x K(?x)"), (sortal, "exists ?x !K(?x)")]
+
+        def report(vocab, text):
+            out = equisat_check(vocab, parse_formula(text, vocab), CORPUS_BOUNDS)
+            for direction in out.directions:
+                direction.elapsed_ms = None
+            return out.to_dict()
+
+        warm = [report(*run) for run in runs]
+        assert len(finder._spaces) > 4
+        for space in finder._spaces.values():
+            dropped = finder._split_level_axioms(space.m) if space.prec_cells else ()
+            assert set(space.kept) == space.shape[-1] - dropped
+        cold = []
+        for run in runs:
+            finder._spaces.clear()
+            cold.append(report(*run))
+        assert warm == cold
+
+    def test_interrupted_level_leaves_no_space(self, monkeypatch):
+        # a fake clock passes the deadline in the middle of level n=3,
+        # m=2's search of an unsat sentence, so the levels before it close
+        # their spaces and that level's is dropped; searched again, the
+        # sentence gives the result and the dfs calls of a new search
+        vocab = corpus_vocab()
+        trans_vocab = translated_vocabulary(vocab)
+        f = full_translation(generate_formula(vocab, 167, 4), vocab)
+        bounds = Bounds(max_domain=4, max_precisifications=2, timeout=1.0)
+
+        def search():
+            calls = {}
+            dfs = _FoslSpace.dfs
+
+            def counted(space, deadline):
+                level = (space.n, space.m)
+                calls[level] = calls.get(level, 0) + 1
+                if level == (3, 2) and calls[level] == 3:
+                    clock[0] = 10.0
+                return dfs(space, deadline)
+
+            monkeypatch.setattr(_FoslSpace, "dfs", counted)
+            outcome = find_fosl_model(trans_vocab, f, bounds)
+            monkeypatch.setattr(_FoslSpace, "dfs", dfs)
+            return type(outcome), calls
+
+        clock = [0.0]
+        monkeypatch.setattr(finder, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        assert search()[0] is SearchTimeout
+        assert sorted(key[3:5] for key in finder._spaces) == [(2, 1), (2, 2), (3, 1)]
+        monkeypatch.setattr(finder, "time", time)
+        warm = search()
+        finder._spaces.clear()
+        cold = search()
+        assert warm == cold
+        assert warm[0] is ExhaustedUnsat and warm[1][3, 2] > 3
+
+    def test_two_checkouts_get_two_spaces(self):
+        # a space is out of the cache while a search uses it
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, 0, 4), vocab)
+        args = (translated_vocabulary(vocab), f, 2, 2, True, float("inf"), True)
+        first = finder._fosl_space(*args)
+        assert finder._fosl_space(*args) is not first
+        finder._keep_space(first)
+        assert finder._fosl_space(*args) is first
+        assert finder._fosl_space(*args) is not first
+
+    def test_searches_in_threads_share_no_space(self):
+        # more threads than cores, switching often: each search takes its
+        # spaces out of the cache, so every thread's reports are the
+        # serial ones
+        vocab = corpus_vocab()
+        sentences = [generate_formula(vocab, seed, 4) for seed in range(10)]
+
+        def reports():
+            out = []
+            for f in sentences:
+                report = equisat_check(vocab, f, CORPUS_BOUNDS)
+                for direction in report.directions:
+                    direction.elapsed_ms = None
+                out.append(report.to_dict())
+            return out
+
+        expected = reports()
+        results = [None] * 4
+
+        def worker(i):
+            results[i] = reports()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_close_leaves_what_the_axioms_alone_leave(self, symmetry):
+        # after a search of seed 167, unsat, every level's kept space
+        # holds what a new space of the bridge axioms alone holds
+        vocab = corpus_vocab()
+        trans_vocab = translated_vocabulary(vocab)
+        f = full_translation(generate_formula(vocab, 167, 4), vocab)
+        axioms = full_translation(truth(), vocab)
+        bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60,
+                        symmetry_reduction=symmetry)
+        assert isinstance(find_fosl_model(trans_vocab, f, bounds), ExhaustedUnsat)
+        assert len(finder._spaces) == (4 if symmetry else 6)
+        for space in finder._spaces.values():
+            alone = _FoslSpace(trans_vocab, axioms, space.n, space.m, symmetry,
+                               float("inf"), space.prec_cells)
+            assert space.kept == alone.kept and space.kept
+            assert len(space.conjuncts) == len(alone.conjuncts)
+            for name in ("presets", "pi_indep", "status", "watch", "tables", "preds"):
+                assert getattr(space, name) == getattr(alone, name), name
+            for name in ("conj_touch", "u_memo", "probe_memo"):
+                assert len(getattr(space, name)) == len(alone.conjuncts), name
 
 
 class TestCulpritRule:
@@ -838,6 +1056,21 @@ class TestSortSplit:
         return calls
 
     @staticmethod
+    def count_levels(monkeypatch, record):
+        # record(space) for each level searched, as the search takes the
+        # level's space, new or kept from an earlier search
+        levels = []
+        fosl_space = finder._fosl_space
+
+        def counted(*args):
+            space = fosl_space(*args)
+            levels.append(record(space))
+            return space
+
+        monkeypatch.setattr(finder, "_fosl_space", counted)
+        return levels
+
+    @staticmethod
     def hard_translation():
         # seed 167 is unsat, so every level and every split is searched
         vocab = corpus_vocab()
@@ -860,16 +1093,9 @@ class TestSortSplit:
     def test_no_space_at_one_element(self, monkeypatch):
         # the name n denotes an individual, and every individual has a
         # precise version, so a one-element level is unsat before any
-        # space is built; the search without symmetry reduction is not
-        # split and builds every level
-        levels = []
-
-        class Counted(_FoslSpace):
-            def __init__(self, vocab, f, n, m, symmetry, deadline, prec_cells):
-                levels.append((n, m))
-                super().__init__(vocab, f, n, m, symmetry, deadline, prec_cells)
-
-        monkeypatch.setattr(finder, "_FoslSpace", Counted)
+        # space is set up; the search without symmetry reduction is not
+        # split and searches every level
+        levels = self.count_levels(monkeypatch, lambda space: (space.n, space.m))
         vocab, f = self.hard_translation()
         for symmetry, sizes in ((True, (2, 3)), (False, (1, 2, 3))):
             levels.clear()
@@ -898,14 +1124,7 @@ class TestSortSplit:
         # Seed 3 needs an individual, so it is unsat there at m = 1 and
         # m = 2; seed 5, forall ?x Shape(?x), holds vacuously there.
         calls = self.count_splits(monkeypatch)
-        flat = []
-        init = _FoslSpace.__init__
-
-        def recorded(space, *args, **kwargs):
-            init(space, *args, **kwargs)
-            flat.append((space.n, space.prec_cells))
-
-        monkeypatch.setattr(_FoslSpace, "__init__", recorded)
+        flat = self.count_levels(monkeypatch, lambda space: (space.n, space.prec_cells))
         vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, [], ["s"])
         trans_vocab = translated_vocabulary(vocab)
         bounds = Bounds(max_domain=2, max_precisifications=2, timeout=60)
@@ -982,14 +1201,7 @@ class TestSortSplit:
         # the split search holds prec as value cells and drops axioms 4-6;
         # the unsplit one, without symmetry reduction, keeps the bits
         calls = self.count_splits(monkeypatch)
-        flat = []
-        init = _FoslSpace.__init__
-
-        def recorded(space, *args, **kwargs):
-            init(space, *args, **kwargs)
-            flat.append(space.prec_cells)
-
-        monkeypatch.setattr(_FoslSpace, "__init__", recorded)
+        flat = self.count_levels(monkeypatch, lambda space: space.prec_cells)
         vocab = corpus_vocab()
         trans_vocab = translated_vocabulary(vocab)
         on = Bounds(max_domain=domain, max_precisifications=2, timeout=60)
@@ -1260,15 +1472,15 @@ class TestLevelFormula:
             for f in (sentence, full_translation(sentence, vocab)):
                 s = finder._simplify(f, m)[0]
                 expected = truth() if s is True else falsity() if s is False else s
-                assert finder._level_formula(f, m) == expected
+                assert finder._level(f, m)[0] == expected
 
     def test_shared_axioms_are_simplified_once_per_m(self):
         vocab = corpus_vocab()
         one, two = (full_translation(generate_formula(vocab, seed, 4), vocab)
                     for seed in (1, 2))
-        finder._level_formula(one, 2)
+        finder._level(one, 2)
         before = finder._simplify_shared.cache_info()
-        finder._level_formula(two, 2)
+        finder._level(two, 2)
         after = finder._simplify_shared.cache_info()
         assert after.misses == before.misses
         assert after.hits - before.hits == len(labeled_axioms(vocab))
@@ -1276,5 +1488,5 @@ class TestLevelFormula:
     def test_unchanged_formula_is_returned_as_is(self):
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, [], ["s"])
         f = parse_formula("forall ?x (P(?x) -> [s] Q(?x))", vocab)
-        assert finder._level_formula(f, 2) is f
-        assert finder._level_formula(f, 1) is f
+        assert finder._level(f, 2)[0] is f
+        assert finder._level(f, 1)[0] is f

@@ -8,7 +8,9 @@ translation with the name-typing axioms of the row's generated sentence
 direction does: the private finder._search_fosl with caps of 4 ext
 (entities) and 3 ind (individuals) elements, precisifications up to 2,
 domain up to 7, symmetry reduction on and a 20 s timeout.  SRC is the
-source tree to import (default: this repository's src).
+source tree to import (default: this repository's src); it must take
+each level's space through finder._fosl_space, where the script records
+the level a timed-out row was searching.
 
 Prints every row that disagrees with the pool's V1 verdict or times out
 (with the last level it started), then the totals: agreements,
@@ -37,15 +39,16 @@ def main(argv: list[str]) -> int:
     import splogic as sp
     from splogic import finder
 
-    # the search builds each level's space through finder._FoslSpace
+    # the search takes each level's space, new or kept from an earlier
+    # search, through finder._fosl_space
     levels: list[tuple[int, int]] = []
+    fosl_space = finder._fosl_space
 
-    class Recorded(finder._FoslSpace):
-        def __init__(self, vocab, f, n, m, *args):
-            levels.append((n, m))
-            super().__init__(vocab, f, n, m, *args)
+    def recorded(vocab, f, n, m, *args):
+        levels.append((n, m))
+        return fosl_space(vocab, f, n, m, *args)
 
-    finder._FoslSpace = Recorded
+    finder._fosl_space = recorded
 
     vocab = sp.make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
     trans_vocab = sp.translated_vocabulary(vocab)
