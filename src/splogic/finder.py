@@ -25,9 +25,10 @@ depends on: a subformula that turns out decided leaves no trace.
 One level loop, _search, runs both engines: a level is a space and the
 configurations it is searched under, the split points of a split
 standpoint level or the registries of extension maps of a V1 level, each
-searched in the level's one space.  A passed deadline is the exception
-_DeadlinePassed, whether it passes while a space is ground or while it is
-searched.  Every search runs serially in the calling thread.
+searched in the level's one space; a precisification count at which the
+sentence simplifies to false has no level (see _level).  A passed
+deadline is _DeadlinePassed, in set-up and in search alike.  Every
+search runs serially in the calling thread.
 
 A standpoint level's space outlives one search.  Spaces are kept by
 shape (vocabulary, n, m, symmetry, split and the level formula's shared
@@ -84,8 +85,7 @@ from .translate import (
 )
 from .v1 import V1Structure, is_model_v1, make_v1_structure, v1_structure_to_dict
 
-_F, _T, _U = 0, 1, 2  # three-valued: false / true / unknown
-# cell storage uses 0 = unset, 1 = true, 2 = false
+_U, _T, _F = 0, 1, 2  # three-valued: unknown / true / false
 
 
 @dataclass(frozen=True)
@@ -246,40 +246,35 @@ _simplify_shared = functools.lru_cache(maxsize=64)(_simplify)
 
 
 @functools.lru_cache(maxsize=8)
-def _level(f: Formula, m: int) -> tuple[Formula, frozenset]:
+def _level(f: Formula, m: int) -> tuple[Formula | bool, frozenset]:
     """The formula specialized to a level with m precisifications, and
-    its conjuncts that come from the conjuncts of f that are shared
-    bridge axioms: each one's simplification, or its members when that is
-    a conjunction (none when the level formula is false).  Those parts
-    depend on the vocabulary and on the arities the sentence pins for
-    its wildcard predicates, so they are part of a standpoint space's
-    shape (_shape), and the space grounds them once for all the
-    sentences of that shape (see _FoslSpace.load).  The levels of one
-    search share both for each m.
+    its conjuncts that are simplified shared bridge axioms of f.  Those
+    parts depend on the vocabulary and on the arities the sentence pins
+    for its wildcard predicates, so they are part of a standpoint space's
+    shape (_shape), and the space grounds them once for all the sentences
+    of that shape (see _FoslSpace.load).  The levels of one search share
+    both for each m.
 
-    The formula is _simplify(f, m), except that a conjunct of f that is a
-    shared bridge axiom is simplified through _simplify_shared."""
+    The formula is _simplify(f, m), a shared bridge axiom among the
+    conjuncts of f simplified through _simplify_shared, or False, with no
+    parts: all precisifications share one domain, so f then has no model
+    with m precisifications at any size, and no level of m is searched."""
     axioms: set = set()
 
     def simplified(g: Formula) -> tuple:
         if g.__class__ is not Box or g not in _SHARED_AXIOMS:
             return _simplify(g, m)
         triple = _simplify_shared(g, m)
-        s, _, inner = triple
-        if isinstance(s, And):
-            axioms.update(member[0] for member in inner)
-        elif not isinstance(s, bool):
-            axioms.add(s)
+        if not isinstance(triple[0], bool):
+            axioms.add(triple[0])
         return triple
 
     if isinstance(f, And):
         s = _conjunction(f, map(simplified, conjuncts(f)))[0]
     else:
         s = _simplify(f, m)[0]
-    if s is True:
-        s = truth()
-    elif s is False:
-        s = falsity()
+    if isinstance(s, bool):  # a constant level has no parts
+        return (truth() if s else False), frozenset()
     return s, frozenset(axioms.intersection(conjuncts(s)))
 
 
@@ -329,7 +324,7 @@ class _Space:
       "f"  a function's value, an element or None: a constant is 0-ary,
            at rank 0, and prec, each individual's precise version, is
            1-ary, ranked by the individual.
-    A bit stores 0 for unset, 1 for true and 2 for false.  A space
+    A bit stores its three-valued value, unset being unknown.  A space
     provides _table, propagate, materialize, configure (which sets up
     one configuration of the level, see _search), _quantify (the
     universal over its domain) and self.choices, the values a function
@@ -402,7 +397,7 @@ class _Space:
 
     def branch_values(self, cell: tuple) -> tuple[int, ...]:
         if cell[0] != "f":
-            return (2, 1)  # absent before present
+            return (_F, _T)  # absent before present
         least = self._least(cell[1])
         return tuple(e for e in self.choices if e >= least) if least else self.choices
 
@@ -473,8 +468,7 @@ class _Space:
                 b = arrays[pi][rank]
                 if b == 0:
                     self._note(("p", pred, pi, rank))
-                    return _U
-                return _T if b == 1 else _F
+                return b
 
             return fn
         if isinstance(f, Equal):
@@ -941,7 +935,7 @@ class _FoslSpace(_Space):
         if cell[0] == "f":
             values = range(self._least(cell[1]), self.n)
         else:
-            values = (2, 1)
+            values = (_F, _T)
         for value in values:
             self._poke(cell, value)
             for slot, elem in preset:
@@ -1147,12 +1141,14 @@ def _search(levels, bounds: Bounds, keep=None) -> SearchOutcome:
     and every instance undecided.  The deadline is checked before each
     configuration, so no space is set up and no configuration searched
     once it has passed; a space is set up at its level's first
-    configuration, so a level with none sets up no space.  When a level
-    ends, with no configuration left or a model found, keep, if given,
-    takes its space for a later search; a space whose level an exception
-    ends is not kept.  Returns the first model, ExhaustedUnsat when every
-    configuration is refuted, or SearchTimeout when the deadline passes
-    (_DeadlinePassed, raised while a space is ground or searched)."""
+    configuration, so a level with none sets up no space.  levels yields
+    no level at a precisification count where the sentence is false
+    (see _level).  When a level ends, with no configuration left or a
+    model found, keep, if given, takes its space for a later search; a
+    space whose level an exception ends is not kept.  Returns the first
+    model, ExhaustedUnsat when every configuration is refuted, or
+    SearchTimeout when the deadline passes (_DeadlinePassed, raised
+    while a space is ground or searched)."""
     start = time.monotonic()
     deadline = start + bounds.timeout
     try:
@@ -1191,9 +1187,10 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
     space (see _FoslSpace) configured once per r from the ind floor to
     n - 1, which leaves prec an entity to take, each block [0, r),
     [r, n) with its own least-number heuristic, instead of branching on
-    the sorts through every permutation of the same split; a level that
-    no r fits, such as n = 1 when the floor is 1, is unsat without a
-    space.  Otherwise a level is one search over every cell.
+    the sorts through every permutation of the same split.  Otherwise a
+    level is one search over every cell.  No level is yielded that no r
+    fits, such as n = 1 when the floor is 1, or whose m makes f false
+    (_level), which is read only once some r fits.
 
     caps, the most ext and ind elements a model may have, also bound r
     and split the level in both symmetry modes."""
@@ -1210,8 +1207,9 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
                     low, high = max(low, n - caps[0]), min(high, caps[1])
                 sizes = range(low, high + 1)
             for m in range(1, bounds.max_precisifications + 1):
-                yield functools.partial(_fosl_space, vocab, f, n, m, symmetry, deadline,
-                                        split), sizes
+                if sizes and _level(f, m)[0] is not False:
+                    yield functools.partial(_fosl_space, vocab, f, n, m, symmetry,
+                                            deadline, split), sizes
 
     return _search(levels, bounds, _keep_space)
 
@@ -1385,8 +1383,7 @@ class _V1Space(_Space):
             b = row[rank]
             if b == 0:
                 self._note(("p", pred, 0, rank))
-                return _U
-            return _T if b == 1 else _F
+            return b
 
         return fn
 
@@ -1479,6 +1476,8 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
     def levels(deadline):  # a V1 space is not ground, so it needs no deadline
         for ne in range(1, bounds.max_entities + 1):
             for m in range(1, bounds.max_precisifications + 1):
+                if _level(f, m)[0] is False:
+                    continue
                 maps = list(itertools.product(range(ne), repeat=m))
                 for r in range(min_r, min(bounds.max_individuals, len(maps)) + 1):
                     yield (functools.partial(_V1Space, vocab, f, ne, m, r),
@@ -1561,8 +1560,7 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     each name keeping its denotation, and only the lowered model is
     checked, against f.
     """
-    validate_formula(f, vocab)
-    trans_f = full_translation(f, vocab)
+    trans_f = full_translation(f, vocab)  # validates f
     trans_vocab = translated_vocabulary(vocab)
     caps = (bounds.max_entities, bounds.max_individuals)
     v1, lifted = _direction(

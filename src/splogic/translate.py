@@ -268,12 +268,12 @@ def full_translation(
     if strict_names is not True:
         raise ValueError(f"strict_names must be True (every translation "
                          f"types names), got {strict_names!r}")
+    pinned: dict[str, int] = {}
+    _validate(f, vocab, pinned)
     if free_variables(f):
         raise ModelFormatError(
             f"full translation requires a sentence; free: {sorted(free_variables(f))}"
         )
-    pinned: dict[str, int] = {}
-    _validate(f, vocab, pinned)
     core = _translate(f, vocab, _FreshVars(all_variables(f)))
     vocab = _pin_wildcards(vocab, pinned)
     return And(core, _bridge_axioms(_vocabulary_key(vocab))[1])

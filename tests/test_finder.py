@@ -38,7 +38,7 @@ from splogic import (
 )
 from splogic import finder
 from splogic.finder import _F, _U, _FoslSpace, _V1Space
-from splogic.syntax import falsity, truth
+from splogic.syntax import truth
 
 from naive_eval import naive_is_model, naive_is_model_v1
 from naive_enum import naive_fosl_sat, naive_v1_sat
@@ -124,7 +124,7 @@ class TestFoslSearch:
 
         monkeypatch.setattr(finder, "_FoslSpace", Counted)
         vocab = make_fosl_vocabulary({"P": 1}, ["a"], [])
-        f = parse_formula("P(a) & !P(a)", vocab)
+        f = parse_formula("P(a) & forall ?x !P(?x)", vocab)
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=1.0)
         assert isinstance(find_fosl_model(vocab, f, bounds), SearchTimeout)
         assert built == [(1, 1), (1, 2)]
@@ -213,7 +213,7 @@ class TestV1Search:
         # the enumeration, not only the search inside one registry.  The
         # two timeouts end in different levels.
         vocab = corpus_vocab()
-        f = parse_formula("Attr(n) & !Attr(n)", vocab)
+        f = parse_formula("Attr(n) & forall ?x !Attr(?x)", vocab)
         for timeout in (1.0, 2.0):
             bounds = Bounds(max_entities=5, max_precisifications=3,
                             max_individuals=5, timeout=timeout)
@@ -240,7 +240,7 @@ class TestV1Search:
 
         monkeypatch.setattr(_V1Space, "configure", counted)
         vocab = corpus_vocab()
-        f = parse_formula("Attr(n) & !Attr(n)", vocab)
+        f = parse_formula("Attr(n) & forall ?x !Attr(?x)", vocab)
         bounds = Bounds(max_entities=5, max_precisifications=3, max_individuals=5,
                         timeout=1.0)
         outcome = find_v1_model(vocab, f, bounds)
@@ -266,7 +266,7 @@ class TestV1Search:
 
         monkeypatch.setattr(finder, "_V1Space", Counted)
         vocab = corpus_vocab()
-        f = parse_formula("Attr(n) & !Attr(n)", vocab)
+        f = parse_formula("Attr(n) & forall ?x !Attr(?x)", vocab)
         bounds = Bounds(max_entities=3, max_precisifications=2, max_individuals=3,
                         timeout=60)
         assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
@@ -739,7 +739,7 @@ class TestFinishedSearch:
 
         monkeypatch.setattr(finder._Space, "dfs", checked)
         vocab = corpus_vocab()
-        for seed in range(40):
+        for seed in range(60):
             equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
         assert len(finished) > 200 and set(finished) == {_FoslSpace, _V1Space}
 
@@ -759,7 +759,7 @@ class TestFinishedSearch:
 
             monkeypatch.setattr(cls, "configure", checked)
         vocab = corpus_vocab()
-        for seed in range(40):
+        for seed in range(60):
             equisat_check(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
         assert len(configured) > 200 and set(configured) == {_FoslSpace, _V1Space}
 
@@ -815,9 +815,9 @@ class TestSpaceReuse:
 
         monkeypatch.setattr(_FoslSpace, "__init__", recorded)
         kept = self.reports(seeds, "kept")
-        # one space per shape: levels n = 2..4 at m = 1, 2, once with
-        # every bridge axiom and once with a false level formula (seed 14)
-        assert len(built) == len(set(built)) == 12
+        # one space per shape: levels n = 2..4 at m = 1, 2, each with
+        # every bridge axiom; a false level formula (seed 14) has no space
+        assert len(built) == len(set(built)) == 6
         assert kept == self.reports(seeds, "emptied")
         assert kept == self.reports(seeds, "unshared")
 
@@ -1459,6 +1459,50 @@ class TestSortSplit:
         assert (function_decisions > 0) == decides_functions
 
 
+class TestFalseLevels:
+    """A level formula that simplifies to false has no model at its
+    precisification count, whatever the domain size: neither engine
+    sets up a level of that count."""
+
+    @staticmethod
+    def search(monkeypatch, text):
+        # find_v1_model's outcome, equisat_check's report, and the kind and
+        # precisification count of every space either sets up: each V1
+        # space built and each standpoint space loaded, new or kept
+        set_up = []
+        init, load = _V1Space.__init__, _FoslSpace.load
+
+        def built(space, vocab, f, ne, m, r):
+            set_up.append(("v1", m))
+            init(space, vocab, f, ne, m, r)
+
+        def loaded(space, f, deadline=float("inf")):
+            set_up.append(("fosl", space.m))
+            load(space, f, deadline)
+
+        monkeypatch.setattr(_V1Space, "__init__", built)
+        monkeypatch.setattr(_FoslSpace, "load", loaded)
+        vocab = corpus_vocab()
+        f = parse_formula(text, vocab)
+        outcome = find_v1_model(vocab, f, CORPUS_BOUNDS)
+        return outcome, equisat_check(vocab, f, CORPUS_BOUNDS), set_up
+
+    def test_false_at_every_count_sets_up_no_level(self, monkeypatch):
+        outcome, report, set_up = self.search(monkeypatch, "Attr(n) & !Attr(n)")
+        assert isinstance(outcome, ExhaustedUnsat)
+        assert [d.outcome for d in report.directions] == ["unsat", "unsat"]
+        assert set_up == [] and not finder._spaces
+
+    def test_false_at_one_count_searches_the_others(self, monkeypatch):
+        # [*] collapses at m = 1, where the sentence folds to false; at
+        # m = 2 it is unsat too, but only a search shows it
+        outcome, report, set_up = self.search(monkeypatch, "Attr(n) & [*] !Attr(n)")
+        assert isinstance(outcome, ExhaustedUnsat)
+        assert report.agreement == "unsat"
+        assert {kind for kind, _ in set_up} == {"v1", "fosl"}
+        assert {m for _, m in set_up} == {2}
+
+
 class TestLevelFormula:
     """The level formula simplifies each top-level conjunct on its own,
     the shared bridge axioms through their cache, and merges the results
@@ -1471,7 +1515,7 @@ class TestLevelFormula:
             sentence = generate_formula(vocab, seed, 4)
             for f in (sentence, full_translation(sentence, vocab)):
                 s = finder._simplify(f, m)[0]
-                expected = truth() if s is True else falsity() if s is False else s
+                expected = truth() if s is True else s
                 assert finder._level(f, m)[0] == expected
 
     def test_shared_axioms_are_simplified_once_per_m(self):

@@ -10,6 +10,7 @@ from splogic import (
     ExhaustedUnsat,
     ModelFormatError,
     SplError,
+    UndeclaredSymbolError,
     axiom_set,
     conjoin,
     equisat_check,
@@ -256,6 +257,23 @@ class TestFullTranslation:
         f = parse_formula("Desert(?x)", desert_v1_vocab)
         with pytest.raises(ModelFormatError):
             full_translation(f, desert_v1_vocab)
+
+    @pytest.mark.parametrize("translate", [
+        full_translation,
+        lambda f, vocab: equisat_check(vocab, f, Bounds(timeout=60)),
+    ], ids=["full_translation", "equisat_check"])
+    @pytest.mark.parametrize("text, error", [
+        ("Desert(?x)", ModelFormatError),
+        ("Oasis(house)", UndeclaredSymbolError),
+        ("Desert(?x) & Oasis(house)", UndeclaredSymbolError),
+    ])
+    def test_validates_before_requiring_a_sentence(self, desert_v1_vocab, translate,
+                                                   text, error):
+        # the translation validates f first, so a formula that both
+        # leaves a variable free and uses an undeclared symbol reports the
+        # symbol; equisat_check reports what the translation does
+        with pytest.raises(error):
+            translate(parse_raw(text), desert_v1_vocab)
 
     def test_deep_nesting_is_an_evaluation_error(self, desert_v1_vocab):
         f = parse_formula("Desert(house)", desert_v1_vocab)
