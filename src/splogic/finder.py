@@ -15,12 +15,14 @@ The standpoint space and the V1 space share one cell store, one
 depth-first search, one cell write and one three-valued compiler, which
 also creates their cells and read sets (see _Space).  Every cell is
 (kind, symbol, precisification, rank); in both spaces an individual's
-precise version is the function prec, which V1's registries preset.  Each
-space supplies its universal quantifier and tables, V1 also its indefinite
-atoms and its atoms over precise entities.  Every constraint of a level is
-a compiled instance, V1's typing of names included.  An unknown result
-names as its blocking cell the first unset cell read by a subformula it
-depends on: a subformula that turns out decided leaves no trace.
+precise version is the function prec, which V1's registries preset
+(multisets of extension maps that use every entity, see find_v1_model).
+Each space supplies its universal quantifier and tables, V1 also its
+indefinite atoms and its atoms over precise entities.  Every constraint of
+a level is a compiled instance, V1's typing of names included.  An
+unknown result names as its blocking cell the first unset cell read by a
+subformula it depends on: a subformula that turns out decided leaves no
+trace.
 
 One level loop, _search, runs both engines: a level is a space and the
 configurations it is searched under, the split points of a split
@@ -93,7 +95,7 @@ class Bounds:
     """Search limits, each maximum inclusive; the timeout is per search.
     find_fosl_model reads max_domain, not max_entities or max_individuals;
     find_v1_model reads those two, not max_domain or symmetry_reduction
-    (its registries are already distinct extension maps in lexicographic
+    (it searches each multiset of extension maps once, in lexicographic
     order); equisat_check searches the translation up to max_entities +
     max_individuals elements in place of max_domain."""
 
@@ -1239,9 +1241,10 @@ class _V1Space(_Space):
     An individual's precise version is the function prec, as in a split
     standpoint space: self.prec, the ("f", "prec") rows, holds the maps
     of one registry, prec[pi][i] the entity of individual i at
-    precisification pi.  A level's registries are its configurations
-    (see find_v1_model), all searched in one space: configure writes a
-    registry's maps into those rows, whose cells are never assigned.
+    precisification pi; individuals may share a map.  A level's
+    registries are its configurations (see find_v1_model), all searched
+    in one space: configure writes a registry's maps into those rows,
+    whose cells are never assigned.
     The sortal and indefinite tables are over individuals (base r), a
     rigid precise table over entities (base ne) is a single row, with
     cells ("p", pred, 0, rank), and a proper name is a 0-ary function
@@ -1459,15 +1462,30 @@ def _name_typing(sortals: frozenset, names: frozenset) -> list[Formula]:
             for nm in sorted(names)]
 
 
+def _registries(ne: int, m: int, r: int):
+    # the configurations of V1 level (ne, m, r), see find_v1_model
+    maps = itertools.product(range(ne), repeat=m)
+    for registry in itertools.combinations_with_replacement(maps, r):
+        if ne == 1 or len(set(itertools.chain(*registry))) == ne:
+            yield registry
+
+
 @nesting_guard
 def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutcome:
     """Search for a variable reference structure making f globally true.
 
     Entity counts, precisification counts and registry sizes grow from the
     smallest, one search space per level (ne, m, r); a level's
-    configurations are its registries, the combinations of r distinct
-    extension maps in lexicographic order, enumerated lazily (see
-    _search), so duplicate registries never occur."""
+    configurations are its registries, the multisets of r extension maps
+    (individuals may share a map) in lexicographic order, enumerated
+    lazily (see _search), that together use all ne entities; at ne = 1
+    the empty registry is one too.  The rule loses no model and does not
+    change which one is found first: V1 reaches an entity only through an
+    individual's map (precise atoms read prec[pi][i], quantifiers range
+    over individuals, names denote individuals), so a registry that
+    leaves entities unused, renumbered onto those it uses, is a registry
+    of a level (k, m, r) with k < ne, searched earlier.  A level with
+    m * r < ne has no such registry and builds no space."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
@@ -1478,10 +1496,8 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
             for m in range(1, bounds.max_precisifications + 1):
                 if _level(f, m)[0] is False:
                     continue
-                maps = list(itertools.product(range(ne), repeat=m))
-                for r in range(min_r, min(bounds.max_individuals, len(maps)) + 1):
-                    yield (functools.partial(_V1Space, vocab, f, ne, m, r),
-                           itertools.combinations(maps, r))
+                for r in range(min_r, bounds.max_individuals + 1):
+                    yield functools.partial(_V1Space, vocab, f, ne, m, r), _registries(ne, m, r)
 
     return _search(levels, bounds)
 
@@ -1550,9 +1566,9 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     _search_fosl and _sort_floors), and every model found lowers
     within the V1 bounds.  Either verification failing, or one side
     satisfiable where the other is not, is a discrepancy, so an "unsat"
-    agreement checks the V1 search's "unsat" independently.  The V1
-    search never gives two individuals one extension map; a sentence
-    that needs that within bounds shows as a discrepancy.
+    agreement checks the V1 search's "unsat" independently.  Both
+    searches give two individuals one extension map where a sentence
+    needs that.
 
     Both directions use the one full translation, whose boxed conjuncts
     are the bridge axioms, name typing included, so a standpoint model the

@@ -62,8 +62,9 @@ def _subsets(items):
 
 
 def all_v1_structures(vocab, max_entities, max_precs, max_individuals):
-    """Every V1 structure within the bounds whose registry holds distinct
-    extension maps, with names denoting admitted individuals."""
+    """Every V1 structure within the bounds, with names denoting admitted
+    individuals: each registry is a multiset of extension maps, so
+    individuals may share a map and entities may be left unused."""
     indefinite = sorted((a, k) for a, k in vocab.indefinite.items() if k is not None)
     precise = sorted((q, k) for q, k in vocab.precise.items() if k is not None)
     sortals = sorted(vocab.sortals)
@@ -78,7 +79,7 @@ def all_v1_structures(vocab, max_entities, max_precs, max_individuals):
             precise_tables = list(itertools.product(*(
                 _subsets(list(itertools.product(entities, repeat=k))) for _, k in precise
             )))
-            for r in range(min(max_individuals, len(maps)) + 1):
+            for r in range(max_individuals + 1):
                 idents = [f"i{i}" for i in range(r)]
                 # what one precisification may hold: sortal members, then
                 # indefinite rows and names over the individuals admitted
@@ -92,7 +93,7 @@ def all_v1_structures(vocab, max_entities, max_precs, max_individuals):
                     refs = list(itertools.product(admitted, repeat=len(names)))
                     local.extend(itertools.product([members], rows, refs))
                 for registry, sigma, table, choice in itertools.product(
-                    itertools.combinations(maps, r), sigmas, precise_tables,
+                    itertools.combinations_with_replacement(maps, r), sigmas, precise_tables,
                     list(itertools.product(local, repeat=m)),
                 ):
                     yield make_v1_structure(

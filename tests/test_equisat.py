@@ -57,6 +57,18 @@ class TestEquisatHarness:
         assert report.agreement == "sat"
         assert all(d.outcome == "sat" and d.verified for d in report.directions)
 
+    @pytest.mark.parametrize("seed", [27, 39, 94, 164])
+    def test_corpus_sentences_needing_a_shared_map_agree_sat(self, seed):
+        # at one entity these sentences need two individuals with one
+        # extension map, which both directions find and verify
+        vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+        f = generate_formula(vocab, seed, 4)
+        bounds = Bounds(max_entities=1, max_individuals=2, max_precisifications=2,
+                        timeout=60)
+        report = equisat_check(vocab, f, bounds)
+        assert report.agreement == "sat"
+        assert all(d.outcome == "sat" and d.verified for d in report.directions)
+
     def test_lowering_skips_the_axiom_checks(self, monkeypatch):
         # the backward model was revalidated against the full translation,
         # whose boxed conjuncts are the bridge axioms: lowering it checks
@@ -138,11 +150,12 @@ class TestAgreementBranches:
         assert report.counterexample is None
         assert list(report.to_dict()) == ["formula", "agreement", "directions"]
 
-    def test_backward_model_beyond_the_v1_search_is_lowered(self):
-        # registries never give two individuals one extension map, so at
-        # one entity and one precisification the V1 search cannot tell a
-        # from b; the backward search can, and its model lowers to a V1
-        # model of the sentence
+    def test_backward_model_beyond_the_v1_search_is_lowered(self, monkeypatch):
+        # a backward model with no V1 model beside it (the V1 search is
+        # stubbed to come back exhausted) is lowered, and the lowered
+        # model of the sentence is the counterexample
+        monkeypatch.setattr(finder, "find_v1_model",
+                            lambda vocab, f, bounds: ExhaustedUnsat(bounds, 0.0))
         vocab = make_v1_vocabulary(["K"], {}, {}, ["a", "b"], [])
         f = parse_formula("!(a = b)", vocab)
         bounds = Bounds(max_entities=1, max_precisifications=1, max_individuals=2,

@@ -270,7 +270,38 @@ class TestV1Search:
         bounds = Bounds(max_entities=3, max_precisifications=2, max_individuals=3,
                         timeout=60)
         assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
-        assert len(levels) == len(set(levels)) == 13
+        # a level with fewer map values (m * r) than entities has no
+        # registry that uses every entity, so it builds no space
+        assert levels == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+                          (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+                          (3, 1, 3), (3, 2, 2), (3, 2, 3)]
+
+    def test_registries_use_every_entity(self, monkeypatch):
+        # a registry that leaves an entity unused is, renumbered, one of a
+        # level with fewer entities, searched earlier, so a level searches
+        # each multiset of maps that uses all its entities once
+        built, draws = [], []
+        init, configure = _V1Space.__init__, _V1Space.configure
+
+        def counted_init(space, vocab, f, ne, m, r):
+            built.append((ne, m, r))
+            init(space, vocab, f, ne, m, r)
+
+        def counted(space, maps):
+            draws.append((space.ne, space.m, tuple(sorted(maps))))
+            configure(space, maps)
+
+        monkeypatch.setattr(_V1Space, "__init__", counted_init)
+        monkeypatch.setattr(_V1Space, "configure", counted)
+        vocab = corpus_vocab()
+        f = parse_formula("Attr(n) & forall ?x !Attr(?x)", vocab)
+        bounds = Bounds(max_entities=3, max_precisifications=2, max_individuals=3,
+                        timeout=60)
+        assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
+        for ne, m, maps in draws:
+            assert ne == 1 or {e for ext in maps for e in ext} == set(range(ne))
+        assert len(draws) == len(set(draws)) == 164
+        assert all(m * r >= ne for ne, m, r in built)
 
     def test_wildcard_arity_tables_follow_the_formula(self):
         # a wildcard arity is pinned by its use, here to two arguments
@@ -325,9 +356,9 @@ class TestV1Search:
         assert len(calls) < before
 
     # Two individuals may share an extension map (they stay distinct
-    # individuals), but registries are drawn as combinations of distinct
-    # maps, so at one entity and one precisification a registry holds a
-    # single individual and `a` and `b` cannot denote different ones.
+    # individuals): at one entity and one precisification every
+    # individual has the same map, so `a` and `b` denote different
+    # individuals only when two individuals share it.
     SHARED_MAP = Bounds(max_entities=1, max_precisifications=1, max_individuals=2,
                         timeout=60)
 
@@ -345,7 +376,6 @@ class TestV1Search:
         assert is_model_v1(m, f)
         assert naive_is_model_v1(m, f)
 
-    @pytest.mark.xfail(strict=True, reason="registries never repeat an extension map")
     def test_finds_individuals_sharing_a_map(self):
         vocab, f = self.shared_map_case()
         assert isinstance(find_v1_model(vocab, f, self.SHARED_MAP), ModelFound)
@@ -425,11 +455,16 @@ class TestMicroCompleteness:
             naive = naive_fosl_sat(vocab, f, 2, 2)
             assert pruned == naive, f"seed {seed}"
 
-    @pytest.mark.parametrize("entities, precisifications, seeds", [(2, 1, 200), (1, 2, 100)])
-    def test_v1_agrees_with_unpruned_enumeration(self, entities, precisifications, seeds):
-        # both sides draw registries from distinct extension maps; the
-        # shared-map case is TestV1Search's strict xfail
-        vocab = make_v1_vocabulary(["K"], {"A": 1}, {"Q": 1}, ["c"], ["s"])
+    @pytest.mark.parametrize("names, entities, precisifications, seeds", [
+        (["c"], 2, 1, 200), (["c"], 1, 2, 100), (["c", "d"], 1, 2, 100),
+    ], ids=["2-1-200", "1-2-100", "c-d-1-2-100"])
+    def test_v1_agrees_with_unpruned_enumeration(self, names, entities, precisifications,
+                                                 seeds):
+        # the enumerator tries every multiset of extension maps, those
+        # that leave an entity unused included, so it checks the search's
+        # rule that a registry uses every entity; with two names at one
+        # entity, individuals that share a map are needed
+        vocab = make_v1_vocabulary(["K"], {"A": 1}, {"Q": 1}, names, ["s"])
         bounds = Bounds(max_entities=entities, max_precisifications=precisifications,
                         max_individuals=2, timeout=120)
         unsat = 0

@@ -33,8 +33,9 @@ and one of evaluations:
 A fingerprint holds every report and outcome, models included, with the
 elapsed fields removed, and the number of depth-first search calls per
 set and per space class (counted around _Space.dfs).  The comparison
-prints the totals of both trees and every item that differs, and exits 1
-when any does.
+prints, for both trees, the dfs totals and each equisat set's tally of
+agreements (sat, unsat, discrepancy, inconclusive), then every item that
+differs, and exits 1 when any does.
 """
 
 from __future__ import annotations
@@ -162,6 +163,17 @@ def _run(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def _agreements(results: dict) -> dict:
+    """How many equisat reports of each set (asym split by its bounds,
+    "asym:E,I") came out sat, unsat, discrepancy or inconclusive."""
+    tallies: dict = {}
+    for key, item in results["items"].items():
+        if "agreement" in item:
+            tally = tallies.setdefault(key.rsplit(":", 1)[0], {})
+            tally[item["agreement"]] = tally.get(item["agreement"], 0) + 1
+    return tallies
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--dump":
         sys.path.insert(0, argv[1])
@@ -173,6 +185,8 @@ def main(argv: list[str]) -> int:
     old, new = (_run(src) for src in argv)
     print("dfs calls, old:", json.dumps(old["dfs"], sort_keys=True))
     print("dfs calls, new:", json.dumps(new["dfs"], sort_keys=True))
+    print("agreements, old:", json.dumps(_agreements(old), sort_keys=True))
+    print("agreements, new:", json.dumps(_agreements(new), sort_keys=True))
     differ = sorted(k for k in old["items"].keys() | new["items"].keys()
                     if old["items"].get(k) != new["items"].get(k))
     for key in differ:
