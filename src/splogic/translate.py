@@ -6,12 +6,15 @@ The target vocabulary extends the source predicates with four reserved
 ones: ind(x) marks indefinite individuals, ext(x) precise entities,
 ink(x) the individuals admitted by some sortal at the current
 precisification, and prec(x, y) relates an individual to its precise
-version there.
+version there.  Every precise atom binds the same witnesses, the first
+names of e1, e2, ... the source does not use, so equal atoms translate
+to equal formulas.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 from dataclasses import replace
 
@@ -56,36 +59,29 @@ def translated_vocabulary(vocab: V1Vocabulary) -> FoslVocabulary:
     return make_fosl_vocabulary(predicates, vocab.names, vocab.standpoints)
 
 
-class _FreshVars:
-    """Existential witnesses e1, e2, ... never reused and never colliding
-    with variables already present in the source formula."""
-
-    def __init__(self, taken: frozenset[str]):
-        self.taken = taken
-        self.counter = 0
-
-    def next(self) -> str:
-        while True:
-            self.counter += 1
-            name = f"e{self.counter}"
-            if name not in self.taken:
-                return name
-
-
 def translate_formula(f: Formula, vocab: V1Vocabulary) -> Formula:
     """Map a V1 formula to a standpoint-logic formula over the translated
     vocabulary.  Sortal and indefinite atoms pass through; universal
     quantifiers relativize to ink; precise atoms existentially project
-    each argument to a prec-related entity.  Equalities pass through."""
+    each argument to a prec-related entity.  Equalities pass through.
+
+    A precise atom of arity k takes as witnesses the first k names of
+    e1, e2, ... that f does not use, so equal atoms translate to equal
+    formulas.  Reusing a name across atoms is sound: an atom's witnesses
+    are bound inside its own translation, and atoms do not nest, so no
+    witness lies in another's scope.  The only variables free in that
+    scope are the atom's arguments, which are variables of f, and no
+    witness is one of them, so none is captured."""
     validate_formula(f, vocab)
-    fresh = _FreshVars(all_variables(f))
-    return _translate(f, vocab, fresh)
+    return _translate(f, vocab, all_variables(f))
 
 
-def _translate(f: Formula, vocab: V1Vocabulary, fresh: _FreshVars) -> Formula:
+def _translate(f: Formula, vocab: V1Vocabulary, taken: frozenset[str]) -> Formula:
     if isinstance(f, Atom):
         if f.pred in vocab.precise:
-            witnesses = [fresh.next() for _ in f.args]
+            names = (f"e{i}" for i in itertools.count(1))
+            witnesses = list(itertools.islice(
+                (w for w in names if w not in taken), len(f.args)))
             parts = [Atom(f.pred, tuple(Var(w) for w in witnesses))]
             parts.extend(
                 Atom("prec", (arg, Var(w))) for arg, w in zip(f.args, witnesses)
@@ -98,16 +94,16 @@ def _translate(f: Formula, vocab: V1Vocabulary, fresh: _FreshVars) -> Formula:
     if isinstance(f, Equal):
         return f
     if isinstance(f, Not):
-        return Not(_translate(f.body, vocab, fresh))
+        return Not(_translate(f.body, vocab, taken))
     if isinstance(f, And):
-        return And(_translate(f.left, vocab, fresh), _translate(f.right, vocab, fresh))
+        return And(_translate(f.left, vocab, taken), _translate(f.right, vocab, taken))
     if isinstance(f, Forall):
         return Forall(
             f.var,
-            implies(Atom("ink", (Var(f.var),)), _translate(f.body, vocab, fresh)),
+            implies(Atom("ink", (Var(f.var),)), _translate(f.body, vocab, taken)),
         )
     if isinstance(f, Box):
-        return Box(f.standpoint, _translate(f.body, vocab, fresh))
+        return Box(f.standpoint, _translate(f.body, vocab, taken))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -239,7 +235,10 @@ def _bridge_axioms(key: tuple) -> tuple[tuple[tuple[str, Formula], ...], Formula
     out.append(("8", Forall("x", And(_INK_IND, iff(ink_x, sortal_disjunction)))))
     out.extend((f"names:{n}", Atom("ink", (Const(n),))) for n in sorted(names))
     boxed = [_FIXED_BOXED.get(label) or _box(ax) for label, ax in out]
-    _SHARED_AXIOMS.update(boxed)
+    for ax in boxed:
+        # an entry dies with its object: replace an older, equal one
+        _SHARED_AXIOMS.discard(ax)
+        _SHARED_AXIOMS.add(ax)
     return tuple(out), conjoin(boxed)
 
 
@@ -274,22 +273,21 @@ def full_translation(
         raise ModelFormatError(
             f"full translation requires a sentence; free: {sorted(free_variables(f))}"
         )
-    core = _translate(f, vocab, _FreshVars(all_variables(f)))
+    core = _translate(f, vocab, all_variables(f))
     vocab = _pin_wildcards(vocab, pinned)
     return And(core, _bridge_axioms(_vocabulary_key(vocab))[1])
 
 
 def translation_report(f: Formula, vocab: V1Vocabulary) -> dict:
     """Sizes, monodicity flags and axiom count for a translation run."""
-    core = translate_formula(f, vocab)
     full = full_translation(f, vocab)
     return {
         "source_size": formula_size(f),
-        "translated_size": formula_size(core),
+        "translated_size": formula_size(full.left),
         "full_size": formula_size(full),
         "axiom_count": len(labeled_axioms(vocab)),
         "source_monodic": is_monodic(f),
-        "translated_monodic": is_monodic(core),
+        "translated_monodic": is_monodic(full.left),
         "full_monodic": is_monodic(full),
     }
 

@@ -9,6 +9,7 @@ from splogic import (
     ExhaustedUnsat,
     equisat_check,
     fosl_structure_to_dict,
+    full_translation,
     generate_formula,
     lift_model,
     make_v1_structure,
@@ -123,6 +124,41 @@ class TestEquisatHarness:
         assert tallies.get("discrepancy", 0) == 0
         assert tallies.get("inconclusive", 0) == 0
         assert tallies.get("sat", 0) + tallies.get("unsat", 0) == 200
+
+
+class TestRepeatedPreciseAtoms:
+    """Sentences over a binary precise predicate that repeat one atom.
+    Equal atoms translate to equal formulas, so the level formula dedupes
+    them and refutes an atom conjoined with its negation."""
+
+    VOCAB = make_v1_vocabulary(["Kind"], {"Rel": 2}, {"Near": 2}, [], ["s"])
+    BOUNDS = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
+                    timeout=10)
+
+    @pytest.mark.parametrize("seed", [581, 714, 1221])
+    def test_agree_unsat(self, seed):
+        f = generate_formula(self.VOCAB, seed, 4)
+        report = equisat_check(self.VOCAB, f, self.BOUNDS)
+        assert report.agreement == "unsat"
+
+    def test_contradiction_loads_no_standpoint_space(self, monkeypatch):
+        f = generate_formula(self.VOCAB, 1221, 4)
+        assert f == parse_formula(
+            "exists ?x (![s] Near(?x, ?x) & !(Near(?x, ?x) -> Near(?x, ?x)))",
+            self.VOCAB)
+        full = full_translation(f, self.VOCAB)
+        assert [finder._level(full, m)[0] for m in (1, 2)] == [False, False]
+        loaded = []
+        load = finder._FoslSpace.load
+
+        def counted(space, f, deadline=float("inf")):
+            loaded.append(space.m)
+            load(space, f, deadline)
+
+        monkeypatch.setattr(finder._FoslSpace, "load", counted)
+        report = equisat_check(self.VOCAB, f, self.BOUNDS)
+        assert [d.outcome for d in report.directions] == ["unsat", "unsat"]
+        assert loaded == [] and not finder._spaces
 
 
 class TestAgreementBranches:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import re
 
 import pytest
 
@@ -70,17 +72,26 @@ class TestTranslateFormula:
         )
         assert translate_formula(f, desert_v1_vocab) == expected
 
-    def test_fresh_witnesses_never_reused(self, desert_v1_vocab):
+    def test_equal_atoms_translate_equally(self, desert_v1_vocab):
+        # every precise atom binds the same witnesses
+        f = parse_formula("PartOf(house, a) & !PartOf(house, a)", desert_v1_vocab)
+        out = translate_formula(f, desert_v1_vocab)
+        assert out.left == out.right.body
         f = parse_formula("PartOf(house, a) & PartOf(a, house)", desert_v1_vocab)
-        out = print_formula(translate_formula(f, desert_v1_vocab))
-        for name in ("?e1", "?e2", "?e3", "?e4"):
-            assert name in out
+        out = translate_formula(f, desert_v1_vocab)
+        for part in (out.left, out.right):
+            text = print_formula(part)
+            assert "PartOf(?e1, ?e2)" in text and "?e3" not in text
 
     def test_fresh_witnesses_avoid_source_variables(self, desert_v1_vocab):
         f = parse_formula("exists ?e1 PartOf(?e1, a)", desert_v1_vocab)
         out = translate_formula(f, desert_v1_vocab)
         text = print_formula(out)
         assert "prec(?e1, ?e2)" in text  # witnesses start after the taken name
+        f = parse_formula("exists ?e2 PartOf(?e2, a)", desert_v1_vocab)
+        text = print_formula(translate_formula(f, desert_v1_vocab))
+        assert "PartOf(?e1, ?e3)" in text  # the taken name is skipped
+        assert "prec(?e2, ?e1)" in text and "prec(a, ?e3)" in text
 
     def test_equality_passes_through(self, desert_v1_vocab):
         f = parse_formula("house = a", desert_v1_vocab)
@@ -179,6 +190,18 @@ class TestAxiomCache:
         assert fresh == cached
         assert all(a is not b for (lab, a), (_, b) in zip(fresh, cached)
                    if lab not in ("1", "2", "4", "5", "6"))
+
+    def test_rebuilt_axioms_stay_shared_after_the_old_ones_die(self):
+        # the model finder matches shared axioms through weak references:
+        # a rebuild's objects must keep matching once equal objects from
+        # an earlier build are collected
+        vocab = _desert()
+        old = full_translation(pr("Desert(a)"), vocab)
+        translate._bridge_axioms.cache_clear()
+        new = full_translation(pr("Desert(a)"), vocab)
+        del old
+        gc.collect()
+        assert all(ax in translate._SHARED_AXIOMS for ax in conjuncts(new)[1:])
 
     def test_a_different_arity_gets_its_own_axioms(self):
         base = dict(labeled_axioms(_desert()))
@@ -362,10 +385,16 @@ class TestLiftModel:
         for seed in range(200):
             mv = generate_v1_structure(desert_v1_vocab, seed, bounds)
             f = generate_formula(desert_v1_vocab, seed + 9000, 4)
+            # the same sentence with its variables renamed ?e1, ?e2, ...,
+            # the names the translation's witnesses must skip
+            names: dict[str, str] = {}
+            text = re.sub(r"\?\w+", lambda m: names.setdefault(
+                m.group(), f"?e{len(names) + 1}"), print_formula(f))
             lifted = lift_model(mv)
-            assert is_model_v1(mv, f) == is_model(
-                lifted, full_translation(f, desert_v1_vocab)
-            )
+            for g in (f, parse_formula(text, desert_v1_vocab)):
+                assert is_model_v1(mv, g) == is_model(
+                    lifted, full_translation(g, desert_v1_vocab)
+                )
 
 
 class TestLowerModel:

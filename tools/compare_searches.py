@@ -35,7 +35,9 @@ elapsed fields removed, and the number of depth-first search calls per
 set and per space class (counted around _Space.dfs).  The comparison
 prints, for both trees, the dfs totals and each equisat set's tally of
 agreements (sat, unsat, discrepancy, inconclusive), then every item that
-differs, and exits 1 when any does.
+differs and how many are identical.  It exits 1 when any item or any dfs
+total differs, so a change that only alters the search work exits 1 with
+every item identical, and 0 only when both trees agree on everything.
 """
 
 from __future__ import annotations
