@@ -36,7 +36,7 @@ from .syntax import (
     make_fosl_vocabulary,
     make_v1_vocabulary,
 )
-from .translate import full_translation, translation_report
+from .translate import _report, full_translation
 from .v1 import (
     load_v1_model,
     satisfies_at_v1,
@@ -145,7 +145,7 @@ def cmd_translate(args) -> int:
     translated = full_translation(f, vocab)
     _write_or_print(print_formula(translated) + "\n", args.out)
     if args.report:
-        report = translation_report(f, vocab)
+        report = _report(f, translated)
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")

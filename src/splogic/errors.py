@@ -85,15 +85,17 @@ def check_shape(value, shape, error: type[SplError], where: str) -> None:
 
 def load_json(path: str, error: type[SplError], read):
     """read(value) of the JSON value in the file at path.  A malformed
-    file raises error, which names the path; an SplError that read raises
-    keeps its type and gets the path in front of its message."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"invalid JSON in {path}: {exc}") from None
+    file, or one nested too deeply for the parser or for read, raises
+    error, which names the path; an SplError that read raises keeps its
+    type and gets the path in front of its message."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         return read(data)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise error(f"invalid JSON in {path}: nested too deeply") from None
     except SplError as exc:
         exc.args = (f"{path}: {exc}", *exc.args[1:])
         raise

@@ -18,11 +18,11 @@ also creates their cells and read sets (see _Space).  Every cell is
 precise version is the function prec, which V1's registries preset
 (multisets of extension maps that use every entity, see find_v1_model).
 Each space supplies its universal quantifier and tables, V1 also its
-indefinite atoms and its atoms over precise entities.  Every constraint of
-a level is a compiled instance, V1's typing of names included.  An
-unknown result names as its blocking cell the first unset cell read by a
-subformula it depends on: a subformula that turns out decided leaves no
-trace.
+atoms over precise entities.  Every constraint of a level is a compiled
+instance, V1's typing of names included; V1's indefinite atoms compile
+from their admission guards (_instances_v1).  An unknown result names
+as its blocking cell the first unset cell read by a subformula it
+depends on: a subformula that turns out decided leaves no trace.
 
 One level loop, _search, runs both engines: a level is a space and the
 configurations it is searched under, the split points of a split
@@ -352,9 +352,9 @@ class _Space:
     unknown child restores the culprit it found at its entry, so the
     culprit always comes from a subformula an unknown result depends
     on.  An atom whose predicate _table gives no table compiles through
-    the space's _precise_atom, which adds its own read keys: V1's
-    indefinite and rigid precise predicates, and ind, ext and prec in a
-    split standpoint space.
+    the space's _precise_atom, which adds its own read keys: V1's rigid
+    precise predicates, and ind, ext and prec in a split standpoint
+    space.  A box over * reads a constant row that admits every pi.
     """
 
     def __init__(self, vocab, f: Formula, m: int, base: int):
@@ -459,6 +459,19 @@ class _Space:
                 self.reads.add(("p", f.pred))
             pred = f.pred
             base = self.base
+            if len(resolvers) == 1:  # the commonest atom, each sortal guard one: no loop
+                (resolve,) = resolvers
+
+                def fn(pi, env):
+                    e = resolve(pi, env)
+                    if e is None:
+                        return _U
+                    b = arrays[pi][e]
+                    if b == 0:
+                        self._note(("p", pred, pi, e))
+                    return b
+
+                return fn
 
             def fn(pi, env):
                 rank = 0
@@ -523,23 +536,10 @@ class _Space:
             sp = f.standpoint
             m = self.m
             if sp == UNIVERSAL_STANDPOINT:
-
-                def fn(pi, env):
-                    cul = self.culprit
-                    unknown = False
-                    for p2 in range(m):
-                        v = child(p2, env)
-                        if v == _F:
-                            self.culprit = cul
-                            return _F
-                        if v == _U:
-                            unknown = True
-                    return _U if unknown else _T
-
-                return fn
-
-            self.reads.add(("s", sp))
-            rows = self.tables.setdefault(("s", sp), [bytearray(1) for _ in range(m)])
+                rows = [b"\x01"] * m  # admits every precisification: no cell
+            else:
+                self.reads.add(("s", sp))
+                rows = self.tables.setdefault(("s", sp), [bytearray(1) for _ in range(m)])
 
             def fn(pi, env):
                 cul = self.culprit
@@ -1251,9 +1251,10 @@ class _V1Space(_Space):
     over the individuals.  Every constraint is an instance: one per name
     n, K1(n) | ... | Kk(n) over the sorted sortals (false without
     sortals), comes first, and an indefinite atom is true only of
-    individuals admitted at its precisification.  Its bit is branched on
-    only once every argument is known to be admitted (see _precise_atom),
-    so every true bit lies over admitted individuals.
+    individuals admitted at its precisification: it compiles guarded by
+    their admissions (_instances_v1), so its bit is branched on only once
+    every argument is known to be admitted, and every true bit lies over
+    admitted individuals.  Only _quantify reads the sortals via member3.
     """
 
     def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int, r: int):
@@ -1270,7 +1271,7 @@ class _V1Space(_Space):
         self.sortal_rows = [(k, [bytearray(self.r) for _ in range(m)])
                             for k in sorted(vocab.sortals)]
         self.tables.update((("p", k), rows) for k, rows in self.sortal_rows)
-        for part in _name_typing(vocab.sortals, vocab.names) + conjuncts(_level(f, m)[0]):
+        for part in _instances_v1(vocab.sortals, vocab.names, frozenset(vocab.indefinite), f, m):
             self.varies = False
             self.conjuncts.append(self._compile(part, {}))
             self.pi_indep.append(not self.varies)
@@ -1288,8 +1289,8 @@ class _V1Space(_Space):
             if pred in self.vocab.precise:
                 self.tables["p", pred] = [bytearray(self.ne ** arity)]  # rigid
             else:
-                self.tables["p", pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
-        return None if pred in self.preds else table  # see _precise_atom
+                table = self.tables["p", pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
+        return None if pred in self.vocab.precise else table  # see _precise_atom
 
     def member3(self, i: int, pi: int) -> tuple[int, tuple | None]:
         """Is individual i admitted by some sortal at pi?  An unknown
@@ -1332,47 +1333,10 @@ class _V1Space(_Space):
         return fn
 
     def _precise_atom(self, f: Atom, slots, resolvers):
-        # this space keeps no read sets
-        pred = f.pred
-        bits = self.tables["p", pred]
-        if pred not in self.vocab.precise:
-            # an indefinite atom holds only of individuals admitted at pi:
-            # a known non-admitted argument makes it false, an open
-            # admission names its first open sortal cell (last argument
-            # first), and only then is the atom's own bit the culprit, so
-            # a true bit always lies over admitted individuals
-            base = self.r
-            member3 = self.member3
-
-            def fn(pi, env):
-                rank = 0
-                for resolve in resolvers:
-                    i = resolve(pi, env)
-                    if i is None:
-                        return _U
-                    rank = rank * base + i
-                b = bits[pi][rank]
-                if b == 2:
-                    return _F
-                culprit = None
-                rest = rank
-                for _ in resolvers:
-                    mv, mc = member3(rest % base, pi)
-                    if mv == _F:
-                        return _F
-                    culprit = culprit or mc
-                    rest //= base
-                if culprit is None:
-                    if b == 1:
-                        return _T
-                    culprit = ("p", pred, pi, rank)
-                self._note(culprit)
-                return _U
-
-            return fn
         # a precise atom dereferences each argument to its individual's
-        # precise version at pi
-        row = bits[0]
+        # precise version at pi; this space keeps no read sets
+        pred = f.pred
+        row = self.tables["p", pred][0]
         prec = self.prec
         ne = self.ne
 
@@ -1455,11 +1419,39 @@ class _V1Space(_Space):
         return structure
 
 
+def _admitted(sortals: frozenset, t) -> Formula:
+    # K1(t) | ... | Kk(t) over the sorted sortals (false without sortals)
+    return disjoin(Atom(k, (t,)) for k in sorted(sortals)) if sortals else falsity()
+
+
 @functools.lru_cache(maxsize=8)
-def _name_typing(sortals: frozenset, names: frozenset) -> list[Formula]:
-    # the name-typing instances of _V1Space, shared by the spaces of all levels
-    return [disjoin(Atom(k, (Const(nm),)) for k in sorted(sortals)) if sortals else falsity()
-            for nm in sorted(names)]
+def _instances_v1(sortals: frozenset, names: frozenset, indefinite: frozenset, f: Formula,
+                  m: int) -> list[Formula]:
+    """The instances of a _V1Space for f at m precisifications: one per
+    name n, _admitted(n), then the conjuncts of f's level formula (_level)
+    with each indefinite atom A(t1, ..., tk) read as _admitted(tk) & ...
+    & _admitted(t1) & A(t1, ..., tk) (see _V1Space)."""
+
+    def guard(g: Formula) -> Formula:
+        # g with its indefinite atoms guarded; an unchanged part is g itself
+        if g.__class__ is Atom:
+            if g.pred not in indefinite:
+                return g
+            return conjoin([_admitted(sortals, t) for t in reversed(g.args)] + [g])
+        if g.__class__ is And:
+            left, right = guard(g.left), guard(g.right)
+            return g if left is g.left and right is g.right else And(left, right)
+        if g.__class__ is Equal:
+            return g
+        body = guard(g.body)
+        if body is g.body:
+            return g
+        if g.__class__ is Not:
+            return Not(body)
+        return Forall(g.var, body) if g.__class__ is Forall else Box(g.standpoint, body)
+
+    return ([_admitted(sortals, Const(nm)) for nm in sorted(names)]
+            + [guard(part) for part in conjuncts(_level(f, m)[0])])
 
 
 def _registries(ne: int, m: int, r: int):

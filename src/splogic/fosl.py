@@ -121,10 +121,11 @@ def eval_term(m: FoslStructure, pi: str, v: Assignment, t: Term) -> str:
     if pi not in m.interpretation:
         raise EvaluationError(f"unknown precisification {pi!r}")
     if isinstance(t, Var):
-        try:
-            return v[t.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable ?{t.name}") from None
+        if t.name not in v:
+            raise EvaluationError(f"unbound variable ?{t.name}")
+        if v[t.name] not in m.domain:
+            raise EvaluationError(f"variable ?{t.name} bound to unknown element {v[t.name]!r}")
+        return v[t.name]
     try:
         return m.interpretation[pi].constants[t.name]
     except KeyError:
@@ -146,8 +147,8 @@ def eval_term(m: FoslStructure, pi: str, v: Assignment, t: Term) -> str:
 # Evaluation keeps the order of the recursive definition: precisification,
 # then assignment, then conjunct, each left to right with its short
 # circuits.  So a lazy EvaluationError (unknown constant, unknown
-# standpoint, unbound variable) is raised exactly where that definition
-# meets it.
+# standpoint, a variable unbound or bound outside the domain) is raised
+# exactly where that definition meets it.
 
 _UNBOUND = -1  # an env value no element has
 _NO_ROWS: frozenset[int] = frozenset()
@@ -172,16 +173,13 @@ class _Prec:
         self.sigma = sigma  # standpoint -> admitted _Precs, shared
 
 
-def _index(m: FoslStructure, keys, extra=()) -> tuple[dict[str, _Prec], dict[str, int]]:
+def _index(m: FoslStructure, keys) -> tuple[dict[str, _Prec], dict[str, int]]:
     """m's precisifications indexed for evaluation, in order, and the
-    element ints: the domain first, then the other values of extra (an
-    assignment's values outside the domain).  Every table in keys exists,
-    empty where m has no such tuples."""
+    element ints of the domain.  Every table in keys exists, empty where
+    m has no such tuples."""
     ids = {e: i for i, e in enumerate(m.domain)}
-    for value in extra:
-        ids.setdefault(value, len(ids))
     base = len(ids)
-    elems = range(len(m.domain))
+    elems = range(base)
     sigma: dict[str, list[_Prec]] = {}
     pts: dict[str, _Prec] = {}
     for pi in m.precisifications:
@@ -314,6 +312,8 @@ class _Compiler:
             e = env[slot]
             if e == _UNBOUND:
                 raise EvaluationError(f"unbound variable ?{name}")
+            if e.__class__ is str:
+                raise EvaluationError(f"variable ?{name} bound to unknown element {e}")
             return e
 
         return free
@@ -347,9 +347,9 @@ class _Compiler:
         return atom
 
 
-def _prepare(m: FoslStructure, f: Formula, extra=()):
+def _prepare(m: FoslStructure, f: Formula):
     parts = [_compile(g) for g in conjuncts(f)]
-    pts, ids = _index(m, {key for c in parts for key in c.keys}, extra)
+    pts, ids = _index(m, {key for c in parts for key in c.keys})
     return parts, pts, ids
 
 
@@ -387,12 +387,12 @@ def _check_prec(m: FoslStructure, pi: str) -> None:
 def satisfies(m: FoslStructure, pi: str, v: Assignment, f: Formula) -> bool:
     """Truth at pi under the assignment v."""
     _check_prec(m, pi)
-    parts, pts, ids = _prepare(m, f, v.values())
+    parts, pts, ids = _prepare(m, f)
     for c in parts:
         env = [_UNBOUND] * c.width
         for name, slot in c.free.items():
-            if name in v:
-                env[slot] = ids[v[name]]
+            if name in v:  # a value off the domain goes in as its repr (see _Compiler.term)
+                env[slot] = ids[v[name]] if v[name] in ids else repr(v[name])
         if not c.fn(pts[pi], env):
             return False
     return True

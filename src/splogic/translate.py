@@ -35,6 +35,7 @@ from .syntax import (
     Var,
     all_variables,
     conjoin,
+    conjuncts,
     disjoin,
     exists,
     formula_size,
@@ -280,12 +281,15 @@ def full_translation(
 
 def translation_report(f: Formula, vocab: V1Vocabulary) -> dict:
     """Sizes, monodicity flags and axiom count for a translation run."""
-    full = full_translation(f, vocab)
+    return _report(f, full_translation(f, vocab))
+
+
+def _report(f: Formula, full: And) -> dict:
     return {
         "source_size": formula_size(f),
         "translated_size": formula_size(full.left),
         "full_size": formula_size(full),
-        "axiom_count": len(labeled_axioms(vocab)),
+        "axiom_count": len(conjuncts(full.right)),
         "source_monodic": is_monodic(f),
         "translated_monodic": is_monodic(full.left),
         "full_monodic": is_monodic(full),

@@ -122,6 +122,35 @@ class TestTranslate:
         assert report["axiom_count"] == 10
         assert report["source_monodic"] is True
 
+    def test_report_translates_once(self, capsys, tmp_path, monkeypatch):
+        # the report is read off the translation the command prints
+        import splogic.translate
+
+        calls = []
+        translate = splogic.translate.full_translation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return translate(*args, **kwargs)
+
+        monkeypatch.setattr(splogic.translate, "full_translation", counted)
+        monkeypatch.setattr("splogic.cli.full_translation", counted)
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "translate",
+            "--formula", str(FIXTURES / "formula_c.txt"),
+            "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
+            "--out", str(tmp_path / "out.txt"),
+            "--report", str(report_path),
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(report_path.read_text()) == {
+            "axiom_count": 10, "full_monodic": False, "full_size": 181,
+            "source_monodic": True, "source_size": 16, "translated_monodic": True,
+            "translated_size": 40,
+        }
+
     def test_translated_output_reparses(self, capsys, tmp_path):
         from splogic import parse_formula, translated_vocabulary
         from splogic.cli import load_vocabulary
@@ -317,6 +346,44 @@ class TestEquisatCommand:
         assert reports[0] == reports[1]
 
 
+    def test_timeout_exits_three(self, capsys):
+        code, out, _ = run(
+            capsys, "equisat",
+            "--formula", str(FIXTURES / "formula_c.txt"),
+            "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
+            "--timeout", "1e-9",
+        )
+        assert code == 3
+        assert json.loads(out)["agreement"] == "inconclusive"
+
+    def test_discrepancy_exits_one(self, capsys, tmp_path, monkeypatch):
+        # the V1 search is stubbed to come back exhausted while the
+        # backward search finds a model
+        from splogic import ExhaustedUnsat, finder
+
+        monkeypatch.setattr(finder, "find_v1_model",
+                            lambda vocab, f, bounds: ExhaustedUnsat(bounds, 0.0))
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"logic": "v1", "sortals": ["K"], "names": ["a", "b"]}))
+        formula = tmp_path / "f.txt"
+        formula.write_text("!(a = b)")
+        code, out, _ = run(capsys, "equisat", "--formula", str(formula), "--vocab", str(vocab),
+                           "--bounds", "2,1,1,2")
+        assert code == 1
+        assert json.loads(out)["agreement"] == "discrepancy"
+
+    def test_three_bounds_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "equisat",
+            "--formula", str(FIXTURES / "formula_c.txt"),
+            "--vocab", str(FIXTURES / "desert_v1_vocab.json"),
+            "--bounds", "1,2,3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--bounds expects" in err
+
+
 class TestMonodic:
     def test_formula_c_is_monodic(self, capsys):
         code, out, _ = run(
@@ -472,6 +539,55 @@ class TestLoadErrorsNameTheFile:
         vocab.write_text(json.dumps({"logic": "v1", "sortals": ["K"], "names": 3}))
         with pytest.raises(VocabularyError, match=f"^{re.escape(str(vocab))}: vocabulary"):
             load_vocabulary(str(vocab))
+
+
+class TestOverDeepJson:
+    """A JSON file nested deeper than the parser reaches is invalid JSON
+    named with its file, not a formula nested too deeply."""
+
+    @staticmethod
+    def deep_file(tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        return path
+
+    def test_loaders(self, tmp_path):
+        from splogic import ModelFormatError, VocabularyError, load_fosl_model, load_v1_model
+        from splogic.cli import load_vocabulary
+
+        path = self.deep_file(tmp_path)
+        message = f"^invalid JSON in {re.escape(str(path))}: nested too deeply$"
+        for load in (load_fosl_model, load_v1_model):
+            with pytest.raises(ModelFormatError, match=message):
+                load(str(path))
+        with pytest.raises(VocabularyError, match=message):
+            load_vocabulary(str(path))
+
+    def test_reader_nested_too_deeply(self, tmp_path):
+        # a reader that reaches the recursion limit on a valid file
+        from splogic import ModelFormatError
+        from splogic.errors import load_json
+
+        path = tmp_path / "model.json"
+        path.write_text("[]")
+
+        def read(value):
+            return read([value])
+
+        with pytest.raises(ModelFormatError, match="nested too deeply"):
+            load_json(str(path), ModelFormatError, read)
+
+    @pytest.mark.parametrize("argv", [
+        ("monodic", "--vocab"),
+        ("check", "--flavor", "fosl", "--model"),
+    ], ids=["vocabulary", "fosl-model"])
+    def test_cli_exits_two(self, capsys, tmp_path, argv):
+        path = self.deep_file(tmp_path)
+        code, out, err = run(capsys, *argv[:-1], "--formula", str(FIXTURES / "formula_c.txt"),
+                             argv[-1], str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid JSON in {path}: nested too deeply\n"
 
 
 class TestUnknownKeys:

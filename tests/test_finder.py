@@ -924,6 +924,40 @@ class TestSpaceReuse:
         assert warm == cold
         assert warm[0] is ExhaustedUnsat and warm[1][3, 2] > 3
 
+    def test_least_recently_kept_shape_is_evicted(self, monkeypatch):
+        # more shapes than the cache holds: the first one kept is dropped,
+        # and a search of its shape builds a new space with the outcome
+        # of a search on an empty cache
+        vocab = make_fosl_vocabulary({"P": 1}, ["c"], ["s"])
+        f = parse_formula("P(c) & [s] P(c)", vocab)
+        bounds = Bounds(max_domain=1, max_precisifications=1, timeout=60)
+        finder._spaces.clear()
+        cold = find_fosl_model(vocab, f, bounds)
+        finder._spaces.clear()
+        # one more shape than the cache holds
+        shapes = [(n, m) for n in range(1, 10) for m in (1, 2)][:finder._SPACES_KEPT + 1]
+        spaces = [finder._fosl_space(vocab, f, n, m, True, float("inf"), False)
+                  for n, m in shapes]
+        for space in spaces:
+            finder._keep_space(space)
+        assert list(finder._spaces) == [space.shape for space in spaces[1:]]
+        assert len(finder._spaces) == 16
+        built = []
+        init = _FoslSpace.__init__
+
+        def recorded(space, *args):
+            init(space, *args)
+            built.append((space.n, space.m))
+
+        monkeypatch.setattr(_FoslSpace, "__init__", recorded)
+        warm = find_fosl_model(vocab, f, bounds)
+        assert built == [(1, 1)]
+        # keeping the new space drops the next least recently kept shape
+        assert list(finder._spaces) == [space.shape for space in spaces[2:] + spaces[:1]]
+        finder._spaces.clear()
+        assert isinstance(cold, ModelFound) and isinstance(warm, ModelFound)
+        assert fosl_structure_to_dict(warm.structure) == fosl_structure_to_dict(cold.structure)
+
     def test_two_checkouts_get_two_spaces(self):
         # a space is out of the cache while a search uses it
         vocab = corpus_vocab()
@@ -1225,6 +1259,29 @@ class TestSortSplit:
                 table = model.interpretation[pi].predicates
                 assert sorted(table["ind"]) == [(f"d{i}",) for i in range(r)]
                 assert sorted(table["ext"]) == [(e,) for e in model.domain[r:]]
+
+    # ind(s), ext(s) and prec(s, t) read s, and prec reads t, which may
+    # be a constant still unset once the split point is known
+    @pytest.mark.parametrize("extra, outcome", [
+        ("ind(a)", ModelFound), ("!ext(b)", ModelFound), ("prec(a, b)", ExhaustedUnsat),
+        ("!prec(a, b)", ModelFound), ("prec(a, a)", ExhaustedUnsat),
+    ])
+    def test_split_atoms_over_an_unset_constant(self, extra, outcome, monkeypatch):
+        calls = self.count_splits(monkeypatch)
+        vocab = make_v1_vocabulary(["K"], {}, {"Q": 1}, ["a", "b"], [])
+        trans_vocab = translated_vocabulary(vocab)
+        f = conjoin([full_translation(parse_formula("Q(a) & !Q(b)", vocab), vocab),
+                     parse_formula(extra, trans_vocab)])
+        split = find_fosl_model(trans_vocab, f, Bounds(max_domain=4, max_precisifications=1,
+                                                       timeout=60))
+        assert calls
+        calls.clear()
+        plain = find_fosl_model(trans_vocab, f, Bounds(max_domain=4, max_precisifications=1,
+                                                       timeout=60, symmetry_reduction=False))
+        assert not calls
+        assert type(split) is type(plain) is outcome
+        if outcome is ModelFound:
+            assert naive_is_model(split.structure, f)
 
     # the corpus at domain 3, and the six equisat_hard sentences
     # (bench/data/equisat_hard.json) at domain 4, the level they exhaust

@@ -63,6 +63,10 @@ class TestEvalTerm:
         with pytest.raises(EvaluationError):
             eval_term(m0, "p1", {}, Const("zzz"))
 
+    def test_variable_outside_the_domain(self, m0):
+        with pytest.raises(EvaluationError, match=r"\?x bound to unknown element 'nowhere'"):
+            eval_term(m0, "p1", {"x": "nowhere"}, Var("x"))
+
     def test_unknown_precisification(self, m0):
         with pytest.raises(EvaluationError):
             eval_term(m0, "p9", {}, Const("c"))
@@ -78,6 +82,15 @@ class TestSatisfies:
     def test_contradiction_is_false(self, m0):
         assert satisfies(m0, "p1", {}, pf("P(c) & !P(c)")) is False
         assert satisfies(m0, "p2", {}, pf("P(c) & !P(c)")) is False
+
+    def test_assignment_outside_the_domain_raises(self, m0):
+        # as satisfies_v1 does for an unknown individual: an element
+        # outside the domain is no value of a variable
+        f = pf("?x = ?x & !P(?x)")
+        with pytest.raises(EvaluationError, match=r"\?x bound to unknown element 'nowhere'"):
+            satisfies(m0, "p1", {"x": "nowhere"}, f)
+        # raised where evaluation reads the variable, as for an unbound one
+        assert satisfies(m0, "p1", {"x": "nowhere"}, pf("P(c) & !P(c) & P(?x)")) is False
 
     def test_naive_agrees_on_m0_examples(self, m0):
         for text, pi in [("[s] P(c)", "p1"), ("[*] P(c)", "p1"), ("P(?x)", "p1")]:
