@@ -19,10 +19,11 @@ precise version is the function prec, which V1's registries preset
 (multisets of extension maps that use every entity, see find_v1_model).
 Each space supplies its universal quantifier and tables, V1 also its
 atoms over precise entities.  Every constraint of a level is a compiled
-instance, V1's typing of names included; V1's indefinite atoms compile
-from their admission guards (_instances_v1).  An unknown result names
-as its blocking cell the first unset cell read by a subformula it
-depends on: a subformula that turns out decided leaves no trace.
+instance, V1's typing of names included, kept as one record with one
+memo row (_Instance); V1's indefinite atoms compile from their admission
+guards (_instances_v1).  An unknown result names as its blocking cell
+the first unset cell read by a subformula it depends on: a subformula
+that turns out decided leaves no trace.
 
 One level loop, _search, runs both engines: a level is a space and the
 configurations it is searched under, the split points of a split
@@ -314,6 +315,30 @@ class _DeadlinePassed(Exception):
     """The deadline passed while a space was ground or searched."""
 
 
+@dataclass(slots=True, eq=False)  # hashed by identity
+class _Instance:
+    """A compiled instance of a level: fn(pi, env) under the (slot,
+    element) pairs of preset, read at the first span precisifications (1
+    when its value cannot depend on one, else m).  touch is the tick at
+    which a cell it can read last changed (_FoslSpace._touch).  memo has
+    an entry per precisification: _T, found true since the trail frame
+    holding the entry opened; None; or in a standpoint space, an unknown
+    result's (culprit, survivors, keep, tick), the probe's survivors and
+    keep None until it is probed there (_FoslSpace._scan).
+
+    An entry is valid while its tick is at least touch.  Touch ticks only
+    grow, so a stale entry stays stale; an instance is evaluated only
+    where its entry is None or stale, so _T replaces only a worthless
+    entry, and closing its frame resets it to None.  A probe result lives
+    in the entry its evaluation wrote, so it is valid exactly as long."""
+
+    fn: object
+    preset: tuple
+    span: int
+    memo: list
+    touch: int = 0
+
+
 class _Space:
     """Depth-first search over the cells of a partial structure, and the
     three-valued compiler both logics share.
@@ -332,7 +357,9 @@ class _Space:
     universal over its domain) and self.choices, the values a function
     branches over from its least one (_least); it may extend assign,
     decide (the one branching step) and unassign.  Both spaces write
-    every cell through _poke.
+    every cell through _poke and keep their instances in self.instances
+    (_Instance).  An assignment opens a trail frame, which lists as
+    (memo row, pi) the entries set to _T since; pop_frame resets them.
 
     The compiler is the one walk over a level's formula.  It creates a
     symbol's cells when it first meets it (a predicate's table through
@@ -370,9 +397,8 @@ class _Space:
         self.env: list[int] = []
         self.culprit: tuple | None = None
         self.reads: set[tuple] = set()
-        self.conjuncts: list = []  # compiled instances
-        self.pi_indep: list[bool] = []
-        self.trail: list[list[tuple[int, int]]] = [[]]
+        self.instances: list[_Instance] = []
+        self.trail: list[list[tuple[list, int]]] = [[]]
 
     def dfs(self, deadline: float):
         """The first model below this node, materialized, or None when
@@ -423,8 +449,8 @@ class _Space:
     def pop_frame(self) -> None:
         # close the newest trail frame: the instances found true since it
         # opened are undecided again
-        for ci, pi in self.trail.pop():
-            self.status[ci][pi] = _U
+        for memo, pi in self.trail.pop():
+            memo[pi] = None
 
     def _poke(self, cell: tuple, value) -> None:
         # the one cell write, for both spaces; None unsets
@@ -640,7 +666,9 @@ class _FoslSpace(_Space):
     so the space can be kept for the next search of its shape (see
     _fosl_space and _keep_space).  _scan visits the instances in
     self.order, the level formula's conjunct order, whatever order they
-    were ground in."""
+    were ground in.  An instance's memo entries (see _Instance) hold
+    until a key of its read set is touched; self.watch lists the
+    instances that read each key."""
 
     def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
                  deadline: float = float("inf"), prec_cells: bool = False):
@@ -663,21 +691,12 @@ class _FoslSpace(_Space):
         # them under the constant-domain semantics) are ground into one
         # instance per element tuple, so the probe machinery sees small,
         # nearly-decided constraints instead of one monolithic quantifier
-        # (_ground).  The instances of the parts that are shared bridge
-        # axioms are kept for every later sentence (see load and unload);
-        # self.kept maps each such part to its instances.
-        self.presets: list[tuple[tuple[int, int], ...]] = []  # (slot, elem)*
-        self.watch: dict[tuple, list[int]] = {}  # read-set key -> instances
-        self.status: list[list[int]] = []
-        self.kept: dict[Formula, range] = {}
+        # (_ground); self.kept maps each part that is a shared bridge
+        # axiom to its instances, kept for every later sentence.
+        self.watch: dict[tuple, list[_Instance]] = {}
+        self.kept: dict[Formula, list[_Instance]] = {}
         self.shape = _shape(vocab, f, n, m, symmetry, prec_cells)
-
-        # memos: an instance is re-evaluated only when a cell it can read
-        # changes, i.e. when a key of its read set is touched
         self.tick = 0
-        self.conj_touch: list[int] = []
-        self.u_memo: list[list[tuple | None]] = []
-        self.probe_memo: list[list[tuple | None]] = []
         self.load(f, deadline)
 
     def load(self, f: Formula, deadline: float = float("inf")) -> None:
@@ -686,7 +705,7 @@ class _FoslSpace(_Space):
         since the last unload.  The parts of f's level formula that are
         shared bridge axioms (see _level) are ground first, by the
         space's first load, and kept; then the others are ground, up to
-        unload.  So the kept instances come first in every list, and
+        unload.  So the kept instances come first in self.instances, and
         self.order, the instances in the level formula's conjunct order,
         is the order _scan visits them in, as if the space were new.  A
         split space drops bridge axioms 1, 2 and 4-6.  The deadline is
@@ -701,28 +720,27 @@ class _FoslSpace(_Space):
                 self.kept[part] = self._ground(part, deadline)
         # what unload truncates back to: the instances, tables and
         # predicates the kept parts left
-        self.kept_sizes = (len(self.conjuncts), len(self.tables), len(self.preds))
-        self.order: list[int] = []
+        self.kept_sizes = (len(self.instances), len(self.tables), len(self.preds))
+        self.order: list[_Instance] = []
         for part in parts:
             if part not in dropped:
-                span = self.kept.get(part)
-                self.order.extend(span if span is not None else self._ground(part, deadline))
+                kept = self.kept.get(part)
+                self.order.extend(kept if kept is not None else self._ground(part, deadline))
 
     def unload(self) -> None:
         """Drop the loaded sentence's own instances with their watch
-        entries, memo rows and the tables (so the cells) they created,
-        leaving what the kept bridge axioms left.  Valid only once the
-        level's search is over, every cell unset and every instance
-        undecided (see _keep_space)."""
+        entries and the tables (so the cells) they created, leaving what
+        the kept bridge axioms left.  Valid only once the level's search
+        is over, every cell unset and every instance undecided (see
+        _keep_space)."""
         count, tables, preds = self.kept_sizes
-        for rows in (self.conjuncts, self.presets, self.pi_indep, self.status,
-                     self.conj_touch, self.u_memo, self.probe_memo):
-            del rows[count:]
-        # each watch list holds its instances in ascending order
-        for key, cis in list(self.watch.items()):
-            while cis and cis[-1] >= count:
-                cis.pop()
-            if not cis:
+        dropped = set(self.instances[count:])
+        del self.instances[count:]
+        # each watch list holds its instances in the order they were ground
+        for key, watchers in list(self.watch.items()):
+            while watchers and watchers[-1] in dropped:
+                watchers.pop()
+            if not watchers:
                 del self.watch[key]
         # the sentence's tables are the newest entries (dicts keep order)
         while len(self.tables) > tables:
@@ -730,9 +748,9 @@ class _FoslSpace(_Space):
         while len(self.preds) > preds:
             self.preds.popitem()
 
-    def _ground(self, part: Formula, deadline: float) -> range:
+    def _ground(self, part: Formula, deadline: float) -> list[_Instance]:
         """Ground one part of the level formula into instances, appended
-        to every per-instance list; returns their indices.
+        to self.instances; returns them.
 
         Each instance also gets its read set, from the compiler's keys
         for the rebuilt formula (so it has the box prefix's standpoints):
@@ -762,17 +780,10 @@ class _FoslSpace(_Space):
                 exact.append(key)
             else:
                 wide.add(key[:2])
-        indep = not self.varies
-        start = len(self.conjuncts)
+        ground = []
         for combo in itertools.product(range(n), repeat=len(qvars)):
-            ci = len(self.conjuncts)
-            self.conjuncts.append(fn)
-            self.presets.append(tuple(enumerate(combo)))
-            self.pi_indep.append(indep)
-            self.status.append([_U] * m)
-            self.conj_touch.append(0)
-            self.u_memo.append([None] * m)
-            self.probe_memo.append([None] * m)
+            inst = _Instance(fn, tuple(enumerate(combo)), m if self.varies else 1, [None] * m)
+            ground.append(inst)
             keys = set(wide)
             for kind, pred, arg_slots in exact:
                 rank = 0
@@ -780,8 +791,9 @@ class _FoslSpace(_Space):
                     rank = rank * n + combo[s]
                 keys.add((kind, pred, rank))
             for key in keys:
-                self.watch.setdefault(key, []).append(ci)
-        return range(start, len(self.conjuncts))
+                self.watch.setdefault(key, []).append(inst)
+        self.instances += ground
+        return ground
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
         if self.prec_cells and pred in _SPLIT_PREDS:
@@ -861,58 +873,45 @@ class _FoslSpace(_Space):
         instance alone (see _probe): no surviving value refutes the node;
         a single one is an entailed value, and all are forced together.
         """
-        first_culprit = None
         probes = []
         frame = self.trail[-1]
         tick = self.tick
         env = self.env
-        conjuncts = self.conjuncts
-        for ci in self.order:
-            fn = conjuncts[ci]
-            row = self.status[ci]
-            memo_row = self.u_memo[ci]
-            touched = self.conj_touch[ci]
-            span = 1 if self.pi_indep[ci] else self.m
-            preset = self.presets[ci]
-            for pi in range(span):
-                if row[pi] == _T:
+        for inst in self.order:
+            memo = inst.memo
+            touched = inst.touch
+            for pi in range(inst.span):
+                entry = memo[pi]
+                if entry is _T:
                     continue
-                memo = memo_row[pi]
-                if memo is not None and memo[1] >= touched:
-                    cul = memo[0]
-                else:
-                    for slot, elem in preset:
+                if entry is None or entry[3] < touched:
+                    for slot, elem in inst.preset:
                         env[slot] = elem
                     self.culprit = None
-                    v = fn(pi, env)
+                    v = inst.fn(pi, env)
                     if v == _F:
                         return _F, None, {}
                     if v == _T:
-                        row[pi] = _T
-                        frame.append((ci, pi))
+                        memo[pi] = _T
+                        frame.append((memo, pi))
                         continue
-                    cul = self.culprit
-                    memo_row[pi] = (cul, tick)
-                if first_culprit is None:
-                    first_culprit = cul
-                probes.append((ci, cul, fn, pi, preset))
-        if first_culprit is None:
+                    entry = memo[pi] = (self.culprit, None, None, tick)
+                probes.append((inst, pi, entry))
+        if not probes:
             return _T, None, {}
         forced: dict[tuple, int] = {}
-        for ci, cul, fn, pi, preset in probes:
-            memo = self.probe_memo[ci][pi]
-            if memo is not None and memo[2] >= self.conj_touch[ci]:
-                survivors, keep = memo[0], memo[1]
-            else:
-                survivors, keep = self._probe(cul, fn, pi, preset)
-                self.probe_memo[ci][pi] = (survivors, keep, tick)
+        for inst, pi, entry in probes:
+            cul, survivors, keep, made = entry
+            if survivors is None:
+                survivors, keep = self._probe(cul, inst, pi)
+                inst.memo[pi] = (cul, survivors, keep, made)
             if survivors == 0:
                 return _F, None, {}
             if survivors == 1:
                 if forced.setdefault(cul, keep) != keep:
                     # two instances force this cell to different values
                     return _F, None, {}
-        return _U, first_culprit, forced
+        return _U, probes[0][2][0], forced  # the first unknown instance's culprit
 
     def propagate(self, assigned: list) -> tuple[int, tuple | None]:
         """Scan and apply entailed assignments to a fixpoint.  Cells
@@ -926,8 +925,8 @@ class _FoslSpace(_Space):
                 self.assign(cell, keep)
                 assigned.append(cell)
 
-    def _probe(self, cell, fn, pi, preset) -> tuple[int, int | None]:
-        """How many values of cell keep this one instance satisfiable,
+    def _probe(self, cell, inst: _Instance, pi: int) -> tuple[int, int | None]:
+        """How many values of cell keep the instance satisfiable at pi,
         and the last value that did.  A value cell is tried at every
         element from its function's least value on, whatever the LNH cap,
         so one survivor is entailed."""
@@ -940,10 +939,10 @@ class _FoslSpace(_Space):
             values = (_F, _T)
         for value in values:
             self._poke(cell, value)
-            for slot, elem in preset:
+            for slot, elem in inst.preset:
                 env[slot] = elem
             self.culprit = None
-            v = fn(pi, env)
+            v = inst.fn(pi, env)
             self._poke(cell, None)
             if v != _F:
                 survivors += 1
@@ -958,8 +957,8 @@ class _FoslSpace(_Space):
         self.tick += 1
         kind, symbol, _, rank = cell
         for key in ((kind, symbol), (kind, symbol, rank)):
-            for ci in self.watch.get(key, ()):
-                self.conj_touch[ci] = self.tick
+            for inst in self.watch.get(key, ()):
+                inst.touch = self.tick
 
     def set_blocks(self, blocks: tuple[tuple[int, int], ...]) -> None:
         """Partition the domain into blocks [start, end) whose elements are
@@ -1273,9 +1272,8 @@ class _V1Space(_Space):
         self.tables.update((("p", k), rows) for k, rows in self.sortal_rows)
         for part in _instances_v1(vocab.sortals, vocab.names, frozenset(vocab.indefinite), f, m):
             self.varies = False
-            self.conjuncts.append(self._compile(part, {}))
-            self.pi_indep.append(not self.varies)
-        self.status = [[_U] * m for _ in self.conjuncts]
+            fn = self._compile(part, {})
+            self.instances.append(_Instance(fn, (), m if self.varies else 1, [None] * m))
 
     def configure(self, maps: tuple[tuple[int, ...], ...]) -> None:
         """Search the registry whose individual i has the extension map
@@ -1359,19 +1357,18 @@ class _V1Space(_Space):
         assignments, so `assigned` is left as it is."""
         culprit = None
         frame = self.trail[-1]
-        for ci, fn in enumerate(self.conjuncts):
-            row = self.status[ci]
-            span = 1 if self.pi_indep[ci] else self.m
-            for pi in range(span):
-                if row[pi] == _T:
+        for inst in self.instances:
+            memo = inst.memo
+            for pi in range(inst.span):
+                if memo[pi] is _T:
                     continue
                 self.culprit = None
-                v = fn(pi, self.env)
+                v = inst.fn(pi, self.env)
                 if v == _F:
                     return _F, None
                 if v == _T:
-                    row[pi] = _T
-                    frame.append((ci, pi))
+                    memo[pi] = _T
+                    frame.append((memo, pi))
                 elif culprit is None:
                     culprit = self.culprit
         return (_U, culprit) if culprit is not None else (_T, None)

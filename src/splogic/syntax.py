@@ -485,6 +485,13 @@ def structure_sigma(sigma: Mapping[str, Iterable[str]],
     return sig
 
 
+def _check_arity(name: str, arity, least: int) -> None:
+    # None is a wildcard; a bool is an int to Python, but no arity
+    if arity is not None and (not isinstance(arity, int) or isinstance(arity, bool)
+                              or arity < least):
+        raise VocabularyError(f"predicate {name!r} has invalid arity {arity!r}")
+
+
 def make_fosl_vocabulary(
     predicates: Mapping[str, int | None],
     constants: Iterable[str] = (),
@@ -494,8 +501,7 @@ def make_fosl_vocabulary(
     for name, arity in preds.items():
         if not _PRED_RE.match(name) and name not in RESERVED_PREDICATES:
             raise VocabularyError(f"predicate {name!r} must be capitalized")
-        if arity is not None and (not isinstance(arity, int) or arity < 0):
-            raise VocabularyError(f"predicate {name!r} has invalid arity {arity!r}")
+        _check_arity(name, arity, 0)
     consts = frozenset(constants)
     for name in consts:
         if not _IDENT_RE.match(name):
@@ -523,8 +529,7 @@ def make_v1_vocabulary(
                 raise VocabularyError(f"{label} {name!r} must be capitalized")
     for table in (ind, prc):
         for name, arity in table.items():
-            if arity is not None and (not isinstance(arity, int) or arity < 1):
-                raise VocabularyError(f"predicate {name!r} has invalid arity {arity!r}")
+            _check_arity(name, arity, 1)
     if srt & ind.keys() or srt & prc.keys() or ind.keys() & prc.keys():
         raise VocabularyError("sortal, indefinite and precise predicate sets must be disjoint")
     for name in nms:

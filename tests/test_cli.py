@@ -516,8 +516,11 @@ class TestLoadErrorsNameTheFile:
          "vocabulary.names must be a list, not int"),
         (("monodic", "--vocab"), {"logic": "fol"},
          "vocabulary file must declare"),
+        # JSON true is a Python bool, which Python counts an int
+        (("solve", "--flavor", "fosl", "--vocab"), {"logic": "fosl", "predicates": {"P": True}},
+         "predicate 'P' has invalid arity True"),
     ], ids=["v1-model-tables", "fosl-model-domain", "vocabulary-overlap",
-            "vocabulary-names-type", "vocabulary-logic"])
+            "vocabulary-names-type", "vocabulary-logic", "vocabulary-boolean-arity"])
     def test_cli_error_names_the_file(self, capsys, tmp_path, argv, data, message):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))

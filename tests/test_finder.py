@@ -37,7 +37,7 @@ from splogic import (
     v1_structure_to_dict,
 )
 from splogic import finder
-from splogic.finder import _F, _U, _FoslSpace, _V1Space
+from splogic.finder import _F, _T, _U, _FoslSpace, _V1Space
 from splogic.syntax import truth
 
 from naive_eval import naive_is_model, naive_is_model_v1
@@ -223,7 +223,7 @@ class TestV1Search:
             assert outcome.elapsed < timeout + 0.5
             assert time.monotonic() - start < timeout + 0.5
 
-    def test_pool_stops_drawing_tasks_at_the_deadline(self, monkeypatch):
+    def test_no_registry_is_set_up_past_the_deadline(self, monkeypatch):
         # a fake clock passes the deadline while the fifth registry is
         # set up; the search checks the deadline before searching each
         # registry, so it sets up no more
@@ -495,13 +495,8 @@ class TestDeterminism:
             return to_dict(outcome.structure)
         return type(outcome).__name__
 
-    # Searches are serial and take no worker count. The two tests below keep
-    # their names from when they compared worker counts; they now compare
-    # repeated runs in one process, whose caches are warm after the first.
     @pytest.mark.parametrize("repeats", [1, 2, 4])
-    def test_fosl_outcome_independent_of_worker_count(
-        self, desert_fosl_vocab, formula_a, repeats
-    ):
+    def test_fosl_outcome_repeats_with_warm_caches(self, desert_fosl_vocab, formula_a, repeats):
         runs = [self.fingerprint(find_fosl_model(desert_fosl_vocab, formula_a,
                                                  DESERT_BOUNDS),
                                  fosl_structure_to_dict)
@@ -509,7 +504,7 @@ class TestDeterminism:
         assert isinstance(runs[0], dict)
         assert runs[1:] == runs[:1] * repeats
 
-    def test_random_batch_identical_across_worker_counts(self, desert_fosl_vocab):
+    def test_random_batch_repeats_with_warm_caches(self, desert_fosl_vocab):
         for seed in range(12):
             f = generate_formula(desert_fosl_vocab, seed, 3)
             runs = [self.fingerprint(find_fosl_model(desert_fosl_vocab, f,
@@ -655,25 +650,26 @@ class TestMemoInvariant:
 
     @staticmethod
     def check_memos(space):
+        # an instance found true stays true until its frame closes; those
+        # entries are checked too, but not counted
         checked = 0
-        for ci, fn in enumerate(space.conjuncts):
-            preset = space.presets[ci]
-            touched = space.conj_touch[ci]
-            for pi in range(space.m):
-                memo = space.u_memo[ci][pi]
-                if memo is None or memo[1] < touched:
+        for ci, inst in enumerate(space.instances):
+            for pi, entry in enumerate(inst.memo):
+                if entry is None or (entry is not _T and entry[3] < inst.touch):
                     continue
-                for slot, elem in preset:
+                for slot, elem in inst.preset:
                     space.env[slot] = elem
                 space.culprit = None
-                assert fn(pi, space.env) == _U, (ci, pi)
+                if entry is _T:
+                    assert inst.fn(pi, space.env) == _T, (ci, pi)
+                    continue
+                assert inst.fn(pi, space.env) == _U, (ci, pi)
                 cul = space.culprit
-                assert cul == memo[0], (ci, pi)
+                assert cul == entry[0], (ci, pi)
                 checked += 1
-                probe = space.probe_memo[ci][pi]
-                if probe is not None and probe[2] >= touched:
-                    fresh = space._probe(cul, fn, pi, preset)
-                    assert fresh == probe[:2], (ci, pi, cul)
+                if entry[1] is not None:
+                    fresh = space._probe(cul, inst, pi)
+                    assert fresh == entry[1:3], (ci, pi, cul)
                     checked += 1
         return checked
 
@@ -685,8 +681,10 @@ class TestMemoInvariant:
 
     @pytest.mark.parametrize("first, seed", [(1044, 167), (167, 42)])
     def test_valid_memos_match_fresh_evaluation_on_a_kept_space(self, first, seed):
-        # the search of a first sentence leaves memos in the instances of
-        # the bridge axioms, which the space keeps for the next sentence
+        # the search of a first sentence leaves touch ticks, and memos
+        # unless it found a model (every entry then ended true and its
+        # frame closed), in the instances of the bridge axioms, which the
+        # space keeps for the next sentence
         vocab = corpus_vocab()
         trans_vocab = translated_vocabulary(vocab)
         shape = (3, 2, True, float("inf"), False)
@@ -694,10 +692,13 @@ class TestMemoInvariant:
             trans_vocab, full_translation(generate_formula(vocab, first, 4), vocab), *shape)
         space.configure(None)
         space.trail.append([])
-        space.dfs(float("inf"))
+        found = space.dfs(float("inf"))
         space.pop_frame()
         finder._keep_space(space)
-        assert any(memo is not None for row in space.u_memo for memo in row)
+        assert any(inst.touch for inst in space.instances)
+        entries = [entry for inst in space.instances for entry in inst.memo]
+        assert _T not in entries
+        assert any(entries) == (found is None)
         f = full_translation(generate_formula(vocab, seed, 4), vocab)
         assert finder._fosl_space(trans_vocab, f, *shape) is space
         self.check_memos(space)
@@ -786,7 +787,7 @@ class TestFinishedSearch:
         configured = []
         for cls in (_FoslSpace, _V1Space):
             def checked(space, config, _configure=cls.configure):
-                assert all(v == _U for row in space.status for v in row)
+                assert all(entry is not _T for inst in space.instances for entry in inst.memo)
                 self.assert_unset(space)
                 assert len(space.trail) == 1
                 configured.append(type(space))
@@ -1019,12 +1020,18 @@ class TestSpaceReuse:
         for space in finder._spaces.values():
             alone = _FoslSpace(trans_vocab, axioms, space.n, space.m, symmetry,
                                float("inf"), space.prec_cells)
-            assert space.kept == alone.kept and space.kept
-            assert len(space.conjuncts) == len(alone.conjuncts)
-            for name in ("presets", "pi_indep", "status", "watch", "tables", "preds"):
-                assert getattr(space, name) == getattr(alone, name), name
-            for name in ("conj_touch", "u_memo", "probe_memo"):
-                assert len(getattr(space, name)) == len(alone.conjuncts), name
+            assert space.kept and self.layout(space) == self.layout(alone)
+            assert space.tables == alone.tables and space.preds == alone.preds
+            assert all(entry is not _T for inst in space.instances for entry in inst.memo)
+
+    @staticmethod
+    def layout(space):
+        # the instances by position: each kept part's, every instance's
+        # preset, span and memo length, and each read-set key's watchers
+        index = {inst: i for i, inst in enumerate(space.instances)}
+        return ({part: [index[inst] for inst in insts] for part, insts in space.kept.items()},
+                [(inst.preset, inst.span, len(inst.memo)) for inst in space.instances],
+                {key: [index[inst] for inst in insts] for key, insts in space.watch.items()})
 
 
 class TestCulpritRule:
@@ -1079,7 +1086,7 @@ class TestProbing:
         outcomes = []
         for stubbed in (False, True):
             space = _FoslSpace(vocab, f, 1, 1, True)
-            assert len(space.conjuncts) == 2
+            assert len(space.instances) == 2
             space.assign(("f", "c", 0, 0), 0)
             probed = []
             probe = space._probe

@@ -325,6 +325,16 @@ class TestVocabularies:
         with pytest.raises(VocabularyError):
             make_v1_vocabulary(["Kind"], {"Bad": 0}, {}, [], [])
 
+    @pytest.mark.parametrize("arity", [True, False])
+    def test_boolean_arity_rejected(self, arity):
+        # a bool is an int to Python: True would read as arity 1
+        with pytest.raises(VocabularyError, match="invalid arity"):
+            make_fosl_vocabulary({"P": arity}, [], [])
+        with pytest.raises(VocabularyError, match="invalid arity"):
+            make_v1_vocabulary(["K"], {"A": arity}, {}, [], [])
+        with pytest.raises(VocabularyError, match="invalid arity"):
+            make_v1_vocabulary(["K"], {}, {"A": arity}, [], [])
+
 
 def _nodes(f):
     """Every term and formula node of f, with repeats."""

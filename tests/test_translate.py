@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import re
 
 import pytest
@@ -395,6 +396,39 @@ class TestLiftModel:
                 assert is_model_v1(mv, g) == is_model(
                     lifted, full_translation(g, desert_v1_vocab)
                 )
+
+
+    def test_correspondence_with_individuals_sharing_a_map(self, desert_v1_vocab):
+        # generate_v1_structure gives each individual a map of its own,
+        # but both searches find models whose individuals share one: each
+        # generated structure gets a twin of a random individual, with its
+        # map, admitted by some of the sortals that admit it, and with
+        # indefinite rows of its own
+        bounds = Bounds(max_entities=2, max_individuals=2, max_precisifications=2,
+                        timeout=60)
+        checks = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            data = v1_structure_to_dict(generate_v1_structure(desert_v1_vocab, seed, bounds))
+            original = rng.choice(sorted(data["individuals"]))
+            data["individuals"]["twin"] = dict(data["individuals"][original])
+            for pi, table in data["sortals"].items():
+                for members in table.values():
+                    if original in members and rng.random() < 0.5:
+                        members.append("twin")
+                admitted = sorted(set().union(*table.values()))
+                for a, rows in data["indefinite"][pi].items():
+                    arity = desert_v1_vocab.indefinite[a]
+                    rows += [list(row) for row in itertools.product(admitted, repeat=arity)
+                             if "twin" in row and rng.random() < 0.5]
+            mv = v1_structure_from_dict(data)
+            lifted = lift_model(mv)
+            for k in range(3):
+                f = generate_formula(desert_v1_vocab, seed + 15000 + 200 * k, 4)
+                assert is_model_v1(mv, f) == is_model(lifted, full_translation(f, desert_v1_vocab))
+                checks += 1
+            assert lower_model(lifted, desert_v1_vocab) == mv
+        assert checks == 600
 
 
 class TestLowerModel:

@@ -15,8 +15,9 @@ the level a timed-out row was searching.
 Prints every row that disagrees with the pool's V1 verdict or times out
 (with the last level it started), then the totals: agreements,
 disagreements, timeouts, and the CPU time of the sat and of the unsat
-rows.  Exits 1 when any row disagrees.  The whole set takes a few
-minutes on one core; it is a script, not a Tier-1 test.
+rows.  Exits 1 when any row disagrees.  The whole set takes about 40 s
+on one core (2-vCPU guest, Python 3.11.7), nearly all of it in the two
+rows that time out; it is a script, not a Tier-1 test.
 """
 
 from __future__ import annotations
