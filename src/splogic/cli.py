@@ -51,9 +51,13 @@ EXIT_TIMEOUT = 3
 
 
 def read_formula_file(path: str) -> str:
-    """Formula files may contain '#'-comments and span several lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.split("#", 1)[0] for line in fh]
+    """Formula files may contain '#'-comments and span several lines; a
+    file that is not UTF-8 raises SplError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split("#", 1)[0] for line in fh]
+    except UnicodeDecodeError as exc:
+        raise SplError(f"{path}: {exc}") from None
     return " ".join(line.strip() for line in lines).strip()
 
 

@@ -84,18 +84,24 @@ def check_shape(value, shape, error: type[SplError], where: str) -> None:
 
 
 def load_json(path: str, error: type[SplError], read):
-    """read(value) of the JSON value in the file at path.  A malformed
-    file, or one nested too deeply for the parser or for read, raises
+    """read(value) of the JSON value in the file at path.  A file that
+    does not decode (a ValueError while it is read and parsed: malformed
+    JSON, bytes that are not UTF-8, an integer past Python's digit
+    limit), or one nested too deeply for the parser or for read, raises
     error, which names the path; an SplError that read raises keeps its
     type and gets the path in front of its message."""
+    deep = f"invalid JSON in {path}: nested too deeply"
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return read(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise error(f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
-        raise error(f"invalid JSON in {path}: nested too deeply") from None
+        raise error(deep) from None
+    try:
+        return read(data)
+    except RecursionError:
+        raise error(deep) from None
     except SplError as exc:
         exc.args = (f"{path}: {exc}", *exc.args[1:])
         raise

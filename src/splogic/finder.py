@@ -28,10 +28,11 @@ that turns out decided leaves no trace.
 One level loop, _search, runs both engines: a level is a space and the
 configurations it is searched under, the split points of a split
 standpoint level or the registries of extension maps of a V1 level, each
-searched in the level's one space; a precisification count at which the
-sentence simplifies to false has no level (see _level).  A passed
-deadline is _DeadlinePassed, in set-up and in search alike.  Every
-search runs serially in the calling thread.
+searched in the level's one space.  It specializes the sentence once
+per precisification count (_level), builds each space from that level
+and revalidates every model; a count at which the sentence simplifies to
+false has no level.  A passed deadline is _DeadlinePassed, in set-up and
+in search alike.  Every search runs serially in the calling thread.
 
 A standpoint level's space outlives one search.  Spaces are kept by
 shape (vocabulary, n, m, symmetry, split and the level formula's shared
@@ -248,25 +249,33 @@ def _is_chain(f: Formula, parts: list) -> bool:
 _simplify_shared = functools.lru_cache(maxsize=64)(_simplify)
 
 
-@functools.lru_cache(maxsize=8)
-def _level(f: Formula, m: int) -> tuple[Formula | bool, frozenset]:
-    """The formula specialized to a level with m precisifications, and
-    its conjuncts that are simplified shared bridge axioms of f.  Those
-    parts depend on the vocabulary and on the arities the sentence pins
-    for its wildcard predicates, so they are part of a standpoint space's
-    shape (_shape), and the space grounds them once for all the sentences
-    of that shape (see _FoslSpace.load).  The levels of one search share
-    both for each m.
+# bridge axioms 1, 2 and 4-6 under the universal box, the objects
+# full_translation conjoins: ind/ext is a rigid partition of the domain,
+# and prec a total function from ind to ext
+_SPLIT_AXIOMS = frozenset(_FIXED_BOXED.values())
+
+
+def _level(f: Formula, m: int, split: bool) -> tuple[Formula | bool, frozenset]:
+    """The level of f for m precisifications: f specialized to m
+    precisifications (the level formula), and its conjuncts that are
+    simplified shared bridge axioms of f.  Those parts depend on the
+    vocabulary and on the arities the sentence pins for its wildcard
+    predicates, so they are part of a standpoint space's shape (_shape),
+    and the space grounds them once for all the sentences of that shape
+    (see _FoslSpace.load).  _search reads it once per m and search.
 
     The formula is _simplify(f, m), a shared bridge axiom among the
     conjuncts of f simplified through _simplify_shared, or False, with no
     parts: all precisifications share one domain, so f then has no model
-    with m precisifications at any size, and no level of m is searched."""
+    with m precisifications at any size, and no level of m is searched.
+    A split level reads bridge axioms 1, 2 and 4-6 as true (_FoslSpace)."""
     axioms: set = set()
 
     def simplified(g: Formula) -> tuple:
         if g.__class__ is not Box or g not in _SHARED_AXIOMS:
             return _simplify(g, m)
+        if split and g in _SPLIT_AXIOMS:
+            return True, 0, None
         triple = _simplify_shared(g, m)
         if not isinstance(triple[0], bool):
             axioms.add(triple[0])
@@ -352,8 +361,10 @@ class _Space:
            at rank 0, and prec, each individual's precise version, is
            1-ary, ranked by the individual.
     A bit stores its three-valued value, unset being unknown.  A space
-    provides _table, propagate, materialize, configure (which sets up
-    one configuration of the level, see _search), _quantify (the
+    is built from its level (_level), never from the sentence, and
+    provides _table, propagate, materialize (which builds the structure
+    of a model that _search revalidates), configure (which sets up one
+    configuration of the level, see _search), _quantify (the
     universal over its domain) and self.choices, the values a function
     branches over from its least one (_least); it may extend assign,
     decide (the one branching step) and unassign.  Both spaces write
@@ -384,9 +395,8 @@ class _Space:
     space.  A box over * reads a constant row that admits every pi.
     """
 
-    def __init__(self, vocab, f: Formula, m: int, base: int):
+    def __init__(self, vocab, m: int, base: int):
         self.vocab = vocab
-        self.formula = f
         self.m = m
         self.base = base
         # the compiler creates the cells of the symbols the level formula
@@ -653,26 +663,27 @@ class _FoslSpace(_Space):
     function like a constant, 1-ary: one value cell ("f", "prec", pi, i)
     per individual i and precisification, ranging over the entities (see
     _least); an atom prec(s, t) reads s's cell, and is false when s is an
-    entity or t an individual.  So bridge axioms 1, 2 and 4-6 hold and are
-    not ground; materialize writes the three predicates, and the
-    revalidation against the whole sentence still checks the five.  A
-    prec cell branches over the entity block's LNH values, is probed at
-    every entity, and a decision on it mentions its individual and value.
-    Without prec_cells the space's one configuration is None.
+    entity or t an individual.  So bridge axioms 1, 2 and 4-6 hold, and
+    the split level formula leaves them out (_level); materialize writes
+    the three predicates, and _search's revalidation against the whole
+    sentence still checks the five.  A prec cell branches over the entity
+    block's LNH values, is probed at every entity, and a decision on it
+    mentions its individual and value.  Without prec_cells the space's
+    one configuration is None.
 
-    A space outlives the search of one sentence: load makes a sentence
-    the one searched, and unload, once its level is over, drops that
-    sentence's instances and leaves those of the shared bridge axioms,
-    so the space can be kept for the next search of its shape (see
-    _fosl_space and _keep_space).  _scan visits the instances in
+    A space is built from a level (_level) and outlives the search of one
+    sentence: load makes a sentence's level the one searched, and unload,
+    once the level is over, drops that sentence's instances and leaves
+    those of the shared bridge axioms, so the space can be kept for the
+    next search of its shape (see _fosl_space and _keep_space).  _scan visits the instances in
     self.order, the level formula's conjunct order, whatever order they
     were ground in.  An instance's memo entries (see _Instance) hold
     until a key of its read set is touched; self.watch lists the
     instances that read each key."""
 
-    def __init__(self, vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
+    def __init__(self, vocab: FoslVocabulary, level: tuple, n: int, m: int, symmetry: bool,
                  deadline: float = float("inf"), prec_cells: bool = False):
-        _Space.__init__(self, vocab, f, m, n)
+        _Space.__init__(self, vocab, m, n)
         self.n = n
         self.symmetry = symmetry
         self.prec_cells = prec_cells
@@ -695,37 +706,32 @@ class _FoslSpace(_Space):
         # axiom to its instances, kept for every later sentence.
         self.watch: dict[tuple, list[_Instance]] = {}
         self.kept: dict[Formula, list[_Instance]] = {}
-        self.shape = _shape(vocab, f, n, m, symmetry, prec_cells)
+        self.shape = _shape(vocab, level, n, m, symmetry, prec_cells)
         self.tick = 0
-        self.load(f, deadline)
+        self.load(level, deadline)
 
-    def load(self, f: Formula, deadline: float = float("inf")) -> None:
-        """Make f, a sentence of the space's shape (_shape), the one it
-        searches, while no cell is assigned and no sentence is loaded
-        since the last unload.  The parts of f's level formula that are
-        shared bridge axioms (see _level) are ground first, by the
+    def load(self, level: tuple, deadline: float = float("inf")) -> None:
+        """Make level, a sentence's level (_level) of the space's shape
+        (_shape), the one it searches, while no cell is assigned and no
+        level is loaded since the last unload.  The parts of the level
+        formula that are shared bridge axioms are ground first, by the
         space's first load, and kept; then the others are ground, up to
         unload.  So the kept instances come first in self.instances, and
         self.order, the instances in the level formula's conjunct order,
-        is the order _scan visits them in, as if the space were new.  A
-        split space drops bridge axioms 1, 2 and 4-6.  The deadline is
-        checked before each part is ground (_DeadlinePassed)."""
-        self.formula = f
-        m = self.m
-        level, axioms = _level(f, m)
-        parts = conjuncts(level)
-        dropped = _split_level_axioms(m) if self.prec_cells else ()
+        is the order _scan visits them in, as if the space were new.  The
+        deadline is checked before each part is ground (_DeadlinePassed)."""
+        formula, axioms = level
+        parts = conjuncts(formula)
         for part in parts:
-            if part in axioms and part not in self.kept and part not in dropped:
+            if part in axioms and part not in self.kept:
                 self.kept[part] = self._ground(part, deadline)
         # what unload truncates back to: the instances, tables and
         # predicates the kept parts left
         self.kept_sizes = (len(self.instances), len(self.tables), len(self.preds))
         self.order: list[_Instance] = []
         for part in parts:
-            if part not in dropped:
-                kept = self.kept.get(part)
-                self.order.extend(kept if kept is not None else self._ground(part, deadline))
+            kept = self.kept.get(part)
+            self.order.extend(kept if kept is not None else self._ground(part, deadline))
 
     def unload(self) -> None:
         """Drop the loaded sentence's own instances with their watch
@@ -1042,34 +1048,19 @@ class _FoslSpace(_Space):
                 constants[c] = domain[(rows[pi][0] if rows else None) or 0]
             interpretation[precs[pi]] = {"predicates": preds, "constants": constants}
         sigma = _sigma(self.vocab.standpoints, tables, precs)
-        structure = make_fosl_structure(domain, precs, sigma, interpretation)
-        if not is_model(structure, self.formula):
-            raise SplError("internal error: candidate failed revalidation")
-        return structure
+        return make_fosl_structure(domain, precs, sigma, interpretation)
 
 
-# bridge axioms 1, 2 and 4-6 under the universal box, the objects
-# full_translation conjoins: ind/ext is a rigid partition of the domain,
-# and prec a total function from ind to ext
-_SPLIT_AXIOMS = frozenset(_FIXED_BOXED.values())
 _SPLIT_PREDS = frozenset(("ind", "ext", "prec"))
 
 
-@functools.lru_cache(maxsize=8)
-def _split_level_axioms(m: int) -> frozenset:
-    """Bridge axioms 1, 2 and 4-6 as the level formula for m
-    precisifications holds them (see _level), for a split space
-    to drop."""
-    return frozenset(_simplify_shared(ax, m)[0] for ax in _SPLIT_AXIOMS)
-
-
-def _shape(vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
+def _shape(vocab: FoslVocabulary, level: tuple, n: int, m: int, symmetry: bool,
            split: bool) -> tuple:
     # the key of a standpoint space's shape: its vocabulary's symbols and
-    # arities, its level, its kind and the shared bridge axioms of f's
+    # arities, its level, its kind and the shared bridge axioms of the
     # level formula, which fix the instances and tables the space keeps
     return (frozenset(vocab.predicates.items()), frozenset(vocab.constants),
-            frozenset(vocab.standpoints), n, m, symmetry, split, _level(f, m)[1])
+            frozenset(vocab.standpoints), n, m, symmetry, split, level[1])
 
 
 # unloaded standpoint spaces by shape, least recently kept first, each
@@ -1080,17 +1071,17 @@ _spaces: collections.OrderedDict = collections.OrderedDict()
 _spaces_lock = threading.Lock()  # searches may run in several threads
 
 
-def _fosl_space(vocab: FoslVocabulary, f: Formula, n: int, m: int, symmetry: bool,
+def _fosl_space(vocab: FoslVocabulary, level: tuple, n: int, m: int, symmetry: bool,
                 deadline: float, split: bool) -> _FoslSpace:
-    """A standpoint space of f's shape loaded with f: a kept one, taken
-    out of the cache until its level ends and _keep_space returns it, or
-    a new one.  So two searches never share a space, and one whose
-    search was interrupted is dropped."""
+    """A standpoint space of the level's shape loaded with the level: a
+    kept one, taken out of the cache until its level ends and _keep_space
+    returns it, or a new one.  So two searches never share a space, and
+    one whose search was interrupted is dropped."""
     with _spaces_lock:
-        space = _spaces.pop(_shape(vocab, f, n, m, symmetry, split), None)
+        space = _spaces.pop(_shape(vocab, level, n, m, symmetry, split), None)
     if space is None:
-        return _FoslSpace(vocab, f, n, m, symmetry, deadline, split)
-    space.load(f, deadline)
+        return _FoslSpace(vocab, level, n, m, symmetry, deadline, split)
+    space.load(level, deadline)
     return space
 
 
@@ -1133,33 +1124,40 @@ def _sort_floors(parts: set) -> int | None:
     return int(named and axiom_8)
 
 
-def _search(levels, bounds: Bounds, keep=None) -> SearchOutcome:
-    """The one level loop of both engines.  levels(deadline) yields,
-    level by level, a function that gives the level's space and the
-    configurations the space is searched under; each configuration is
-    set up (configure) and searched in one trail frame, closed after its
-    search, so the next one starts from a space with every cell unset
-    and every instance undecided.  The deadline is checked before each
-    configuration, so no space is set up and no configuration searched
-    once it has passed; a space is set up at its level's first
-    configuration, so a level with none sets up no space.  levels yields
-    no level at a precisification count where the sentence is false
-    (see _level).  When a level ends, with no configuration left or a
-    model found, keep, if given, takes its space for a later search; a
-    space whose level an exception ends is not kept.  Returns the first
-    model, ExhaustedUnsat when every configuration is refuted, or
-    SearchTimeout when the deadline passes (_DeadlinePassed, raised
-    while a space is ground or searched)."""
+def _search(f: Formula, levels, bounds: Bounds, holds, split: bool,
+            keep=None) -> SearchOutcome:
+    """The one level loop of both engines, searching the sentence f.
+    levels(deadline) yields, level by level, its precisification count
+    m, a function that builds its space from a level of f (_level) and
+    the configurations the space is searched under; each configuration
+    is set up (configure) and searched in one trail frame, closed after
+    its search, so the next one starts from a space with every cell
+    unset and every instance undecided.  The deadline is checked before
+    each configuration, so no space is set up and no configuration
+    searched once it has passed.  A space is set up at its level's first
+    configuration, from the level of m read there once per search; a
+    level with no configuration, or whose level formula is false, sets
+    up none.  When a level ends, with no configuration left or a model
+    found, keep, if given, takes its space for a later search; a space
+    whose level an exception ends is not kept.  Returns the first model,
+    revalidated by holds(model, f), ExhaustedUnsat when every
+    configuration is refuted, or SearchTimeout when the deadline passes
+    (_DeadlinePassed, raised while a space is ground or searched)."""
     start = time.monotonic()
     deadline = start + bounds.timeout
+    formulas: dict[int, tuple] = {}  # the level of each m, read once
     try:
-        for build, configs in levels(deadline):
+        for m, build, configs in levels(deadline):
             space = found = None
             for config in configs:
                 if time.monotonic() > deadline:
                     raise _DeadlinePassed
                 if space is None:
-                    space = build()
+                    if m not in formulas:
+                        formulas[m] = _level(f, m, split)
+                    if formulas[m][0] is False:
+                        break
+                    space = build(formulas[m])
                 space.configure(config)
                 space.trail.append([])
                 found = space.dfs(deadline)
@@ -1169,6 +1167,8 @@ def _search(levels, bounds: Bounds, keep=None) -> SearchOutcome:
             if space is not None and keep is not None:
                 keep(space)
             if found is not None:
+                if not holds(found, f):
+                    raise SplError("internal error: candidate failed revalidation")
                 return ModelFound(found, time.monotonic() - start)
     except _DeadlinePassed:
         return SearchTimeout(time.monotonic() - start)
@@ -1189,9 +1189,8 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
     n - 1, which leaves prec an entity to take, each block [0, r),
     [r, n) with its own least-number heuristic, instead of branching on
     the sorts through every permutation of the same split.  Otherwise a
-    level is one search over every cell.  No level is yielded that no r
-    fits, such as n = 1 when the floor is 1, or whose m makes f false
-    (_level), which is read only once some r fits.
+    level is one search over every cell.  A level that no r fits, such
+    as n = 1 when the floor is 1, has no configuration.
 
     caps, the most ext and ind elements a model may have, also bound r
     and split the level in both symmetry modes."""
@@ -1208,11 +1207,11 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
                     low, high = max(low, n - caps[0]), min(high, caps[1])
                 sizes = range(low, high + 1)
             for m in range(1, bounds.max_precisifications + 1):
-                if sizes and _level(f, m)[0] is not False:
-                    yield functools.partial(_fosl_space, vocab, f, n, m, symmetry,
-                                            deadline, split), sizes
+                build = functools.partial(_fosl_space, vocab, n=n, m=m, symmetry=symmetry,
+                                          deadline=deadline, split=split)
+                yield m, build, sizes
 
-    return _search(levels, bounds, _keep_space)
+    return _search(f, levels, bounds, is_model, split, _keep_space)
 
 
 @nesting_guard
@@ -1256,21 +1255,22 @@ class _V1Space(_Space):
     admitted individuals.  Only _quantify reads the sortals via member3.
     """
 
-    def __init__(self, vocab: V1Vocabulary, f: Formula, ne: int, m: int, r: int):
-        _Space.__init__(self, vocab, f, m, r)
+    def __init__(self, vocab: V1Vocabulary, level: tuple, ne: int, m: int, r: int):
+        _Space.__init__(self, vocab, m, r)
         self.ne = ne
         self.r = r
         self.choices = tuple(range(r))  # a name may denote any individual
         self.prec = self.tables["f", "prec"] = []  # written by configure
 
-        # member3 reads every sortal, so each has a table whether or not f
-        # mentions it; the compiler creates the indefinite and precise
-        # tables (whose arities preds holds), the name and the standpoint
-        # cells (_table); this space keeps no read sets
+        # member3 reads every sortal, so each has a table whether or not
+        # the level formula mentions it; the compiler creates the
+        # indefinite and precise tables (whose arities preds holds), the
+        # name and the standpoint cells (_table); this space keeps no read
+        # sets
         self.sortal_rows = [(k, [bytearray(self.r) for _ in range(m)])
                             for k in sorted(vocab.sortals)]
         self.tables.update((("p", k), rows) for k, rows in self.sortal_rows)
-        for part in _instances_v1(vocab.sortals, vocab.names, frozenset(vocab.indefinite), f, m):
+        for part in _instances_v1(vocab, level[0]):
             self.varies = False
             fn = self._compile(part, {})
             self.instances.append(_Instance(fn, (), m if self.varies else 1, [None] * m))
@@ -1408,12 +1408,9 @@ class _V1Space(_Space):
             for pi in range(self.m)
         }
         sigma = _sigma(self.vocab.standpoints, self.tables, precs)
-        structure = make_v1_structure(
+        return make_v1_structure(
             entities, precs, sigma, individuals, sortals, indefinite, precise, names
         )
-        if not is_model_v1(structure, self.formula):
-            raise SplError("internal error: candidate failed revalidation")
-        return structure
 
 
 def _admitted(sortals: frozenset, t) -> Formula:
@@ -1421,20 +1418,18 @@ def _admitted(sortals: frozenset, t) -> Formula:
     return disjoin(Atom(k, (t,)) for k in sorted(sortals)) if sortals else falsity()
 
 
-@functools.lru_cache(maxsize=8)
-def _instances_v1(sortals: frozenset, names: frozenset, indefinite: frozenset, f: Formula,
-                  m: int) -> list[Formula]:
-    """The instances of a _V1Space for f at m precisifications: one per
-    name n, _admitted(n), then the conjuncts of f's level formula (_level)
-    with each indefinite atom A(t1, ..., tk) read as _admitted(tk) & ...
-    & _admitted(t1) & A(t1, ..., tk) (see _V1Space)."""
+def _instances_v1(vocab: V1Vocabulary, level: Formula) -> list[Formula]:
+    """The instances of a _V1Space for a level formula (_level): one per
+    name n, _admitted(n), then the conjuncts of the level formula with
+    each indefinite atom A(t1, ..., tk) read as _admitted(tk) & ... &
+    _admitted(t1) & A(t1, ..., tk) (see _V1Space)."""
 
     def guard(g: Formula) -> Formula:
         # g with its indefinite atoms guarded; an unchanged part is g itself
         if g.__class__ is Atom:
-            if g.pred not in indefinite:
+            if g.pred not in vocab.indefinite:
                 return g
-            return conjoin([_admitted(sortals, t) for t in reversed(g.args)] + [g])
+            return conjoin([_admitted(vocab.sortals, t) for t in reversed(g.args)] + [g])
         if g.__class__ is And:
             left, right = guard(g.left), guard(g.right)
             return g if left is g.left and right is g.right else And(left, right)
@@ -1447,8 +1442,8 @@ def _instances_v1(sortals: frozenset, names: frozenset, indefinite: frozenset, f
             return Not(body)
         return Forall(g.var, body) if g.__class__ is Forall else Box(g.standpoint, body)
 
-    return ([_admitted(sortals, Const(nm)) for nm in sorted(names)]
-            + [guard(part) for part in conjuncts(_level(f, m)[0])])
+    return ([_admitted(vocab.sortals, Const(nm)) for nm in sorted(vocab.names)]
+            + [guard(part) for part in conjuncts(level)])
 
 
 def _registries(ne: int, m: int, r: int):
@@ -1483,12 +1478,11 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
     def levels(deadline):  # a V1 space is not ground, so it needs no deadline
         for ne in range(1, bounds.max_entities + 1):
             for m in range(1, bounds.max_precisifications + 1):
-                if _level(f, m)[0] is False:
-                    continue
                 for r in range(min_r, bounds.max_individuals + 1):
-                    yield functools.partial(_V1Space, vocab, f, ne, m, r), _registries(ne, m, r)
+                    build = functools.partial(_V1Space, vocab, ne=ne, m=m, r=r)
+                    yield m, build, _registries(ne, m, r)
 
-    return _search(levels, bounds)
+    return _search(f, levels, bounds, is_model_v1, split=False)
 
 
 # ---------------------------------------------------------------------------

@@ -368,24 +368,17 @@ def _lower(mf: FoslStructure, vocab: V1Vocabulary) -> V1Structure:
     pi0 = mf.precisifications[0]
     base = mf.interpretation[pi0].predicates
     ind_ids = sorted(e for (e,) in base.get("ind", frozenset()))
-    ext_ids = [e for e in mf.domain if e not in set(ind_ids)]
+    ind_set = set(ind_ids)
+    ext_ids = [e for e in mf.domain if e not in ind_set]
     if not ext_ids:
         raise ModelFormatError("cannot lower: no precise entities (ext is empty)")
 
-    individuals: dict[str, dict[str, str]] = {}
-    for i in ind_ids:
-        extent = {}
-        for pi in mf.precisifications:
-            partners = [
-                e
-                for (a, e) in mf.interpretation[pi].predicates.get("prec", frozenset())
-                if a == i
-            ]
-            # existence and uniqueness guaranteed by axioms 5 and 6
-            extent[pi] = partners[0]
-        individuals[i] = extent
+    # each individual's partner per precisification: existence and
+    # uniqueness guaranteed by axioms 5 and 6
+    partners = {pi: dict(mf.interpretation[pi].predicates.get("prec", frozenset()))
+                for pi in mf.precisifications}
+    individuals = {i: {pi: partners[pi][i] for pi in mf.precisifications} for i in ind_ids}
 
-    ind_set = set(ind_ids)
     sortals = {
         pi: {
             k: [e for (e,) in mf.interpretation[pi].predicates.get(k, frozenset()) if e in ind_set]

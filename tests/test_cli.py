@@ -530,6 +530,23 @@ class TestLoadErrorsNameTheFile:
         assert out == ""
         assert err.startswith(f"error: {path}: {message}")
 
+    # a file with a 0xff byte, which no UTF-8 text holds, in place of
+    # each input file in turn
+    @pytest.mark.parametrize("argv, message", [
+        (("translate", "--formula", str(FIXTURES / "formula_c.txt"), "--vocab"),
+         "invalid JSON in "),
+        (("check", "--flavor", "v1", "--formula", str(FIXTURES / "formula_c.txt"),
+          "--model"), "invalid JSON in "),
+        (("translate", "--vocab", str(FIXTURES / "desert_v1_vocab.json"), "--formula"), ""),
+    ], ids=["vocabulary", "model", "formula"])
+    def test_non_utf8_file_is_named(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "input"
+        path.write_bytes(b'{"logic": "v1", "sortals": ["K\xff"]}')
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}{path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_loaders_keep_the_error_type(self, tmp_path):
         from splogic import ModelFormatError, VocabularyError, load_v1_model
         from splogic.cli import load_vocabulary

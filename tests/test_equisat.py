@@ -147,13 +147,13 @@ class TestRepeatedPreciseAtoms:
             "exists ?x (![s] Near(?x, ?x) & !(Near(?x, ?x) -> Near(?x, ?x)))",
             self.VOCAB)
         full = full_translation(f, self.VOCAB)
-        assert [finder._level(full, m)[0] for m in (1, 2)] == [False, False]
+        assert [finder._level(full, m, True)[0] for m in (1, 2)] == [False, False]
         loaded = []
         load = finder._FoslSpace.load
 
-        def counted(space, f, deadline=float("inf")):
+        def counted(space, level, deadline=float("inf")):
             loaded.append(space.m)
-            load(space, f, deadline)
+            load(space, level, deadline)
 
         monkeypatch.setattr(finder._FoslSpace, "load", counted)
         report = equisat_check(self.VOCAB, f, self.BOUNDS)

@@ -1,3 +1,5 @@
+import collections
+import gc
 import json
 import os
 import random
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -51,6 +54,17 @@ CORPUS_BOUNDS = Bounds(max_entities=2, max_individuals=2, max_precisifications=2
 def corpus_vocab():
     # the vocabulary of the equisat corpus in tests/test_equisat.py
     return make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+
+
+def fosl_space(vocab, f, n, m, symmetry, deadline=float("inf"), prec_cells=False):
+    # a new standpoint space for the level of f at m, as _search builds it
+    return _FoslSpace(vocab, finder._level(f, m, prec_cells), n, m, symmetry, deadline,
+                      prec_cells)
+
+
+def v1_space(vocab, f, ne, m, r):
+    # a new V1 space for the level of f at m, as _search builds it
+    return _V1Space(vocab, finder._level(f, m, False), ne, m, r)
 
 
 class TestFoslSearch:
@@ -677,7 +691,7 @@ class TestMemoInvariant:
     def test_valid_memos_match_fresh_evaluation(self, seed):
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, seed, 4), vocab)
-        self.walk(_FoslSpace(translated_vocabulary(vocab), f, 3, 2, True), seed)
+        self.walk(fosl_space(translated_vocabulary(vocab), f, 3, 2, True), seed)
 
     @pytest.mark.parametrize("first, seed", [(1044, 167), (167, 42)])
     def test_valid_memos_match_fresh_evaluation_on_a_kept_space(self, first, seed):
@@ -688,8 +702,12 @@ class TestMemoInvariant:
         vocab = corpus_vocab()
         trans_vocab = translated_vocabulary(vocab)
         shape = (3, 2, True, float("inf"), False)
-        space = finder._fosl_space(
-            trans_vocab, full_translation(generate_formula(vocab, first, 4), vocab), *shape)
+
+        def level(seed):
+            f = full_translation(generate_formula(vocab, seed, 4), vocab)
+            return finder._level(f, 2, False)
+
+        space = finder._fosl_space(trans_vocab, level(first), *shape)
         space.configure(None)
         space.trail.append([])
         found = space.dfs(float("inf"))
@@ -699,8 +717,7 @@ class TestMemoInvariant:
         entries = [entry for inst in space.instances for entry in inst.memo]
         assert _T not in entries
         assert any(entries) == (found is None)
-        f = full_translation(generate_formula(vocab, seed, 4), vocab)
-        assert finder._fosl_space(trans_vocab, f, *shape) is space
+        assert finder._fosl_space(trans_vocab, level(seed), *shape) is space
         self.check_memos(space)
         self.walk(space, seed)
 
@@ -828,7 +845,8 @@ class TestSpaceReuse:
             patch.setattr(_FoslSpace, "dfs", counted)
             if mode == "unshared":
                 level = finder._level
-                patch.setattr(finder, "_level", lambda f, m: (level(f, m)[0], frozenset()))
+                patch.setattr(finder, "_level",
+                              lambda f, m, split: (level(f, m, split)[0], frozenset()))
             for seed in seeds:
                 if mode == "emptied":
                     finder._spaces.clear()
@@ -880,8 +898,7 @@ class TestSpaceReuse:
         warm = [report(*run) for run in runs]
         assert len(finder._spaces) > 4
         for space in finder._spaces.values():
-            dropped = finder._split_level_axioms(space.m) if space.prec_cells else ()
-            assert set(space.kept) == space.shape[-1] - dropped
+            assert set(space.kept) == space.shape[-1]
         cold = []
         for run in runs:
             finder._spaces.clear()
@@ -937,7 +954,8 @@ class TestSpaceReuse:
         finder._spaces.clear()
         # one more shape than the cache holds
         shapes = [(n, m) for n in range(1, 10) for m in (1, 2)][:finder._SPACES_KEPT + 1]
-        spaces = [finder._fosl_space(vocab, f, n, m, True, float("inf"), False)
+        spaces = [finder._fosl_space(vocab, finder._level(f, m, False), n, m, True,
+                                     float("inf"), False)
                   for n, m in shapes]
         for space in spaces:
             finder._keep_space(space)
@@ -963,7 +981,8 @@ class TestSpaceReuse:
         # a space is out of the cache while a search uses it
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 0, 4), vocab)
-        args = (translated_vocabulary(vocab), f, 2, 2, True, float("inf"), True)
+        args = (translated_vocabulary(vocab), finder._level(f, 2, True), 2, 2, True,
+                float("inf"), True)
         first = finder._fosl_space(*args)
         assert finder._fosl_space(*args) is not first
         finder._keep_space(first)
@@ -1018,7 +1037,7 @@ class TestSpaceReuse:
         assert isinstance(find_fosl_model(trans_vocab, f, bounds), ExhaustedUnsat)
         assert len(finder._spaces) == (4 if symmetry else 6)
         for space in finder._spaces.values():
-            alone = _FoslSpace(trans_vocab, axioms, space.n, space.m, symmetry,
+            alone = fosl_space(trans_vocab, axioms, space.n, space.m, symmetry,
                                float("inf"), space.prec_cells)
             assert space.kept and self.layout(space) == self.layout(alone)
             assert space.tables == alone.tables and space.preds == alone.preds
@@ -1052,7 +1071,7 @@ class TestCulpritRule:
     def test_standpoint_space(self):
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1, "R": 1}, ["c"], [])
         f = parse_formula(self.TEXT, vocab)
-        space = _FoslSpace(vocab, f, 1, 1, True)
+        space = fosl_space(vocab, f, 1, 1, True)
         space.assign(("f", "c", 0, 0), 0)
         space.assign(("p", "R", 0, 0), 2)
         assert self.evaluate(space, f) == ("p", "Q", 0, 0)
@@ -1060,7 +1079,7 @@ class TestCulpritRule:
     def test_v1_space(self):
         vocab = make_v1_vocabulary(["K"], {"P": 1, "Q": 1, "R": 1}, {}, ["c"], [])
         f = parse_formula(self.TEXT, vocab)
-        space = _V1Space(vocab, f, 1, 1, 1)
+        space = v1_space(vocab, f, 1, 1, 1)
         space.configure(((0,),))
         space.assign(("f", "c", 0, 0), 0)
         # an indefinite atom over an individual of open admission blames
@@ -1085,7 +1104,7 @@ class TestProbing:
         f = parse_formula(self.TEXT, vocab)
         outcomes = []
         for stubbed in (False, True):
-            space = _FoslSpace(vocab, f, 1, 1, True)
+            space = fosl_space(vocab, f, 1, 1, True)
             assert len(space.instances) == 2
             space.assign(("f", "c", 0, 0), 0)
             probed = []
@@ -1136,10 +1155,10 @@ class TestSortSplit:
         # record(space) for each level searched, as the search takes the
         # level's space, new or kept from an earlier search
         levels = []
-        fosl_space = finder._fosl_space
+        take = finder._fosl_space
 
-        def counted(*args):
-            space = fosl_space(*args)
+        def counted(*args, **kwargs):
+            space = take(*args, **kwargs)
             levels.append(record(space))
             return space
 
@@ -1235,7 +1254,7 @@ class TestSortSplit:
         # individuals of a model are the first r elements at every
         # precisification
         vocab, f = self.hard_translation()
-        space = _FoslSpace(vocab, f, 4, 2, True, prec_cells=True)
+        space = fosl_space(vocab, f, 4, 2, True, prec_cells=True)
         assert not {("p", "ind"), ("p", "ext"), ("p", "prec")} & set(space.tables)
         assigned = []
         monkeypatch.setattr(space, "assign", lambda *args: assigned.append(args))
@@ -1427,7 +1446,7 @@ class TestSortSplit:
         # where the entities start, which every prec atom reads
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, seed, 4), vocab)
-        space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
+        space = fosl_space(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
         checked = []
         scan = space._scan
 
@@ -1468,7 +1487,7 @@ class TestSortSplit:
     def test_constant_values_per_block(self):
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 167, 4), vocab)
-        space = _FoslSpace(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
+        space = fosl_space(translated_vocabulary(vocab), f, 4, 2, True, prec_cells=True)
         cell = ("f", "n", 0, 0)
         assert space.branch_values(cell) == (0,)
         space.configure(2)
@@ -1484,7 +1503,7 @@ class TestSortSplit:
     def test_function_cell_values_per_block(self):
         vocab = corpus_vocab()
         f = full_translation(generate_formula(vocab, 167, 4), vocab)
-        space = _FoslSpace(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
+        space = fosl_space(translated_vocabulary(vocab), f, 5, 2, True, prec_cells=True)
         assert ("p", "prec") not in space.tables
         space.configure(3)
         constant, function = ("f", "n", 0, 0), ("f", "prec", 1, 0)
@@ -1571,13 +1590,13 @@ class TestFalseLevels:
         set_up = []
         init, load = _V1Space.__init__, _FoslSpace.load
 
-        def built(space, vocab, f, ne, m, r):
+        def built(space, vocab, level, ne, m, r):
             set_up.append(("v1", m))
-            init(space, vocab, f, ne, m, r)
+            init(space, vocab, level, ne, m, r)
 
-        def loaded(space, f, deadline=float("inf")):
+        def loaded(space, level, deadline=float("inf")):
             set_up.append(("fosl", space.m))
-            load(space, f, deadline)
+            load(space, level, deadline)
 
         monkeypatch.setattr(_V1Space, "__init__", built)
         monkeypatch.setattr(_FoslSpace, "load", loaded)
@@ -1615,15 +1634,15 @@ class TestLevelFormula:
             for f in (sentence, full_translation(sentence, vocab)):
                 s = finder._simplify(f, m)[0]
                 expected = truth() if s is True else s
-                assert finder._level(f, m)[0] == expected
+                assert finder._level(f, m, False)[0] == expected
 
     def test_shared_axioms_are_simplified_once_per_m(self):
         vocab = corpus_vocab()
         one, two = (full_translation(generate_formula(vocab, seed, 4), vocab)
                     for seed in (1, 2))
-        finder._level(one, 2)
+        finder._level(one, 2, False)
         before = finder._simplify_shared.cache_info()
-        finder._level(two, 2)
+        finder._level(two, 2, False)
         after = finder._simplify_shared.cache_info()
         assert after.misses == before.misses
         assert after.hits - before.hits == len(labeled_axioms(vocab))
@@ -1631,5 +1650,82 @@ class TestLevelFormula:
     def test_unchanged_formula_is_returned_as_is(self):
         vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, [], ["s"])
         f = parse_formula("forall ?x (P(?x) -> [s] Q(?x))", vocab)
-        assert finder._level(f, 2)[0] is f
-        assert finder._level(f, 1)[0] is f
+        assert finder._level(f, 2, False)[0] is f
+        assert finder._level(f, 1, False)[0] is f
+
+    def test_split_level_reads_the_split_axioms_as_true(self):
+        # a split space makes bridge axioms 1, 2 and 4-6 hold, so its
+        # level is that of the translation without them
+        vocab = corpus_vocab()
+        for seed in range(40):
+            f = full_translation(generate_formula(vocab, seed, 4), vocab)
+            rest = conjoin([part for part in finder.conjuncts(f)
+                            if part not in finder._SPLIT_AXIOMS])
+            for m in (1, 2):
+                assert finder._level(f, m, True) == finder._level(rest, m, False)
+
+
+class TestLevelLoop:
+    """_search reads the level of each precisification count once per
+    search, builds every space of that count from it and revalidates the
+    models itself, so no space and no cache keeps the sentence."""
+
+    SEARCHES = ["find_v1_model", "find_fosl_model", "equisat_check"]
+
+    @staticmethod
+    def search(name, f, trans):
+        vocab = corpus_vocab()
+        if name == "find_v1_model":
+            return find_v1_model(vocab, f, CORPUS_BOUNDS)
+        if name == "find_fosl_model":
+            return find_fosl_model(translated_vocabulary(vocab), trans, DESERT_BOUNDS)
+        return equisat_check(vocab, f, CORPUS_BOUNDS)
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_one_level_per_precisification_count(self, name, monkeypatch):
+        # seed 167 is unsat, so every level of both counts is searched
+        vocab = corpus_vocab()
+        f = generate_formula(vocab, 167, 4)
+        trans = full_translation(f, vocab)
+        calls = collections.Counter()
+        level = finder._level
+
+        def counted(g, m, *args):
+            calls["sentence" if g == f else "translation" if g == trans else g, m] += 1
+            return level(g, m, *args)
+
+        monkeypatch.setattr(finder, "_level", counted)
+        outcome = self.search(name, f, trans)
+        assert getattr(outcome, "verdict", getattr(outcome, "agreement", None)) == "unsat"
+        sentences = {"find_v1_model": ["sentence"], "find_fosl_model": ["translation"],
+                     "equisat_check": ["sentence", "translation"]}[name]
+        assert calls == {(g, m): 1 for g in sentences for m in (1, 2)}
+
+    # a satisfiable conjunction for each search, none equal to another, so
+    # no cache could hold one search's sentence through an equal earlier one
+    @pytest.mark.parametrize("name, text", zip(SEARCHES, [
+        "exists ?x (Kind(?x) & Attr(?x)) & <s> !Attr(n)",
+        "exists ?x (Kind(?x) & !Attr(?x)) & <s> Attr(n)",
+        "exists ?x Kind(?x) & <s> !Attr(n)",
+    ]), ids=SEARCHES)
+    def test_a_finished_search_keeps_no_sentence(self, name, text, monkeypatch):
+        # a conjunction and its translation are garbage once the caller
+        # drops them; equisat_check translates the sentence itself
+        vocab = corpus_vocab()
+        translations = []
+        translate = finder.full_translation
+
+        def recorded(*args, **kwargs):
+            out = translate(*args, **kwargs)
+            translations.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(finder, "full_translation", recorded)
+        f = parse_formula(text, vocab)
+        trans = full_translation(f, vocab)
+        refs = [weakref.ref(f), weakref.ref(trans)]
+        outcome = self.search(name, f, trans)
+        assert getattr(outcome, "verdict", getattr(outcome, "agreement", None)) == "sat"
+        del f, trans, outcome
+        gc.collect()
+        assert [ref() is None for ref in refs + translations] == [True] * (len(translations) + 2)

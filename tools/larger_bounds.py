@@ -9,8 +9,8 @@ direction does: the private finder._search_fosl with caps of 4 ext
 (entities) and 3 ind (individuals) elements, precisifications up to 2,
 domain up to 7, symmetry reduction on and a 20 s timeout.  SRC is the
 source tree to import (default: this repository's src); it must take
-each level's space through finder._fosl_space, where the script records
-the level a timed-out row was searching.
+each level's space through finder._fosl_space(vocab, level, n, m, ...),
+where the script records the level a timed-out row was searching.
 
 Prints every row that disagrees with the pool's V1 verdict or times out
 (with the last level it started), then the totals: agreements,
@@ -45,9 +45,9 @@ def main(argv: list[str]) -> int:
     levels: list[tuple[int, int]] = []
     fosl_space = finder._fosl_space
 
-    def recorded(vocab, f, n, m, *args):
+    def recorded(vocab, level, n, m, *args, **kwargs):
         levels.append((n, m))
-        return fosl_space(vocab, f, n, m, *args)
+        return fosl_space(vocab, level, n, m, *args, **kwargs)
 
     finder._fosl_space = recorded
 
