@@ -32,7 +32,10 @@ searched in the level's one space.  It specializes the sentence once
 per precisification count (_level), builds each space from that level
 and revalidates every model; a count at which the sentence simplifies to
 false has no level.  A passed deadline is _DeadlinePassed, in set-up and
-in search alike.  Every search runs serially in the calling thread.
+in search alike.  A standpoint search builds no level with more
+precisifications than its sentence has diamond witnesses at that size
+(_witness_bound, argued at _search_fosl).  Every search runs serially in
+the calling thread.
 
 A standpoint level's space outlives one search.  Spaces are kept by
 shape (vocabulary, n, m, symmetry, split and the level formula's shared
@@ -735,13 +738,14 @@ class _FoslSpace(_Space):
 
     def unload(self) -> None:
         """Drop the loaded sentence's own instances with their watch
-        entries and the tables (so the cells) they created, leaving what
-        the kept bridge axioms left.  Valid only once the level's search
-        is over, every cell unset and every instance undecided (see
-        _keep_space)."""
+        entries, the scan order and the tables (so the cells) they
+        created, leaving what the kept bridge axioms left.  Valid only
+        once the level's search is over, every cell unset and every
+        instance undecided (see _keep_space)."""
         count, tables, preds = self.kept_sizes
         dropped = set(self.instances[count:])
         del self.instances[count:]
+        self.order.clear()  # load rebuilds it
         # each watch list holds its instances in the order they were ground
         for key, watchers in list(self.watch.items()):
             while watchers and watchers[-1] in dropped:
@@ -1124,6 +1128,37 @@ def _sort_floors(parts: set) -> int | None:
     return int(named and axiom_8)
 
 
+def _witness_bound(f: Formula):
+    """The witness bound of the sentence f: the function m*(n) = max(1,
+    the sum over the distinct diamonds D of f of n^|free(D)|), the most
+    precisifications a model of f with n elements needs (see
+    _search_fosl).  A diamond is a box with a negative occurrence, one
+    under an odd number of negations.  The top-level conjuncts that are
+    shared bridge axioms (translate._SHARED_AXIOMS, as _level reads
+    them) count nothing: of those only axioms 2 and 3:P, [*] forall x
+    (P(x) <-> [*] P(x)), have a diamond, and they say only that P is
+    rigid."""
+    diamonds = set()
+    stack = [(g, True) for g in conjuncts(f)
+             if g.__class__ is not Box or g not in _SHARED_AXIOMS]
+    while stack:
+        g, positive = stack.pop()
+        kind = type(g)
+        if kind is And:
+            stack.append((g.left, positive))
+            stack.append((g.right, positive))
+        elif kind is Not:
+            stack.append((g.body, not positive))
+        elif kind is Box:
+            if not positive:
+                diamonds.add(g)
+            stack.append((g.body, positive))
+        elif kind is Forall:
+            stack.append((g.body, positive))
+    widths = [len(free_variables(d)) for d in diamonds]
+    return lambda n: max(1, sum(n ** k for k in widths))
+
+
 def _search(f: Formula, levels, bounds: Bounds, holds, split: bool,
             keep=None) -> SearchOutcome:
     """The one level loop of both engines, searching the sentence f.
@@ -1193,12 +1228,36 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
     as n = 1 when the floor is 1, has no configuration.
 
     caps, the most ext and ind elements a model may have, also bound r
-    and split the level in both symmetry modes."""
+    and split the level in both symmetry modes.
+
+    No level (n, m) past the witness bound m*(n) of f (_witness_bound) is
+    built.  The truth of a box [s] psi does not depend on the
+    precisification it is read at: it reads psi at every member of
+    sigma(s).  So take a model M of f with n elements, and keep one
+    member of sigma(s) where psi fails for each diamond [s] psi of f and
+    each assignment of its free variables under which it is false, or
+    one precisification if that keeps none; then cut every sigma(s) down
+    to the kept set.  By induction on the formula, every positive
+    subformula true in M stays true at the kept precisifications and
+    every negative one false in M stays false, so f stays globally true.
+    The top-level conjuncts that are shared bridge axioms are exempt: the
+    only diamonds among them are in axioms 2 and 3:P, which say that a
+    predicate is rigid, and a predicate constant over every
+    precisification stays constant over the kept ones.  The restriction
+    keeps n and every element's sort, so its split point r too, and has
+    at most m*(n) precisifications.  This is Ladner's small-model
+    argument for S5, lifted to the constant-domain, many-standpoint
+    case.  The levels (n, m') with m' < m come before (n, m), so the
+    first model found never sat past m*(n): dropping those levels
+    changes no verdict and no model.  m*(n) is at least 1, so the bound
+    is read at the first level past m = 1 that has a configuration, and
+    a search that ends before it never walks f for it."""
     symmetry = bounds.symmetry_reduction
     floor = _sort_floors(set(conjuncts(f)))
     split = floor is not None and (symmetry or caps is not None)
 
     def levels(deadline):
+        witnesses = None
         for n in range(1, bounds.max_domain + 1):
             sizes = (None,)
             if split:
@@ -1207,6 +1266,11 @@ def _search_fosl(vocab, f, bounds: Bounds, caps=None) -> SearchOutcome:
                     low, high = max(low, n - caps[0]), min(high, caps[1])
                 sizes = range(low, high + 1)
             for m in range(1, bounds.max_precisifications + 1):
+                if m > 1 and sizes:
+                    if witnesses is None:
+                        witnesses = _witness_bound(f)
+                    if m > witnesses(n):
+                        break
                 build = functools.partial(_fosl_space, vocab, n=n, m=m, symmetry=symmetry,
                                           deadline=deadline, split=split)
                 yield m, build, sizes
@@ -1222,7 +1286,11 @@ def find_fosl_model(vocab: FoslVocabulary, f: Formula, bounds: Bounds) -> Search
     full translation does, each level is split on ind/ext, starting each
     sort at the least size the bridge axioms among them force, and prec
     is searched as a function (see _sort_floors and _search_fosl);
-    a sentence that lacks any of the five is searched unsplit."""
+    a sentence that lacks any of the five is searched unsplit.  No level
+    has more precisifications than f's witness bound at its domain size,
+    one per diamond of f and assignment of the diamond's free variables
+    (see _witness_bound): a model with more has a restriction with no
+    more, which the search meets first."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
@@ -1557,7 +1625,9 @@ def equisat_check(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> EquisatRep
     are the bridge axioms, name typing included, so a standpoint model the
     search has verified is lowered (_lower) without checking them again,
     each name keeping its denotation, and only the lowered model is
-    checked, against f.
+    checked, against f.  The backward search reads its witness bound
+    (_witness_bound) from the translation, never from f, so it leans on
+    nothing the correspondence under test would have to supply.
     """
     trans_f = full_translation(f, vocab)  # validates f
     trans_vocab = translated_vocabulary(vocab)

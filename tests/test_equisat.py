@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from splogic import (
     make_v1_structure,
     make_v1_vocabulary,
     parse_formula,
+    translated_vocabulary,
     v1_structure_from_dict,
 )
 from splogic import finder
@@ -124,6 +126,30 @@ class TestEquisatHarness:
         assert tallies.get("discrepancy", 0) == 0
         assert tallies.get("inconclusive", 0) == 0
         assert tallies.get("sat", 0) + tallies.get("unsat", 0) == 200
+
+
+class TestLargerBounds:
+    """The backward search at the solve_v1 bounds, which the corpus tests
+    never reach: entities 4, individuals 3, domain up to 7."""
+
+    POOL = Path(__file__).resolve().parent.parent / "bench" / "data" / "solve_v1.json"
+
+    def test_backward_search_agrees_with_the_v1_pool(self):
+        # each of the 400 pool rows, translated with its name typing and
+        # searched as equisat_check's backward side, has the V1 verdict
+        # the pool records, and none times out
+        vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+        trans_vocab = translated_vocabulary(vocab)
+        bounds = Bounds(max_domain=7, max_precisifications=2, max_entities=4,
+                        max_individuals=3, timeout=20)
+        rows = json.loads(self.POOL.read_text())["rows"]
+        assert len(rows) == 400
+        verdicts = {}
+        for seed, expected, _ in rows:
+            f = full_translation(generate_formula(vocab, seed, 4), vocab)
+            outcome = finder._search_fosl(trans_vocab, f, bounds, (4, 3))
+            verdicts[seed] = (outcome.verdict, expected)
+        assert {seed: v for seed, v in verdicts.items() if v[0] != v[1]} == {}
 
 
 class TestRepeatedPreciseAtoms:

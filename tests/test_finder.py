@@ -56,6 +56,22 @@ def corpus_vocab():
     return make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
 
 
+# two diamonds with a free variable, true wherever sigma(s) is not empty:
+# conjoined to a sentence they leave its models nearly as they were, but
+# give it the witness bound 2n, so the standpoint search reaches m = 2 at
+# every size n (see finder._witness_bound)
+TWO_WITNESSES = "forall ?x (<s> Attr(?x) | <s> !Attr(?x))"
+
+
+def witnessed(vocab, seed):
+    # the generated sentence of the seed conjoined with TWO_WITNESSES
+    return conjoin([generate_formula(vocab, seed, 4), parse_formula(TWO_WITNESSES, vocab)])
+
+
+# the six sentences of bench/data/equisat_hard.json
+HARD_SEEDS = (1272, 1878, 333, 2746, 672, 167)
+
+
 def fosl_space(vocab, f, n, m, symmetry, deadline=float("inf"), prec_cells=False):
     # a new standpoint space for the level of f at m, as _search builds it
     return _FoslSpace(vocab, finder._level(f, m, prec_cells), n, m, symmetry, deadline,
@@ -137,8 +153,9 @@ class TestFoslSearch:
                         clock[0] = 10.0
 
         monkeypatch.setattr(finder, "_FoslSpace", Counted)
-        vocab = make_fosl_vocabulary({"P": 1}, ["a"], [])
-        f = parse_formula("P(a) & forall ?x !P(?x)", vocab)
+        # two diamonds, so the one-element level has m = 2
+        vocab = make_fosl_vocabulary({"P": 1}, ["a"], ["s"])
+        f = parse_formula("P(a) & forall ?x !P(?x) & <s> P(a) & <s> !P(a)", vocab)
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=1.0)
         assert isinstance(find_fosl_model(vocab, f, bounds), SearchTimeout)
         assert built == [(1, 1), (1, 2)]
@@ -912,7 +929,7 @@ class TestSpaceReuse:
         # sentence gives the result and the dfs calls of a new search
         vocab = corpus_vocab()
         trans_vocab = translated_vocabulary(vocab)
-        f = full_translation(generate_formula(vocab, 167, 4), vocab)
+        f = full_translation(witnessed(vocab, 167), vocab)
         bounds = Bounds(max_domain=4, max_precisifications=2, timeout=1.0)
 
         def search():
@@ -1026,11 +1043,12 @@ class TestSpaceReuse:
 
     @pytest.mark.parametrize("symmetry", [True, False])
     def test_close_leaves_what_the_axioms_alone_leave(self, symmetry):
-        # after a search of seed 167, unsat, every level's kept space
-        # holds what a new space of the bridge axioms alone holds
+        # after a search of seed 167 with TWO_WITNESSES, unsat, every
+        # level's kept space holds what a new space of the bridge axioms
+        # alone holds
         vocab = corpus_vocab()
         trans_vocab = translated_vocabulary(vocab)
-        f = full_translation(generate_formula(vocab, 167, 4), vocab)
+        f = full_translation(witnessed(vocab, 167), vocab)
         axioms = full_translation(truth(), vocab)
         bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60,
                         symmetry_reduction=symmetry)
@@ -1042,6 +1060,15 @@ class TestSpaceReuse:
             assert space.kept and self.layout(space) == self.layout(alone)
             assert space.tables == alone.tables and space.preds == alone.preds
             assert all(entry is not _T for inst in space.instances for entry in inst.memo)
+
+    def test_unloaded_space_keeps_no_instance_of_its_sentence(self):
+        # unload drops the sentence's instances from the scan order too,
+        # so a kept space holds no closure or memo row of its last search
+        vocab = corpus_vocab()
+        equisat_check(vocab, generate_formula(vocab, 167, 4), CORPUS_BOUNDS)
+        assert finder._spaces
+        for space in finder._spaces.values():
+            assert set(space.order) <= set(space.instances)
 
     @staticmethod
     def layout(space):
@@ -1167,9 +1194,10 @@ class TestSortSplit:
 
     @staticmethod
     def hard_translation():
-        # seed 167 is unsat, so every level and every split is searched
+        # seed 167 is unsat, and TWO_WITNESSES gives it m = 2 at every size,
+        # so every level and every split is searched
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, 167, 4), vocab)
+        f = full_translation(witnessed(vocab, 167), vocab)
         return translated_vocabulary(vocab), f
 
     def test_full_translation_and_its_round_trip_split(self, monkeypatch):
@@ -1217,14 +1245,16 @@ class TestSortSplit:
         # without names the ind floor is 0, so the one-element level is
         # split at r = 0, all entities, and holds prec as value cells.
         # Seed 3 needs an individual, so it is unsat there at m = 1 and
-        # m = 2; seed 5, forall ?x Shape(?x), holds vacuously there.
+        # m = 2 (TWO_WITNESSES gives it that level); seed 5,
+        # forall ?x Shape(?x), holds vacuously there.
         calls = self.count_splits(monkeypatch)
         flat = self.count_levels(monkeypatch, lambda space: (space.n, space.prec_cells))
         vocab = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, [], ["s"])
         trans_vocab = translated_vocabulary(vocab)
         bounds = Bounds(max_domain=2, max_precisifications=2, timeout=60)
-        for seed, levels, domain in ((3, 2, 2), (5, 1, 1)):
-            f = full_translation(generate_formula(vocab, seed, 4), vocab)
+        for f, levels, domain in ((witnessed(vocab, 3), 2, 2),
+                                  (generate_formula(vocab, 5, 4), 1, 1)):
+            f = full_translation(f, vocab)
             calls.clear()
             flat.clear()
             outcome = find_fosl_model(trans_vocab, f, bounds)
@@ -1313,7 +1343,7 @@ class TestSortSplit:
     # (bench/data/equisat_hard.json) at domain 4, the level they exhaust
     @pytest.mark.parametrize("seeds, domain, outcomes", [
         (range(60), 3, {ModelFound, ExhaustedUnsat}),
-        ((1272, 1878, 333, 2746, 672, 167), 4, {ExhaustedUnsat}),
+        (HARD_SEEDS, 4, {ExhaustedUnsat}),
     ], ids=["corpus", "hard"])
     def test_split_outcomes_match_unsplit_search(self, seeds, domain, outcomes, monkeypatch):
         # the split search holds prec as value cells and drops axioms 4-6;
@@ -1569,7 +1599,7 @@ class TestSortSplit:
 
             monkeypatch.setattr(_FoslSpace, name, checked_method)
         vocab = corpus_vocab()
-        f = full_translation(generate_formula(vocab, seed, 4), vocab)
+        f = full_translation(witnessed(vocab, seed), vocab)
         # level n=4 is the one the equisat_hard sentences exhaust
         bounds = Bounds(max_domain=domain, max_precisifications=2, timeout=60)
         find_fosl_model(translated_vocabulary(vocab), f, bounds)
@@ -1614,7 +1644,8 @@ class TestFalseLevels:
     def test_false_at_one_count_searches_the_others(self, monkeypatch):
         # [*] collapses at m = 1, where the sentence folds to false; at
         # m = 2 it is unsat too, but only a search shows it
-        outcome, report, set_up = self.search(monkeypatch, "Attr(n) & [*] !Attr(n)")
+        outcome, report, set_up = self.search(monkeypatch,
+                                              "Attr(n) & [*] !Attr(n) & " + TWO_WITNESSES)
         assert isinstance(outcome, ExhaustedUnsat)
         assert report.agreement == "unsat"
         assert {kind for kind, _ in set_up} == {"v1", "fosl"}
@@ -1683,9 +1714,10 @@ class TestLevelLoop:
 
     @pytest.mark.parametrize("name", SEARCHES)
     def test_one_level_per_precisification_count(self, name, monkeypatch):
-        # seed 167 is unsat, so every level of both counts is searched
+        # seed 167 is unsat, and TWO_WITNESSES gives it m = 2 at every size,
+        # so every level of both counts is searched
         vocab = corpus_vocab()
-        f = generate_formula(vocab, 167, 4)
+        f = witnessed(vocab, 167)
         trans = full_translation(f, vocab)
         calls = collections.Counter()
         level = finder._level
@@ -1729,3 +1761,69 @@ class TestLevelLoop:
         del f, trans, outcome
         gc.collect()
         assert [ref() is None for ref in refs + translations] == [True] * (len(translations) + 2)
+
+
+class TestWitnessBound:
+    """A box reads its body at every member of its standpoint, wherever it
+    is read, so a model needs one precisification per diamond and per
+    assignment of its free variables (finder._witness_bound), and the
+    standpoint search builds no level past that bound."""
+
+    VOCAB = make_fosl_vocabulary({"P": 1, "Q": 1}, ["a"], ["s"])
+
+    @pytest.mark.parametrize("text, bound", [
+        ("<s> P(a) & <s> Q(a)", lambda n: 2),
+        ("<s> P(a) & <s> P(a)", lambda n: 1),  # equal diamonds count once
+        ("forall ?x <s> P(?x)", lambda n: n),
+        ("forall ?x forall ?y <s> (P(?x) & Q(?y))", lambda n: n * n),
+        ("[s] P(a) & forall ?x [*] Q(?x)", lambda n: 1),
+        ("<s> <*> P(a)", lambda n: 2),
+        ("!([s] P(a) & [*] Q(a))", lambda n: 2),
+        ("([s] P(a) <-> Q(a)) & forall ?x ([s] P(?x) -> Q(?x))", lambda n: 1 + n),
+    ])
+    def test_counts_the_diamonds(self, text, bound):
+        f = parse_formula(text, self.VOCAB)
+        witnesses = finder._witness_bound(f)
+        assert [witnesses(n) for n in (1, 2, 3)] == [bound(n) for n in (1, 2, 3)]
+
+    def test_rigidity_axioms_count_nothing(self, monkeypatch):
+        # seed 167's translation has no diamond but those of bridge axioms
+        # 2 and 3:Shape, [*] forall x (P(x) <-> [*] P(x)) for ind, ext and
+        # Shape, which only say that a predicate is rigid
+        vocab = corpus_vocab()
+        f = full_translation(generate_formula(vocab, 167, 4), vocab)
+        sizes = (1, 2, 4, 7)
+        assert [finder._witness_bound(f)(n) for n in sizes] == [1, 1, 1, 1]
+        monkeypatch.setattr(finder, "_SHARED_AXIOMS", frozenset())
+        assert [finder._witness_bound(f)(n) for n in sizes] == [3 * n for n in sizes]
+
+    def test_capped_search_finds_what_the_uncapped_one_finds(self, monkeypatch):
+        # every outcome and model is the one the search finds with the
+        # bound at max_precisifications, on the equisat corpus's and the
+        # equisat_hard sentences' backward side and on generated sentences
+        vocab = corpus_vocab()
+        trans_vocab = translated_vocabulary(vocab)
+        backward = Bounds(max_domain=4, max_precisifications=2, timeout=60)
+        fosl_vocab = make_fosl_vocabulary({"P": 1, "Q": 1}, ["a", "b"], ["s"])
+        fosl_bounds = Bounds(max_domain=3, max_precisifications=2, timeout=60)
+        levels = TestSortSplit.count_levels(monkeypatch, lambda space: (space.n, space.m))
+
+        def outcomes():
+            out = []
+            for seed in [*range(200), *HARD_SEEDS]:
+                f = full_translation(generate_formula(vocab, seed, 4), vocab)
+                out.append(finder._search_fosl(trans_vocab, f, backward, (2, 2)))
+            for seed in range(300):
+                f = generate_formula(fosl_vocab, seed, 3)
+                out.append(find_fosl_model(fosl_vocab, f, fosl_bounds))
+            return [(o.verdict, fosl_structure_to_dict(o.structure)
+                     if isinstance(o, ModelFound) else None) for o in out]
+
+        capped = outcomes()
+        capped_levels = len(levels)
+        levels.clear()
+        # the bound at both searches' max_precisifications
+        monkeypatch.setattr(finder, "_witness_bound", lambda f: lambda n: 2)
+        assert outcomes() == capped
+        assert capped_levels < len(levels)
+        assert {verdict for verdict, _ in capped} == {"sat", "unsat"}
