@@ -31,11 +31,13 @@ standpoint level or the registries of extension maps of a V1 level, each
 searched in the level's one space.  It specializes the sentence once
 per precisification count (_level), builds each space from that level
 and revalidates every model; a count at which the sentence simplifies to
-false has no level.  A passed deadline is _DeadlinePassed, in set-up and
-in search alike.  A standpoint search builds no level with more
-precisifications than its sentence has diamond witnesses at that size
-(_witness_bound, argued at _search_fosl).  Every search runs serially in
-the calling thread.
+false has no level.  A V1 search builds one space per precisification
+count, for its bounds, and configures it for the entity and individual
+counts of each level of that count as it sets up each registry.  A
+passed deadline is _DeadlinePassed, in set-up and in search alike.  A
+standpoint search builds no level with more precisifications than its
+sentence has diamond witnesses at that size (_witness_bound, argued at
+_search_fosl).  Every search runs serially in the calling thread.
 
 A standpoint level's space outlives one search.  Spaces are kept by
 shape (vocabulary, n, m, symmetry, split and the level formula's shared
@@ -1163,11 +1165,12 @@ def _search(f: Formula, levels, bounds: Bounds, holds, split: bool,
             keep=None) -> SearchOutcome:
     """The one level loop of both engines, searching the sentence f.
     levels(deadline) yields, level by level, its precisification count
-    m, a function that builds its space from a level of f (_level) and
-    the configurations the space is searched under; each configuration
-    is set up (configure) and searched in one trail frame, closed after
-    its search, so the next one starts from a space with every cell
-    unset and every instance undecided.  The deadline is checked before
+    m, a function that gives its space for a level of f (_level), new or
+    kept, and the configurations the space is searched under; each
+    configuration is set up (configure) and searched in one trail frame,
+    closed after its search, so the next one, of this level or of a later
+    one in the same space, starts from a space with every cell unset and
+    every instance undecided.  The deadline is checked before
     each configuration, so no space is set up and no configuration
     searched once it has passed.  A space is set up at its level's first
     configuration, from the level of m read there once per search; a
@@ -1302,32 +1305,48 @@ def find_fosl_model(vocab: FoslVocabulary, f: Formula, bounds: Bounds) -> Search
 # ---------------------------------------------------------------------------
 
 class _V1Space(_Space):
-    """Partial V1 structure for registries of r extension maps.
+    """Partial V1 structure with m precisifications, for registries of up
+    to max_individuals extension maps over up to max_entities entities.
 
     An individual's precise version is the function prec, as in a split
     standpoint space: self.prec, the ("f", "prec") rows, holds the maps
     of one registry, prec[pi][i] the entity of individual i at
-    precisification pi; individuals may share a map.  A level's
-    registries are its configurations (see find_v1_model), all searched
-    in one space: configure writes a registry's maps into those rows,
-    whose cells are never assigned.
-    The sortal and indefinite tables are over individuals (base r), a
-    rigid precise table over entities (base ne) is a single row, with
-    cells ("p", pred, 0, rank), and a proper name is a 0-ary function
-    over the individuals.  Every constraint is an instance: one per name
-    n, K1(n) | ... | Kk(n) over the sorted sortals (false without
-    sortals), comes first, and an indefinite atom is true only of
-    individuals admitted at its precisification: it compiles guarded by
-    their admissions (_instances_v1), so its bit is branched on only once
-    every argument is known to be admitted, and every true bit lies over
-    admitted individuals.  Only _quantify reads the sortals via member3.
+    precisification pi; individuals may share a map.  One space serves
+    every level (ne, m, r) of a search with its m: the levels' registries
+    are their configurations (see find_v1_model), and configure sets up
+    each as (ne, registry), setting self.ne, self.r, the values a name
+    may take and the maps in the prec rows, whose cells are never
+    assigned.  The sortal and indefinite tables are over individuals
+    (base max_individuals), a rigid precise table over entities (base
+    max_entities) is a single row, with cells ("p", pred, 0, rank), and a
+    proper name is a 0-ary function over the individuals.  Every
+    constraint is an instance, compiled once: one per name n, K1(n) | ...
+    | Kk(n) over the sorted sortals (false without sortals), comes first,
+    and an indefinite atom is true only of individuals admitted at its
+    precisification: it compiles guarded by their admissions
+    (_instances_v1), so its bit is branched on only once every argument
+    is known to be admitted, and every true bit lies over admitted
+    individuals.  Only _quantify reads the sortals via member3.
+
+    A reconfigured space searches exactly as a new one built for the
+    bounds (ne, r) would, node for node.  A finished configuration leaves
+    every cell unset and every instance undecided (_search closes its
+    trail frame).  No cell past r or ne is ever read: every individual
+    comes from range(r), through _quantify, which reads r when it runs,
+    and through the values a name branches over (self.choices), and every
+    entity comes from a registry's map in the prec rows.  So each cell a
+    configuration reads is unset when it starts, as in a new space; the
+    wider bases only move it to another rank, and the instances are
+    compiled from the level alone.  materialize decodes ranks in those
+    bases and keeps the first ne entities and r individuals, the only
+    ones a true cell can mention.
     """
 
-    def __init__(self, vocab: V1Vocabulary, level: tuple, ne: int, m: int, r: int):
-        _Space.__init__(self, vocab, m, r)
-        self.ne = ne
-        self.r = r
-        self.choices = tuple(range(r))  # a name may denote any individual
+    def __init__(self, vocab: V1Vocabulary, level: tuple, m: int, max_entities: int,
+                 max_individuals: int):
+        _Space.__init__(self, vocab, m, max_individuals)
+        self.max_entities = max_entities
+        self.ne = self.r = 0  # set with self.choices by configure
         self.prec = self.tables["f", "prec"] = []  # written by configure
 
         # member3 reads every sortal, so each has a table whether or not
@@ -1335,7 +1354,7 @@ class _V1Space(_Space):
         # indefinite and precise tables (whose arities preds holds), the
         # name and the standpoint cells (_table); this space keeps no read
         # sets
-        self.sortal_rows = [(k, [bytearray(self.r) for _ in range(m)])
+        self.sortal_rows = [(k, [bytearray(max_individuals) for _ in range(m)])
                             for k in sorted(vocab.sortals)]
         self.tables.update((("p", k), rows) for k, rows in self.sortal_rows)
         for part in _instances_v1(vocab, level[0]):
@@ -1343,9 +1362,13 @@ class _V1Space(_Space):
             fn = self._compile(part, {})
             self.instances.append(_Instance(fn, (), m if self.varies else 1, [None] * m))
 
-    def configure(self, maps: tuple[tuple[int, ...], ...]) -> None:
-        """Search the registry whose individual i has the extension map
-        maps[i], a tuple of entities by precisification."""
+    def configure(self, config: tuple[int, tuple[tuple[int, ...], ...]]) -> None:
+        """Search the registry of config = (ne, maps): ne entities, and
+        individual i with the extension map maps[i], a tuple of entities
+        by precisification.  Valid while no cell is assigned."""
+        self.ne, maps = config
+        self.r = len(maps)
+        self.choices = tuple(range(self.r))  # a name may denote any individual
         self.prec[:] = zip(*maps)
 
     def _table(self, pred: str, arity: int) -> list[bytearray] | None:
@@ -1353,9 +1376,10 @@ class _V1Space(_Space):
         if table is None:  # an indefinite or a precise predicate
             self.preds[pred] = arity
             if pred in self.vocab.precise:
-                self.tables["p", pred] = [bytearray(self.ne ** arity)]  # rigid
+                self.tables["p", pred] = [bytearray(self.max_entities ** arity)]  # rigid
             else:
-                table = self.tables["p", pred] = [bytearray(self.r ** arity) for _ in range(self.m)]
+                table = [bytearray(self.base ** arity) for _ in range(self.m)]
+                self.tables["p", pred] = table
         return None if pred in self.vocab.precise else table  # see _precise_atom
 
     def member3(self, i: int, pi: int) -> tuple[int, tuple | None]:
@@ -1371,16 +1395,16 @@ class _V1Space(_Space):
         return (_U, culprit) if culprit is not None else (_F, None)
 
     def _quantify(self, slot: int, child):
-        # the universal ranges over the individuals some sortal admits at
-        # pi; a false body counts only once its individual is admitted
+        # the universal ranges over the individuals of the configured
+        # registry some sortal admits at pi; a false body counts only once
+        # its individual is admitted
         self.varies = True
-        r = self.r
         member3 = self.member3
 
         def fn(pi, env):
             cul = self.culprit
             unknown = False
-            for i in range(r):
+            for i in range(self.r):
                 mv, mc = member3(i, pi)
                 if mv == _F:
                     continue
@@ -1404,7 +1428,7 @@ class _V1Space(_Space):
         pred = f.pred
         row = self.tables["p", pred][0]
         prec = self.prec
-        ne = self.ne
+        base = self.max_entities
 
         def fn(pi, env):
             rank = 0
@@ -1412,7 +1436,7 @@ class _V1Space(_Space):
                 i = resolve(pi, env)
                 if i is None:
                     return _U
-                rank = rank * ne + prec[pi][i]
+                rank = rank * base + prec[pi][i]
             b = row[rank]
             if b == 0:
                 self._note(("p", pred, 0, rank))
@@ -1442,9 +1466,10 @@ class _V1Space(_Space):
         return (_U, culprit) if culprit is not None else (_T, None)
 
     def materialize(self) -> V1Structure:
-        entities = [f"e{i}" for i in range(self.ne)]
+        # ranks decode in the tables' bases (see _V1Space)
+        entities = [f"e{i}" for i in range(self.max_entities)]
         precs = [f"p{i}" for i in range(self.m)]
-        idents = [f"i{i}" for i in range(self.r)]
+        idents = [f"i{i}" for i in range(self.base)]
         individuals = {
             idents[i]: {precs[pi]: entities[self.prec[pi][i]] for pi in range(self.m)}
             for i in range(self.r)
@@ -1477,7 +1502,7 @@ class _V1Space(_Space):
         }
         sigma = _sigma(self.vocab.standpoints, self.tables, precs)
         return make_v1_structure(
-            entities, precs, sigma, individuals, sortals, indefinite, precise, names
+            entities[:self.ne], precs, sigma, individuals, sortals, indefinite, precise, names
         )
 
 
@@ -1527,8 +1552,8 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
     """Search for a variable reference structure making f globally true.
 
     Entity counts, precisification counts and registry sizes grow from the
-    smallest, one search space per level (ne, m, r); a level's
-    configurations are its registries, the multisets of r extension maps
+    smallest, level by level (ne, m, r); a level's configurations are
+    (ne, registry) for its registries, the multisets of r extension maps
     (individuals may share a map) in lexicographic order, enumerated
     lazily (see _search), that together use all ne entities; at ne = 1
     the empty registry is one too.  The rule loses no model and does not
@@ -1537,18 +1562,30 @@ def find_v1_model(vocab: V1Vocabulary, f: Formula, bounds: Bounds) -> SearchOutc
     over individuals, names denote individuals), so a registry that
     leaves entities unused, renumbered onto those it uses, is a registry
     of a level (k, m, r) with k < ne, searched earlier.  A level with
-    m * r < ne has no such registry and builds no space."""
+    m * r < ne has no such registry and sets up no space.
+
+    Every level of one m is searched in one space, built for the bounds
+    at the first of them that has a configuration and configured for
+    each registry since (see _V1Space for why that searches as a new
+    space would); the spaces are held by m for this search only."""
     validate_formula(f, vocab)
     if free_variables(f):
         raise EvaluationError("model search requires a sentence")
     min_r = 1 if vocab.names else 0
 
     def levels(deadline):  # a V1 space is not ground, so it needs no deadline
+        spaces: dict[int, _V1Space] = {}
+
+        def build(m: int, level: tuple) -> _V1Space:
+            if m not in spaces:
+                spaces[m] = _V1Space(vocab, level, m, bounds.max_entities, bounds.max_individuals)
+            return spaces[m]
+
         for ne in range(1, bounds.max_entities + 1):
             for m in range(1, bounds.max_precisifications + 1):
                 for r in range(min_r, bounds.max_individuals + 1):
-                    build = functools.partial(_V1Space, vocab, ne=ne, m=m, r=r)
-                    yield m, build, _registries(ne, m, r)
+                    configs = ((ne, maps) for maps in _registries(ne, m, r))
+                    yield m, functools.partial(build, m), configs
 
     return _search(f, levels, bounds, is_model_v1, split=False)
 

@@ -78,9 +78,9 @@ def fosl_space(vocab, f, n, m, symmetry, deadline=float("inf"), prec_cells=False
                       prec_cells)
 
 
-def v1_space(vocab, f, ne, m, r):
+def v1_space(vocab, f, m, max_entities, max_individuals):
     # a new V1 space for the level of f at m, as _search builds it
-    return _V1Space(vocab, finder._level(f, m, False), ne, m, r)
+    return _V1Space(vocab, finder._level(f, m, False), m, max_entities, max_individuals)
 
 
 class TestFoslSearch:
@@ -287,13 +287,21 @@ class TestV1Search:
 
     def test_one_space_per_level(self, monkeypatch):
         # every registry of an (entities, precisifications, individuals)
-        # level is searched in the same space
-        levels = []
+        # level is searched in the same space, and so is every level of
+        # one precisification count: a search builds one space per count
+        # and configures it for each level's registries
+        built, levels = [], []
 
         class Counted(_V1Space):
-            def __init__(self, vocab, f, ne, m, r):
-                levels.append((ne, m, r))
-                super().__init__(vocab, f, ne, m, r)
+            def __init__(self, vocab, level, m, max_entities, max_individuals):
+                built.append(m)
+                super().__init__(vocab, level, m, max_entities, max_individuals)
+
+            def configure(self, config):
+                super().configure(config)
+                level = (self.ne, self.m, self.r)
+                if levels[-1:] != [level]:
+                    levels.append(level)
 
         monkeypatch.setattr(finder, "_V1Space", Counted)
         vocab = corpus_vocab()
@@ -301,8 +309,9 @@ class TestV1Search:
         bounds = Bounds(max_entities=3, max_precisifications=2, max_individuals=3,
                         timeout=60)
         assert isinstance(find_v1_model(vocab, f, bounds), ExhaustedUnsat)
+        assert built == [1, 2]
         # a level with fewer map values (m * r) than entities has no
-        # registry that uses every entity, so it builds no space
+        # registry that uses every entity, so it configures nothing
         assert levels == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3),
                           (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
                           (3, 1, 3), (3, 2, 2), (3, 2, 3)]
@@ -311,18 +320,15 @@ class TestV1Search:
         # a registry that leaves an entity unused is, renumbered, one of a
         # level with fewer entities, searched earlier, so a level searches
         # each multiset of maps that uses all its entities once
-        built, draws = [], []
-        init, configure = _V1Space.__init__, _V1Space.configure
+        configured, draws = set(), []
+        configure = _V1Space.configure
 
-        def counted_init(space, vocab, f, ne, m, r):
-            built.append((ne, m, r))
-            init(space, vocab, f, ne, m, r)
-
-        def counted(space, maps):
+        def counted(space, config):
+            configure(space, config)
+            _, maps = config
             draws.append((space.ne, space.m, tuple(sorted(maps))))
-            configure(space, maps)
+            configured.add((space.ne, space.m, space.r))
 
-        monkeypatch.setattr(_V1Space, "__init__", counted_init)
         monkeypatch.setattr(_V1Space, "configure", counted)
         vocab = corpus_vocab()
         f = parse_formula("Attr(n) & forall ?x !Attr(?x)", vocab)
@@ -332,7 +338,83 @@ class TestV1Search:
         for ne, m, maps in draws:
             assert ne == 1 or {e for ext in maps for e in ext} == set(range(ne))
         assert len(draws) == len(set(draws)) == 164
-        assert all(m * r >= ne for ne, m, r in built)
+        assert all(m * r >= ne for ne, m, r in configured)
+
+    @staticmethod
+    def search_in_new_spaces(vocab, f, bounds):
+        # find_v1_model's levels in order, each searched in a new space
+        # built for exactly its entities and individuals: the first model,
+        # or None when every registry is refuted
+        min_r = 1 if vocab.names else 0
+        for ne in range(1, bounds.max_entities + 1):
+            for m in range(1, bounds.max_precisifications + 1):
+                level = finder._level(f, m, False)
+                if level[0] is False:
+                    continue
+                for r in range(min_r, bounds.max_individuals + 1):
+                    space = _V1Space(vocab, level, m, ne, r)
+                    for maps in finder._registries(ne, m, r):
+                        space.configure((ne, maps))
+                        space.trail.append([])
+                        found = space.dfs(float("inf"))
+                        space.pop_frame()
+                        if found is not None:
+                            return found
+        return None
+
+    # its first model lies at level (2, 1, 2), searched in the space of
+    # m = 1 last configured at (1, 1, 3): fewer individuals, more entities
+    TWO_ENTITIES = "exists ?x Shape(?x) & exists ?x !Shape(?x)"
+
+    def test_reconfigured_spaces_search_as_new_ones(self, monkeypatch):
+        # one space per precisification count, configured for each level,
+        # finds what a new space per level finds, in as many dfs calls
+        calls = []
+        dfs = _V1Space.dfs
+        history = collections.defaultdict(list)  # each space's levels
+        configure = _V1Space.configure
+
+        def counted(space, deadline):
+            calls.append(space)
+            return dfs(space, deadline)
+
+        def configured(space, config):
+            configure(space, config)
+            level = (space.ne, space.m, space.r)
+            if history[space][-1:] != [level]:
+                history[space].append(level)
+
+        monkeypatch.setattr(_V1Space, "dfs", counted)
+        monkeypatch.setattr(_V1Space, "configure", configured)
+        vocab = corpus_vocab()
+        binary = make_v1_vocabulary(["K"], {"A": None}, {"Q": None}, ["a", "b"], [])
+        wide = Bounds(max_entities=2, max_precisifications=2, max_individuals=3, timeout=60)
+        cases = [(vocab, generate_formula(vocab, seed, 4), CORPUS_BOUNDS)
+                 for seed in HARD_SEEDS + tuple(range(0, 200, 5))]
+        cases += [(binary, parse_formula("A(a, b) & !A(b, a) & Q(a, b) & !Q(b, a)", binary),
+                   wide),
+                  (vocab, parse_formula(self.TWO_ENTITIES, vocab), wide)]
+        outcomes = collections.Counter()
+        for vocab, f, bounds in cases:
+            calls.clear()
+            expected = self.search_in_new_spaces(vocab, f, bounds)
+            fresh = len(calls)
+            calls.clear()
+            history.clear()
+            outcome = find_v1_model(vocab, f, bounds)
+            assert len(calls) == fresh, print_formula(f)
+            if expected is None:
+                assert isinstance(outcome, ExhaustedUnsat)
+            else:
+                assert isinstance(outcome, ModelFound)
+                assert outcome.structure == expected
+            outcomes[type(outcome)] += 1
+        assert outcomes[ModelFound] > 10 and outcomes[ExhaustedUnsat] > 5
+        # the last case: its m = 1 space went from (1, 1, 3) to (2, 1, 2)
+        model = outcome.structure
+        assert (len(model.entities), len(model.precisifications), len(model.registry)) == (2, 1, 2)
+        assert [levels[-2:] for levels in history.values()] == [[(1, 1, 3), (2, 1, 2)],
+                                                               [(1, 2, 2), (1, 2, 3)]]
 
     def test_wildcard_arity_tables_follow_the_formula(self):
         # a wildcard arity is pinned by its use, here to two arguments
@@ -1107,7 +1189,7 @@ class TestCulpritRule:
         vocab = make_v1_vocabulary(["K"], {"P": 1, "Q": 1, "R": 1}, {}, ["c"], [])
         f = parse_formula(self.TEXT, vocab)
         space = v1_space(vocab, f, 1, 1, 1)
-        space.configure(((0,),))
+        space.configure((1, ((0,),)))
         space.assign(("f", "c", 0, 0), 0)
         # an indefinite atom over an individual of open admission blames
         # the sortal cell; with c admitted, only the atoms' bits are open
@@ -1620,9 +1702,9 @@ class TestFalseLevels:
         set_up = []
         init, load = _V1Space.__init__, _FoslSpace.load
 
-        def built(space, vocab, level, ne, m, r):
-            set_up.append(("v1", m))
-            init(space, vocab, level, ne, m, r)
+        def built(space, *args):
+            init(space, *args)
+            set_up.append(("v1", space.m))
 
         def loaded(space, level, deadline=float("inf")):
             set_up.append(("fosl", space.m))

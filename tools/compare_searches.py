@@ -31,13 +31,18 @@ and one of evaluations:
            axiom).
 
 A fingerprint holds every report and outcome, models included, with the
-elapsed fields removed, and the number of depth-first search calls per
-set and per space class (counted around _Space.dfs).  The comparison
-prints, for both trees, the dfs totals and each equisat set's tally of
-agreements (sat, unsat, discrepancy, inconclusive), then every item that
-differs and how many are identical.  It exits 1 when any item or any dfs
-total differs, so a change that only alters the search work exits 1 with
+elapsed fields removed, the number of depth-first search calls per set
+and per space class (counted around _Space.dfs), and the spaces each set
+sets up: V1 spaces built, standpoint spaces built and standpoint spaces
+loaded, new or kept (counted around the constructors and
+_FoslSpace.load).  The comparison prints, for both trees, the dfs
+totals, the spaces set up and each equisat set's tally of agreements
+(sat, unsat, discrepancy, inconclusive), then every item that differs
+and how many are identical.  It exits 1 when any item or any dfs total
+differs, so a change that only alters the search work exits 1 with
 every item identical, and 0 only when both trees agree on everything.
+The spaces set up are shown but never change the exit status: how a
+tree reuses its spaces is not a result.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ def dump() -> dict:
     import workloads
 
     counts: dict[str, int] = {}
+    set_up: dict[str, int] = {}
     dfs = finder._Space.dfs
 
     def counted(space, deadline):
@@ -76,6 +82,21 @@ def dump() -> dict:
         return dfs(space, deadline)
 
     finder._Space.dfs = counted
+
+    def tallied(cls, method: str, event: str) -> None:
+        # count the calls of cls.method under "<class> <event>"
+        wrapped = getattr(cls, method)
+        key = f"{cls.__name__} {event}"
+
+        def call(*args, **kwargs):
+            set_up[key] = set_up.get(key, 0) + 1
+            return wrapped(*args, **kwargs)
+
+        setattr(cls, method, call)
+
+    tallied(finder._V1Space, "__init__", "built")
+    tallied(finder._FoslSpace, "__init__", "built")
+    tallied(finder._FoslSpace, "load", "loaded")
 
     def outcome_item(outcome, to_dict) -> dict:
         item = {"outcome": type(outcome).__name__}
@@ -98,11 +119,12 @@ def dump() -> dict:
                                           max_precisifications=2, timeout=60), seed)
             for e, i in ((2, 1), (1, 2)) for seed in range(200)}
 
-    out: dict = {"items": {}, "dfs": {}}
+    out: dict = {"items": {}, "dfs": {}, "spaces": {}}
     for name, seeds in (("corpus", range(200)), ("nameless", range(100)), ("hard", hard),
                         ("asym", asym), ("pool", pool), ("fosl", range(300)),
                         ("eval", checks)):
         counts.clear()
+        set_up.clear()
         for seed in seeds:
             if name == "eval":
                 item = _evaluations(sp, workloads, seed)
@@ -121,6 +143,7 @@ def dump() -> dict:
                 item = sp.equisat_check(harness_vocab, f, bounds).to_dict()
             out["items"][f"{name}:{seed}"] = _strip_elapsed(item)
         out["dfs"][name] = dict(sorted(counts.items()))
+        out["spaces"][name] = dict(sorted(set_up.items()))
     return out
 
 
@@ -187,6 +210,8 @@ def main(argv: list[str]) -> int:
     old, new = (_run(src) for src in argv)
     print("dfs calls, old:", json.dumps(old["dfs"], sort_keys=True))
     print("dfs calls, new:", json.dumps(new["dfs"], sort_keys=True))
+    print("spaces set up, old:", json.dumps(old["spaces"], sort_keys=True))
+    print("spaces set up, new:", json.dumps(new["spaces"], sort_keys=True))
     print("agreements, old:", json.dumps(_agreements(old), sort_keys=True))
     print("agreements, new:", json.dumps(_agreements(new), sort_keys=True))
     differ = sorted(k for k in old["items"].keys() | new["items"].keys()
