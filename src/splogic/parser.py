@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, recursive-descent parser and printer.
+"""Concrete syntax: tokenizer, precedence parser and printer.
 
 Grammar (whitespace-insensitive, binary operators right-associative)::
 
@@ -22,15 +22,21 @@ An IDENT directly followed by "(" is parsed as a predicate application;
 this admits the four lowercase predicates the translation introduces
 (ind, ext, ink, prec), which are ordinary declared predicates there.
 The dot after a quantified variable is optional.
+
+One compiled pattern cuts the text into (kind, text, position) tuples,
+and one precedence loop (Pratt 1973, "Top down operator precedence")
+parses the four binary levels, keeping a chain's operands on a list, so
+a conjunction of any length costs no recursion.  Prefixes and
+parentheses recurse, so Python's recursion limit is the nesting limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, nesting_guard
 from .syntax import (
+    KEYWORDS,
     And,
     Atom,
     Box,
@@ -52,220 +58,163 @@ from .syntax import (
     validate_formula,
 )
 
+# One token per match, after the whitespace before it; group 2 holds a
+# character that starts no token.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<VAR>\?[a-z][A-Za-z0-9_]*)
-  | (?P<WORD>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<IFF><->)
-  | (?P<IMPL>->)
-  | (?P<NEQ>!=)
-  | (?P<PUNCT>[()\[\],&|!<>=.*])
-    """,
-    re.VERBOSE,
+    r"\s*(?:(\?[a-z][A-Za-z0-9_]*|[A-Za-z][A-Za-z0-9_]*|<->|->|!=|[()\[\],&|!<>=.*])|(\S))"
 )
 
-_KEYWORDS = ("forall", "exists", "true", "false")
+# A keyword or punctuation token is its own kind; any other is VAR,
+# PRED or IDENT by its first character.
+_KINDS = {t: t for t in (*KEYWORDS, "<->", "->", "!=", *"()[],&|!<>=.*")}
+
+_END = "end of input"  # kind and text of the token after the last
+
+# Binary operators: precedence (higher binds tighter) and constructor.
+_BINARY = {"<->": (0, iff), "->": (1, implies), "|": (2, or_), "&": (3, And)}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # VAR | PRED | IDENT | keyword text | punctuation text
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, text[pos])
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "WORD":
-            if tok in _KEYWORDS:
-                kind = tok
-            elif tok[0].isupper():
-                kind = "PRED"
-            else:
-                kind = "IDENT"
-        elif kind == "VAR":
-            pass
-        elif kind != "WS":
-            kind = tok
-        if kind != "WS":
-            tokens.append(_Token(kind, tok, pos))
-        pos = m.end()
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of text, left to right."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2), m[2])
+        kind = _KINDS.get(tok)
+        if kind is None:
+            kind = "VAR" if tok[0] == "?" else "PRED" if tok[0].isupper() else "IDENT"
+        tokens.append((kind, tok, m.start(1)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
+def _error(message: str, tok: tuple[str, str, int]) -> FormulaSyntaxError:
+    """A syntax error at tok; the end of input carries no token."""
+    kind, text, pos = tok
+    return FormulaSyntaxError(message, pos, None if kind == _END else text)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError(f"expected {kind!r}, found end of input", len(self.text))
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos, tok.text)
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
-
-    # ---- grammar ----
-
-    def formula(self) -> Formula:
-        return self._right_chain(self.impl, "<->", iff)
-
-    def impl(self) -> Formula:
-        return self._right_chain(self.or_level, "->", implies)
-
-    def or_level(self) -> Formula:
-        return self._right_chain(self.and_level, "|", or_)
-
-    def and_level(self) -> Formula:
-        return self._right_chain(self.unary, "&", And)
-
-    def _right_chain(self, sub, op, build) -> Formula:
-        parts = [sub()]
-        while self.at(op):
-            self.next()
-            parts.append(sub())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = build(part, out)
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("expected a formula, found end of input", len(self.text))
-        if tok.kind == "!":
-            self.next()
-            return Not(self.unary())
-        if tok.kind == "[":
-            self.next()
-            sp = self.standpoint()
-            self.expect("]")
-            return Box(sp, self.unary())
-        if tok.kind == "<":
-            self.next()
-            sp = self.standpoint()
-            self.expect(">")
-            return diamond(sp, self.unary())
-        if tok.kind in ("forall", "exists"):
-            self.next()
-            var = self.expect("VAR").text[1:]
-            if self.at("."):
-                self.next()
-            body = self.unary()
-            return Forall(var, body) if tok.kind == "forall" else exists(var, body)
-        return self.atom()
-
-    def standpoint(self) -> str:
-        tok = self.next()
-        if tok.kind in ("IDENT", "*"):
-            return tok.text
-        raise FormulaSyntaxError(
-            f"expected a standpoint symbol, found {tok.text!r}", tok.pos, tok.text
-        )
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("expected an atom, found end of input", len(self.text))
-        if tok.kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if tok.kind == "true":
-            self.next()
-            return truth()
-        if tok.kind == "false":
-            self.next()
-            return falsity()
-        if tok.kind == "PRED":
-            self.next()
-            if self.at("("):
-                return Atom(tok.text, self.arg_list())
-            if self.at("=") or self.at("!="):
-                raise FormulaSyntaxError(
-                    f"predicate {tok.text!r} cannot appear in an equality", tok.pos, tok.text
-                )
-            return Atom(tok.text)
-        if tok.kind == "IDENT" and self._lookahead_is("("):
-            # lowercase predicate application (translation-introduced symbols)
-            self.next()
-            return Atom(tok.text, self.arg_list())
-        # otherwise this must be an equality between terms
-        left = self.term()
-        op = self.peek()
-        if op is not None and op.kind == "=":
-            self.next()
-            return Equal(left, self.term())
-        if op is not None and op.kind == "!=":
-            self.next()
-            return Not(Equal(left, self.term()))
-        where = op.pos if op is not None else len(self.text)
-        what = op.text if op is not None else "end of input"
-        raise FormulaSyntaxError(f"expected '=' or '!=', found {what!r}", where,
-                                 op.text if op else None)
-
-    def _lookahead_is(self, kind: str) -> bool:
-        j = self.i + 1
-        return j < len(self.tokens) and self.tokens[j].kind == kind
-
-    def arg_list(self) -> tuple[Term, ...]:
-        self.expect("(")
-        args = [self.term()]
-        while self.at(","):
-            self.next()
-            args.append(self.term())
-        self.expect(")")
-        return tuple(args)
-
-    def term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "VAR":
-            return Var(tok.text[1:])
-        if tok.kind == "IDENT":
-            return Const(tok.text)
-        raise FormulaSyntaxError(f"expected a term, found {tok.text!r}", tok.pos, tok.text)
+def _unexpected(tok: tuple[str, str, int], what: str) -> FormulaSyntaxError:
+    """The error for tok where a symbol (what) was expected."""
+    if tok[0] == _END:
+        return FormulaSyntaxError("unexpected end of input", tok[2])
+    return _error(f"expected {what}, found {tok[1]!r}", tok)
 
 
 def parse_raw(text: str) -> Formula:
     """Parse without vocabulary checks; result uses only the six core nodes."""
-    p = _Parser(text)
+    tokens = tokenize(text)
+    tokens.append((_END, _END, len(text)))
+    i = 0
+
+    def formula() -> Formula:
+        # operands and the operators between them; an operator reduces
+        # those before it that bind tighter, and the end reduces the rest
+        nonlocal i
+        operands, ops = [unary()], []
+        while True:
+            op = _BINARY.get(tokens[i][0])
+            level = op[0] if op is not None else -1
+            while ops and ops[-1][0] > level:
+                build = ops.pop()[1]
+                right = operands.pop()
+                operands[-1] = build(operands[-1], right)
+            if op is None:
+                return operands[0]
+            i += 1
+            ops.append(op)
+            operands.append(unary())
+
+    def unary() -> Formula:
+        nonlocal i
+        kind, tok, pos = tokens[i]
+        i += 1
+        if kind == "PRED":
+            after = tokens[i][0]
+            if after == "(":
+                return Atom(tok, arguments())
+            if after == "=" or after == "!=":
+                raise FormulaSyntaxError(
+                    f"predicate {tok!r} cannot appear in an equality", pos, tok
+                )
+            return Atom(tok)
+        if kind == "!":
+            return Not(unary())
+        if kind == "(":
+            f = formula()
+            expect(")")
+            return f
+        if kind == "[" or kind == "<":
+            sp = tokens[i]
+            if sp[0] != "IDENT" and sp[0] != "*":
+                raise _unexpected(sp, "a standpoint symbol")
+            i += 1
+            expect("]" if kind == "[" else ">")
+            body = unary()
+            return Box(sp[1], body) if kind == "[" else diamond(sp[1], body)
+        if kind == "forall" or kind == "exists":
+            var = tokens[i][1][1:]
+            expect("VAR")
+            if tokens[i][0] == ".":
+                i += 1
+            body = unary()
+            return Forall(var, body) if kind == "forall" else exists(var, body)
+        if kind == "true":
+            return truth()
+        if kind == "false":
+            return falsity()
+        if kind == _END:
+            raise FormulaSyntaxError("expected a formula, found end of input", pos)
+        if kind == "IDENT" and tokens[i][0] == "(":
+            # lowercase predicate application (translation-introduced symbols)
+            return Atom(tok, arguments())
+        # otherwise this must be an equality between terms
+        i -= 1
+        left = term()
+        op = tokens[i]
+        if op[0] == "=" or op[0] == "!=":
+            i += 1
+            eq = Equal(left, term())
+            return eq if op[0] == "=" else Not(eq)
+        raise _error(f"expected '=' or '!=', found {op[1]!r}", op)
+
+    def expect(kind: str) -> None:
+        nonlocal i
+        tok = tokens[i]
+        if tok[0] != kind:
+            found = _END if tok[0] == _END else repr(tok[1])
+            raise _error(f"expected {kind!r}, found {found}", tok)
+        i += 1
+
+    def term() -> Term:
+        nonlocal i
+        tok = tokens[i]
+        if tok[0] == "VAR":
+            i += 1
+            return Var(tok[1][1:])
+        if tok[0] == "IDENT":
+            i += 1
+            return Const(tok[1])
+        raise _unexpected(tok, "a term")
+
+    def arguments() -> tuple[Term, ...]:
+        # the terms between the "(" at i and its ")"
+        nonlocal i
+        args = []
+        while True:
+            i += 1  # past the "(" or ","
+            args.append(term())
+            if tokens[i][0] != ",":
+                expect(")")
+                return tuple(args)
+
     try:
-        f = p.formula()
+        f = formula()
     except RecursionError:
-        # each nesting level costs several frames of the descent
-        tok = p.peek()
-        where = tok.pos if tok is not None else len(text)
-        raise FormulaSyntaxError("formula nested too deeply", where) from None
-    trailing = p.peek()
-    if trailing is not None:
-        raise FormulaSyntaxError(
-            f"unexpected trailing input {trailing.text!r}", trailing.pos, trailing.text
-        )
+        # each level of nesting costs a frame or two of the descent
+        raise FormulaSyntaxError("formula nested too deeply", tokens[i][2]) from None
+    if tokens[i][0] != _END:
+        raise _error(f"unexpected trailing input {tokens[i][1]!r}", tokens[i])
     return f
 
 
@@ -318,7 +267,14 @@ def _render(f: Formula) -> tuple[str, int]:
         if halves is not None:
             a, b = halves
             return f"{_child(a, _IMPL)} <-> {_child(b, _IFF)}", _IFF
-        return f"{_child(f.left, _UNARY)} & {_child(f.right, _AND)}", _AND
+        # a conjunction's right spine costs no recursion
+        parts = []
+        while True:
+            parts.append(_child(f.left, _UNARY))
+            f = f.right
+            if not isinstance(f, And) or _as_iff(f) is not None:
+                parts.append(_child(f, _AND))
+                return " & ".join(parts), _AND
     if isinstance(f, Not):
         body = f.body
         if isinstance(body, Box) and isinstance(body.body, Not):

@@ -27,6 +27,10 @@ UNIVERSAL_STANDPOINT = "*"
 # in a user vocabulary and are the only lowercase predicate names accepted.
 RESERVED_PREDICATES = ("ind", "ext", "ink", "prec")
 
+# The words of the concrete syntax; no constant, name or standpoint may
+# take one, or its formulas would not print as text that parses back.
+KEYWORDS = frozenset({"forall", "exists", "true", "false"})
+
 _PRED_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -413,11 +417,18 @@ class V1Vocabulary:
 Vocabulary = Union[FoslVocabulary, V1Vocabulary]
 
 
+def _reject_keywords(symbols: AbstractSet[str], label: str) -> None:
+    clash = KEYWORDS & symbols
+    if clash:
+        raise VocabularyError(f"{label} {min(clash)!r} is a keyword of the concrete syntax")
+
+
 def _check_standpoints(standpoints: Iterable[str]) -> frozenset[str]:
     sps = frozenset(standpoints) | {UNIVERSAL_STANDPOINT}
     for sp in sps:
         if sp != UNIVERSAL_STANDPOINT and not _IDENT_RE.match(sp):
             raise VocabularyError(f"standpoint symbol {sp!r} must be a lowercase identifier or '*'")
+    _reject_keywords(sps, "standpoint symbol")
     return sps
 
 
@@ -506,6 +517,7 @@ def make_fosl_vocabulary(
     for name in consts:
         if not _IDENT_RE.match(name):
             raise VocabularyError(f"constant {name!r} must be a lowercase identifier")
+    _reject_keywords(consts, "constant")
     overlap = consts & preds.keys()
     if overlap:
         raise VocabularyError(f"symbols declared both predicate and constant: {sorted(overlap)}")
@@ -535,6 +547,7 @@ def make_v1_vocabulary(
     for name in nms:
         if not _IDENT_RE.match(name):
             raise VocabularyError(f"name {name!r} must be a lowercase identifier")
+    _reject_keywords(nms, "name")
     sps = _check_standpoints(standpoints)
     for reserved in RESERVED_PREDICATES:
         if reserved in srt or reserved in ind or reserved in prc or reserved in nms or reserved in sps:
@@ -558,6 +571,9 @@ def validate_formula(f: Formula, vocab: Vocabulary) -> None:
 
 
 def _validate(f: Formula, vocab: Vocabulary, pinned: dict[str, int]) -> None:
+    while isinstance(f, And):  # a conjunction's right spine costs no recursion
+        _validate(f.left, vocab, pinned)
+        f = f.right
     if isinstance(f, Atom):
         if not vocab.has_predicate(f.pred):
             raise UndeclaredSymbolError(f"undeclared predicate {f.pred!r}", f.pred)
@@ -576,9 +592,6 @@ def _validate(f: Formula, vocab: Vocabulary, pinned: dict[str, int]) -> None:
         _validate_term(f.right, vocab)
     elif isinstance(f, Not):
         _validate(f.body, vocab, pinned)
-    elif isinstance(f, And):
-        _validate(f.left, vocab, pinned)
-        _validate(f.right, vocab, pinned)
     elif isinstance(f, Forall):
         _validate(f.body, vocab, pinned)
     elif isinstance(f, Box):

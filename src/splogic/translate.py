@@ -60,6 +60,7 @@ def translated_vocabulary(vocab: V1Vocabulary) -> FoslVocabulary:
     return make_fosl_vocabulary(predicates, vocab.names, vocab.standpoints)
 
 
+@nesting_guard
 def translate_formula(f: Formula, vocab: V1Vocabulary) -> Formula:
     """Map a V1 formula to a standpoint-logic formula over the translated
     vocabulary.  Sortal and indefinite atoms pass through; universal

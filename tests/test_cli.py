@@ -165,6 +165,24 @@ class TestTranslate:
         vocab = load_vocabulary(str(FIXTURES / "desert_v1_vocab.json"))
         parse_formula(out_path.read_text(), translated_vocabulary(vocab))
 
+    def test_six_hundred_names_translate_and_reparse(self, capsys, tmp_path):
+        # the name typing is one flat conjunction with a member per name
+        from splogic import parse_formula, translated_vocabulary
+        from splogic.cli import load_vocabulary
+
+        vocab_path, formula_path = tmp_path / "v.json", tmp_path / "f.txt"
+        vocab_path.write_text(json.dumps({
+            "logic": "v1", "sortals": ["Kind"], "indefinite": {}, "precise": {},
+            "names": [f"n{k}" for k in range(600)], "standpoints": [],
+        }))
+        formula_path.write_text("Kind(n0)\n")
+        code, out, _ = run(capsys, "translate", "--formula", str(formula_path),
+                           "--vocab", str(vocab_path))
+        assert code == 0
+        vocab = load_vocabulary(str(vocab_path))
+        parse_formula(out, translated_vocabulary(vocab))
+        assert all(f"ink(n{k})" in out for k in range(600))
+
     def test_names_are_typed(self, capsys, tmp_path):
         # every name denotes an admitted individual, with no flag
         out_path = tmp_path / "t.txt"

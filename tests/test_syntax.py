@@ -25,15 +25,19 @@ from splogic import (
     all_variables,
     formula_size,
     free_variables,
+    full_translation,
+    generate_formula,
     is_monodic,
     is_sentence,
     make_fosl_vocabulary,
     make_v1_vocabulary,
     parse_formula,
     print_formula,
+    translated_vocabulary,
     validate_formula,
 )
 from splogic.parser import parse_raw
+from splogic.syntax import conjuncts
 
 VOCAB = make_fosl_vocabulary(
     {"P": 1, "Q": 0, "R": 2, "AridArea": 1, "Near": 2, "Desert": 1},
@@ -112,6 +116,28 @@ class TestParseErrors:
             parse_formula("P(c) @ Q", VOCAB)
         assert err.value.position == 5
 
+    @pytest.mark.parametrize("text, message, position, token", [
+        ("", "expected a formula, found end of input", 0, None),
+        ("   ", "expected a formula, found end of input", 3, None),
+        ("P(c) @ Q", "unexpected character '@'", 5, "@"),
+        ("P(c", "expected ')', found end of input", 3, None),
+        ("P(c))", "unexpected trailing input ')'", 4, ")"),
+        ("[*P(c)", "expected ']', found 'P'", 2, "P"),
+        ("<s P(c)", "expected '>', found 'P'", 3, "P"),
+        ("forall P(c)", "expected 'VAR', found 'P'", 7, "P"),
+        ("c", "expected '=' or '!=', found 'end of input'", 1, None),
+        ("?x", "expected '=' or '!=', found 'end of input'", 2, None),
+        ("P(,c)", "expected a term, found ','", 2, ","),
+        ("P(c) <- P(c)", "unexpected character '-'", 6, "-"),
+        ("P(c) = c", "unexpected trailing input '='", 5, "="),
+        ("P = c", "predicate 'P' cannot appear in an equality", 0, "P"),
+    ])
+    def test_error_message_position_and_token(self, text, message, position, token):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_raw(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert (err.value.position, err.value.token) == (position, token)
+
     def test_undeclared_predicate(self):
         with pytest.raises(UndeclaredSymbolError) as err:
             parse_formula("Missing(c)", VOCAB)
@@ -183,6 +209,25 @@ class TestPrinting:
             assert parse_raw(print_formula(f)) == f
             g = generate_formula(v1, seed, 4)
             assert parse_raw(print_formula(g)) == g
+
+    def test_roundtrip_on_corpus_translations(self):
+        # lowercase ind/ext/ink/prec applications, diamonds, exists and <->
+        v1 = make_v1_vocabulary(["Kind"], {"Attr": 1}, {"Shape": 1}, ["n"], ["s"])
+        target = translated_vocabulary(v1)
+        for seed in range(200):
+            f = full_translation(generate_formula(v1, seed, 4), v1)
+            assert parse_formula(print_formula(f), target) == f
+
+    def test_flat_conjunction_of_two_thousand_members(self):
+        # a conjunction's length is not nesting: it parses, validates,
+        # prints and parses back however long it is
+        members = ["P(c)", "Q", "R(c, house)", "[s] P(c)", "(P(c) | Q)"]
+        text = " & ".join(members[k % 5] for k in range(2000))
+        f = parse_formula(text, VOCAB)
+        validate_formula(f, VOCAB)
+        assert len(conjuncts(f)) == 2000
+        assert print_formula(f) == text
+        assert conjuncts(parse_formula(print_formula(f), VOCAB)) == conjuncts(f)
 
     @pytest.mark.parametrize(
         "text",
@@ -324,6 +369,19 @@ class TestVocabularies:
     def test_v1_indefinite_arity_positive(self):
         with pytest.raises(VocabularyError):
             make_v1_vocabulary(["Kind"], {"Bad": 0}, {}, [], [])
+
+    @pytest.mark.parametrize("word", ["true", "false", "forall", "exists"])
+    def test_keywords_rejected(self, word):
+        # a keyword symbol would print as text that does not parse back
+        makers = [
+            lambda: make_fosl_vocabulary({"P": 1}, [word], []),
+            lambda: make_fosl_vocabulary({"P": 1}, [], [word]),
+            lambda: make_v1_vocabulary(["K"], {}, {}, [word], []),
+            lambda: make_v1_vocabulary(["K"], {}, {}, [], [word]),
+        ]
+        for make in makers:
+            with pytest.raises(VocabularyError, match="keyword"):
+                make()
 
     @pytest.mark.parametrize("arity", [True, False])
     def test_boolean_arity_rejected(self, arity):

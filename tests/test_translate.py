@@ -107,6 +107,14 @@ class TestTranslateFormula:
         assert t(And(g, g)) == And(t(g), t(g))
         assert t(Box("*", g)) == Box("*", t(g))
 
+    def test_long_conjunction_is_an_evaluation_error(self, desert_v1_vocab):
+        # validation walks a conjunction without recursion, the translation
+        # recurses once per conjunct: past the limit that is not a
+        # RecursionError
+        f = conjoin([parse_formula("Desert(a)", desert_v1_vocab)] * 1500)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            translate_formula(f, desert_v1_vocab)
+
 
 class TestAxiomSet:
     def test_fixed_order_and_labels(self, desert_v1_vocab):

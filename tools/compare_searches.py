@@ -4,7 +4,7 @@
     python3 tools/compare_searches.py --dump SRC > results.json
 
 Each tree runs in its own process and fingerprints six sets of searches
-and one of evaluations:
+and two with no search:
 
   corpus   equisat_check on corpus seeds 0-199 at entities 2,
            individuals 2, precisifications 2 (the Tier-1 corpus);
@@ -28,7 +28,15 @@ and one of evaluations:
            individual), on the lifted model, and lower_model on the
            lifted model and on a generated structure over the translated
            vocabulary (the lowered model, or the label of the violated
-           axiom).
+           axiom);
+  syntax   no search: parse_formula on generated formulas of depths 2-6,
+           seeds 0-39, over the corpus vocabulary and both
+           check_translate vocabularies (items "syntax:VOCAB,DEPTH:seed"),
+           and on three seeded one-character edits of each text (a
+           character deleted, one inserted, two neighbours swapped): the
+           tree, as print_formula writes it (printing is injective:
+           parsing the text gives the tree back), or the error's class,
+           message, position and token.
 
 A fingerprint holds every report and outcome, models included, with the
 elapsed fields removed, the number of depth-first search calls per set
@@ -48,6 +56,7 @@ tree reuses its spaces is not a result.
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -119,15 +128,23 @@ def dump() -> dict:
                                           max_precisifications=2, timeout=60), seed)
             for e, i in ((2, 1), (1, 2)) for seed in range(200)}
 
+    syntax_vocabs = {"corpus": vocab, "ct_fosl": workloads.ct_fosl_vocab(sp),
+                     "ct_v1": workloads.ct_v1_vocab(sp)}
+    syntax = {f"{label},{depth}:{seed}": (label, depth, seed)
+              for label in syntax_vocabs for depth in range(2, 7) for seed in range(40)}
+
     out: dict = {"items": {}, "dfs": {}, "spaces": {}}
     for name, seeds in (("corpus", range(200)), ("nameless", range(100)), ("hard", hard),
                         ("asym", asym), ("pool", pool), ("fosl", range(300)),
-                        ("eval", checks)):
+                        ("eval", checks), ("syntax", syntax)):
         counts.clear()
         set_up.clear()
         for seed in seeds:
             if name == "eval":
                 item = _evaluations(sp, workloads, seed)
+            elif name == "syntax":
+                label, depth, number = syntax[seed]
+                item = _parses(sp, syntax_vocabs[label], depth, number, seed)
             elif name == "fosl":
                 f = sp.generate_formula(fosl_vocab, seed, 3)
                 item = outcome_item(sp.find_fosl_model(fosl_vocab, f, fosl_bounds),
@@ -178,6 +195,35 @@ def _evaluations(sp, workloads, seed: int) -> dict:
         "lowered": lowered(lifted),
         "junk": lowered(junk),
     }
+
+
+# what an edit inserts: the grammar's characters, a space, letters and
+# one character no token starts with
+_INSERTS = "()[]<>!&|-=.,?* aKns@"
+
+
+def _parses(sp, vocab, depth: int, seed: int, key: str) -> dict:
+    """parse_formula's answer on a generated formula's text and on three
+    one-character edits of it, drawn by a generator seeded with key."""
+    text = sp.print_formula(sp.generate_formula(vocab, seed, depth))
+    rng = random.Random(key)
+    cut = rng.randrange(len(text))
+    put = rng.randrange(len(text) + 1)
+    swap = rng.randrange(len(text) - 1)
+    texts = {
+        "text": text,
+        "delete": text[:cut] + text[cut + 1:],
+        "insert": text[:put] + rng.choice(_INSERTS) + text[put:],
+        "swap": text[:swap] + text[swap + 1] + text[swap] + text[swap + 2:],
+    }
+    out = {}
+    for edit, edited in texts.items():
+        try:
+            out[edit] = sp.print_formula(sp.parse_formula(edited, vocab))
+        except sp.SplError as exc:
+            out[edit] = [type(exc).__name__, str(exc), getattr(exc, "position", None),
+                         getattr(exc, "token", None)]
+    return out
 
 
 def _run(src: str) -> dict:
